@@ -127,12 +127,14 @@ def key_lanes(col):
 
 def stable_bucket_ids(table: pa.Table, keys: list[str],
                       num_buckets: int) -> np.ndarray:
-    """int32 bucket ids from xor-combined :func:`stable_hash` of the
-    key columns -- the one routing function every exchange producer
-    should share."""
+    """int32 bucket ids from the :func:`stable_hash` of each key column,
+    combined with a distinct odd multiplier per column (``2j + 1``):
+    plain XOR cancels when two key columns hold equal values.  Column 0's
+    multiplier is 1, so single-key ids are ``stable_hash(col) % B``.  The
+    one routing function every exchange producer shares."""
     h = stable_hash(table.column(keys[0]))
-    for k in keys[1:]:
-        h = h ^ stable_hash(table.column(k))
+    for j, k in enumerate(keys[1:], 1):
+        h = h ^ stable_hash(table.column(k)) * np.uint64(2 * j + 1)
     return (h % num_buckets).astype(np.int32)
 
 

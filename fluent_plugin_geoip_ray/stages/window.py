@@ -581,22 +581,14 @@ def dense_tumbling(ds, ts_col: str = "ts", size_sec: int = 3600,
     if not keys:
         raise ValueError("dense_tumbling requires at least one key column")
 
-    from .exchange import hash_exchange
+    from .exchange import hash_exchange, stable_bucket_ids
 
     sparse = tumbling_window(ds, ts_col=ts_col, size_sec=size_sec,
                              keys=keys)
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        # composite-key bucket: per-column TYPE-STABLE hashes combined
-        # with distinct odd multipliers (plain XOR cancels when two key
-        # columns agree)
-        from .exchange import stable_hash
-
-        h = np.zeros(t.num_rows, dtype=np.uint64)
-        for j, k in enumerate(keys):
-            h ^= stable_hash(t.column(k)) * np.uint64(2 * j + 1)
-        b = (h % num_buckets).astype(np.int32)
-        return t.append_column("__bucket", pa.array(b))
+        return t.append_column(
+            "__bucket", pa.array(stable_bucket_ids(t, keys, num_buckets)))
 
     bucketed = sparse.map_batches(add_bucket, batch_format="pyarrow",
                                   zero_copy_batch=True)

@@ -1233,6 +1233,24 @@ def test_similarity_join_stop_gram_skew_no_blowup():
     assert len(got) >= n // 2  # the near-identical half matched
 
 
+def test_similarity_join_group_pair_guard():
+    """The cross-join enumerator is guarded like the self-join one: 30 x 30
+    distinct docs sharing every BASE gram put 900 light pairs in each
+    shared-gram run > guard."""
+    from fluent_plugin_geoip_ray.stages.dedup import similarity_join
+
+    def side(lo):
+        return rd.from_arrow(pa.table({
+            "doc_id": pa.array(range(lo, lo + 30), pa.int64()),
+            "text": pa.array([BASE + f" unique{i} tail{i} end{i}"
+                              for i in range(lo, lo + 30)]),
+        }))
+
+    with pytest.raises(Exception, match="max_group_pairs"):
+        similarity_join(side(0), side(100), threshold=0.5,
+                        max_group_pairs=100).to_pandas()
+
+
 def test_similarity_join_all_heavy_pair_found():
     """A pair whose EVERY shared gram is heavy (shared only stop grams)
     must still be found via the prefix candidates."""

@@ -328,3 +328,23 @@ def test_negative_zero_broadcast_join_distinct_quantiles_eventstats():
     assert len(q) == 2
     zero_row = q[q["k"] == 0.0]
     assert float(zero_row.iloc[0, 1]) == 1.5   # median of {1, 2}
+
+
+def test_stable_bucket_ids_equal_key_columns_spread():
+    """Two key columns holding EQUAL values must still spread over the
+    buckets (an XOR combine maps every such row to bucket 0), while
+    single-key ids stay ``stable_hash(col) % B``."""
+    from fluent_plugin_geoip_ray.stages.exchange import (
+        stable_bucket_ids,
+        stable_hash,
+    )
+
+    ints = pa.array(range(1000), pa.int64())
+    strs = pa.array([f"conv-{i}" for i in range(1000)])
+    for col in (ints, strs):
+        t = pa.table({"a": col, "b": col})
+        multi = stable_bucket_ids(t, ["a", "b"], 32)
+        assert len(np.unique(multi)) > 1
+        single = stable_bucket_ids(t, ["a"], 32)
+        assert single.dtype == np.int32
+        assert np.array_equal(single, (stable_hash(col) % 32).astype(np.int32))

@@ -3,9 +3,11 @@
 Runs every ``__ray_entry__.queries()`` entry at a given sf_dir and compares
 against ``oracle_sql()`` via DuckDB: row count, column names, and
 order-insensitive value equality (rows sorted by all columns, exact for
-strings/ints, exact-then-isclose report for floats).
+strings/ints, exact-then-isclose report for floats).  Ends with one tally
+line derived from ``queries()`` and ``oracle_sql()``:
+``N queries, M oracle-backed, K rows-only, F failed``.
 
-Usage: python tools/check_correctness.py [sf_dir]
+Usage: python tools/check_correctness.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ def main() -> int:
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
 
+    selected = [name for name in qs if not only or name in only]
     failures = 0
-    for name, fn in qs.items():
-        if only and name not in only:
-            continue
+    for name in selected:
+        fn = qs[name]
         try:
             ray_df = to_pandas(fn(sf_dir))
         except Exception as e:  # noqa: BLE001
@@ -122,6 +124,9 @@ def main() -> int:
         else:
             print(f"ok   {name}: rows={len(ray_df)} match")
     ray.shutdown()
+    n_oracle = sum(name in oracles for name in selected)
+    print(f"{len(selected)} queries, {n_oracle} oracle-backed, "
+          f"{len(selected) - n_oracle} rows-only, {failures} failed")
     return 1 if failures else 0
 
 
