@@ -9,10 +9,12 @@ Ray-Data-native re-expression of the reference's per-event chain
   (``filter_geoip.rb:103,204-217``); use
   ``ds.map_batches(GeoEnrich, fn_constructor_kwargs=..., concurrency=N,
   batch_format="pyarrow", zero_copy_batch=True)``.
-* per batch, lookup values are dictionary-encoded so the trie/dict is probed
-  once per UNIQUE value (transcript traffic is heavy-hitter skewed), then
-  placeholder arrays are gathered back to rows -- a broadcast-small-side
-  lookup join (SURVEY §2.3 "Joins/lookups").
+* per batch, lookup values are dictionary-encoded, and the uniques not yet
+  in the stage's cache go to the backend in ONE ``lookup_many`` call (for
+  an .mmdb, a batched trie descent; transcript traffic is heavy-hitter
+  skewed), then placeholder arrays are gathered back to rows -- a
+  broadcast-small-side lookup join (SURVEY §2.3 "Joins/lookups").  Backend
+  documents are shared between rows and calls, and read-only.
 * the ``skip_adding_null_record`` gate (``filter_geoip.rb:40,122-123``)
   becomes a per-row boolean: skip fires iff no lookup succeeded, or the first
   placeholder (template order) whose lookup succeeded has a nil value --
@@ -89,20 +91,17 @@ class GeoEnrich:
         uniques = enc.dictionary.to_pylist()
         idx = pc.fill_null(enc.indices, len(uniques)).to_numpy(zero_copy_only=False)
         codes = idx.astype(np.int64)
-        docs = []
-        for v in uniques:
-            if v in self._doc_cache:
-                docs.append(self._doc_cache[v])
-                continue
-            if v == "":
-                if not self._warned_empty:
-                    logger.warning("%s is empty string", key)  # filter_geoip.rb:172-174
-                    self._warned_empty = True
-                doc = None
-            else:
-                doc = self.backend.lookup(v)
-            self._doc_cache[v] = doc
-            docs.append(doc)
+        cache = self._doc_cache
+        todo = [v for v in uniques if v not in cache]
+        if "" in todo:
+            if not self._warned_empty:
+                logger.warning("%s is empty string", key)  # filter_geoip.rb:172-174
+                self._warned_empty = True
+            cache[""] = None
+            todo.remove("")
+        if todo:
+            cache.update(zip(todo, self.backend.lookup_many(todo)))
+        docs = [cache[v] for v in uniques]
         docs.append(None)  # sentinel slot for null input rows
         uniques.append(None)
         return codes, docs, uniques

@@ -8,7 +8,9 @@ each opened ONCE per worker process in ``configure``.  Here a backend is a
 
 Backends return the nested GeoIP2-style document for an IP/host string, or
 ``None`` for a miss -- exactly the contract ``geolocate`` consumes
-(``filter_geoip.rb:167-185``).
+(``filter_geoip.rb:167-185``).  ``lookup_many`` answers a whole batch of
+addresses in one call (the enrich stage's path); ``lookup`` stays the
+single-address API.  Documents are shared between calls and read-only.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from typing import Optional, Protocol
 class GeoBackend(Protocol):
     def lookup(self, address: str) -> Optional[dict]:
         """Nested geo document for *address*, or None on miss."""
+        ...
+
+    def lookup_many(self, addresses: list[str]) -> list[Optional[dict]]:
+        """``lookup`` of each address, in order."""
         ...
 
 
@@ -41,6 +47,10 @@ class DictBackend:
 
     def lookup(self, address: str) -> Optional[dict]:
         return self._docs.get(address)
+
+    def lookup_many(self, addresses: list[str]) -> list[Optional[dict]]:
+        get = self._docs.get
+        return [get(a) for a in addresses]
 
 
 class MaxmindBackend:
@@ -69,6 +79,12 @@ class MaxmindBackend:
             # lib returns nil for unresolvable input (test_filter_geoip.rb:189-210)
             return None
 
+    def lookup_many(self, addresses: list[str]) -> list[Optional[dict]]:
+        get_many = getattr(self._reader, "get_many", None)
+        if get_many is None:  # the maxminddb package reads one address at a time
+            return [self.lookup(a) for a in addresses]
+        return get_many(addresses)  # batched trie descent; invalid -> miss
+
 
 class LegacyDatBackend:
     """Legacy GeoIP City ``.dat`` backend (``backend_library geoip``,
@@ -85,6 +101,9 @@ class LegacyDatBackend:
 
     def lookup(self, address: str) -> Optional[dict]:
         return self._reader.record_by_addr(address)
+
+    def lookup_many(self, addresses: list[str]) -> list[Optional[dict]]:
+        return [self.lookup(a) for a in addresses]
 
 
 def make_backend(spec: dict) -> GeoBackend:

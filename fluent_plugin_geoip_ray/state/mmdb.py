@@ -1,4 +1,4 @@
-"""Minimal MaxMind DB (.mmdb) reader + fixture writer, pure Python.
+"""Minimal MaxMind DB (.mmdb) reader + fixture writer.
 
 Implements the PUBLIC MaxMind DB file format specification
 (https://maxmind.github.io/MaxMind-DB/ -- binary search tree of IP bits +
@@ -6,26 +6,38 @@ Implements the PUBLIC MaxMind DB file format specification
 ``\\xab\\xcd\\xefMaxMind.com`` marker).  The ``maxminddb`` wheel is absent
 in this sandbox, so this module provides:
 
-* :class:`MMDBReader` -- a spec-complete-enough reader (``get(ip)`` walks
-  the trie and decodes the nested document; supports record sizes 24/28/32,
-  all scalar types, maps, arrays and pointers) that duck-types the
-  ``maxminddb.Reader.get`` contract consumed by
+* :class:`MMDBReader` -- a spec-complete-enough reader (record sizes
+  24/28/32, v4 and v6 trees, all scalar types, maps, arrays and pointers)
+  that duck-types the ``maxminddb.Reader.get`` contract consumed by
   :class:`..state.backends.MaxmindBackend` (the analog of the reference's
   ``GeoIP2::Database#lookup``, ``lib/fluent/plugin/filter_geoip.rb:215``).
-* :func:`write_mmdb` -- a deterministic writer used to build tiny fixture
-  databases for tests (exact-host entries, IPv6 tree with IPv4 addresses at
-  the conventional ``::/96`` prefix -- the same start-node rule the public
-  maxminddb readers use).
+  Lookups are batched: ``get_many(ips)`` parses strict dotted quads with
+  one vectorized regex/split (anything else through ``ipaddress``), then
+  descends the tree -- viewed at open as a ``(node_count, 2)`` record array
+  -- with one numpy gather per bit level over the addresses still inside
+  it (32 levels from the cached IPv4 start node, 128 for IPv6), stopping
+  early on data pointers and misses.  Each distinct data record is decoded
+  once per reader; the documents are shared and read-only.  ``get(ip)`` is
+  ``get_many([ip])[0]`` after validation.
+* :func:`write_mmdb` -- a deterministic writer used to build fixture
+  databases: exact hosts and CIDR networks with longest-prefix semantics,
+  record size 24/28/32, an IPv6 tree with IPv4 at the conventional
+  ``::/96`` prefix (the start-node rule the public readers use) or an
+  IPv4-only tree.
 
-The writer emits record_size=32 (4-byte big-endian records) and inlines
-every value (no pointer emission); the reader handles the full pointer
-grammar so real GeoLite2 files decode too.
+The writer inlines every value (no pointer emission); the reader handles
+the full pointer grammar so real GeoLite2 files decode too.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import os
 import struct
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 METADATA_MARKER = b"\xab\xcd\xefMaxMind.com"
 
@@ -43,6 +55,11 @@ _T_UINT128 = 10
 _T_ARRAY = 11
 _T_BOOL = 14
 _T_FLOAT = 15
+
+# a dotted quad exactly as ``ipaddress`` accepts it: four ASCII-digit
+# octets, each <= 255 and without a leading zero
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD = rf"^{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}$"
 
 
 # --------------------------------------------------------------------------
@@ -110,54 +127,84 @@ class _Node:
     __slots__ = ("left", "right")
 
     def __init__(self):
-        self.left = None   # None | _Node | int data offset (tagged tuple)
+        self.left = None   # None | _Node | ("data", offset)
         self.right = None
 
 
-def _ip_bits(ip: str) -> list[int]:
-    """128 bits for the v6 tree; IPv4 sits at the ::/96 prefix (the start
-    node convention of the public readers)."""
-    addr = ipaddress.ip_address(ip)
-    packed = addr.packed
-    if addr.version == 4:
+def _network_bits(key: str, ip_version: int) -> list[int] | None:
+    """Tree path of ``key`` (an address or CIDR network), or None for a key
+    that names no IP (a hostname).  In a v6 tree an IPv4 network sits under
+    the ``::/96`` prefix (the start-node convention of the public readers)."""
+    try:
+        net = ipaddress.ip_network(key)
+    except ValueError:
+        if "/" in key:
+            raise ValueError(f"mmdb key {key!r}: not a network (host bits set?)") from None
+        return None
+    packed = net.network_address.packed
+    plen = net.prefixlen
+    if net.version == 4 and ip_version == 6:
         packed = b"\x00" * 12 + packed
-    return [(byte >> (7 - i)) & 1 for byte in packed for i in range(8)]
+        plen += 96
+    elif net.version == 6 and ip_version == 4:
+        raise ValueError(f"mmdb key {key!r}: IPv6 network in an IPv4 tree")
+    if plen == 0:
+        raise ValueError(f"mmdb key {key!r}: a zero-length prefix has no record")
+    bits = [(byte >> (7 - i)) & 1 for byte in packed for i in range(8)]
+    return bits[:plen]
+
+
+def _pack_records(left: int, right: int, record_size: int) -> bytes:
+    if record_size == 32:
+        return struct.pack(">II", left, right)
+    if record_size == 24:
+        return left.to_bytes(3, "big") + right.to_bytes(3, "big")
+    # 28: 24 low bits of each record around a middle byte of their high nibbles
+    middle = ((left >> 24) << 4) | (right >> 24)
+    return left.to_bytes(4, "big")[1:] + bytes([middle]) + right.to_bytes(4, "big")[1:]
 
 
 def write_mmdb(docs: dict[str, dict], path: str,
-               database_type: str = "Synthetic-GeoIP2-Fixture") -> str:
-    """Write a deterministic .mmdb holding exact-host entries for ``docs``
-    ({ip_string -> nested document}); non-IP keys are skipped (mmdb stores
-    networks, not hostnames)."""
+               database_type: str = "Synthetic-GeoIP2-Fixture",
+               record_size: int = 32, ip_version: int = 6) -> str:
+    """Write a deterministic .mmdb for ``docs`` ({key -> nested document}).
+
+    A key is an address (an exact host) or a CIDR network (``10.0.0.0/8``,
+    ``2001:db8::/32``); lookups get longest-prefix semantics.  Non-IP keys
+    are skipped (mmdb stores networks, not hostnames).  ``record_size`` is
+    24, 28 or 32 bits; ``ip_version`` 4 writes an IPv4-only tree."""
+    if record_size not in (24, 28, 32):
+        raise ValueError(f"unsupported record size {record_size}")
+    if ip_version not in (4, 6):
+        raise ValueError(f"unsupported ip_version {ip_version}")
     # data section: dedupe identical documents by their encoded bytes
     data = bytearray()
     offsets: dict[bytes, int] = {}
-    leaf_offset: dict[str, int] = {}
-    for ip, doc in sorted(docs.items()):
-        try:
-            ipaddress.ip_address(ip)
-        except ValueError:
+    leaves: list[tuple[list[int], int]] = []
+    for key, doc in sorted(docs.items()):
+        bits = _network_bits(key, ip_version)
+        if bits is None:
             continue
         enc = encode_value(doc)
         if enc not in offsets:
             offsets[enc] = len(data)
             data.extend(enc)
-        leaf_offset[ip] = offsets[enc]
+        leaves.append((bits, offsets[enc]))
 
-    # build the trie (depth 128)
+    # build the trie, shorter prefixes first: a more-specific network pushes
+    # the leaf of its covering network down into both children on its path
     root = _Node()
-    for ip, off in leaf_offset.items():
-        bits = _ip_bits(ip)
+    for bits, off in sorted(leaves, key=lambda leaf: len(leaf[0])):
         node = root
         for bit in bits[:-1]:
             attr = "right" if bit else "left"
             nxt = getattr(node, attr)
             if not isinstance(nxt, _Node):
-                nxt = _Node()
+                cover, nxt = nxt, _Node()
+                nxt.left = nxt.right = cover
                 setattr(node, attr, nxt)
             node = nxt
-        attr = "right" if bits[-1] else "left"
-        setattr(node, attr, ("data", off))
+        setattr(node, "right" if bits[-1] else "left", ("data", off))
 
     # number nodes breadth-first
     order: list[_Node] = []
@@ -171,6 +218,8 @@ def write_mmdb(docs: dict[str, dict], path: str,
             if isinstance(child, _Node):
                 queue.append(child)
     node_count = len(order)
+    if node_count + 16 + len(data) >= 1 << record_size:
+        raise ValueError(f"database too large for record size {record_size}")
 
     def record(child) -> int:
         if child is None:
@@ -179,9 +228,8 @@ def write_mmdb(docs: dict[str, dict], path: str,
             return index[id(child)]
         return node_count + 16 + child[1]          # data pointer
 
-    tree = bytearray()
-    for n in order:  # record_size=32: two 4-byte big-endian records per node
-        tree += struct.pack(">II", record(n.left), record(n.right))
+    tree = b"".join(_pack_records(record(n.left), record(n.right), record_size)
+                    for n in order)
 
     metadata = {
         "binary_format_major_version": 2,
@@ -190,18 +238,16 @@ def write_mmdb(docs: dict[str, dict], path: str,
         "build_epoch": 1_700_000_000,
         "database_type": database_type,
         "description": {"en": "synthetic fixture (public spec writer)"},
-        "ip_version": 6,
+        "ip_version": ip_version,
         "languages": ["en"],
         "node_count": node_count,
-        "record_size": 32,
+        "record_size": record_size,
     }
-    blob = bytes(tree) + b"\x00" * 16 + bytes(data) + METADATA_MARKER + \
+    blob = tree + b"\x00" * 16 + bytes(data) + METADATA_MARKER + \
         encode_value(metadata)
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(blob)
-    import os
-
     os.replace(tmp, path)
     return path
 
@@ -211,8 +257,10 @@ def write_mmdb(docs: dict[str, dict], path: str,
 # --------------------------------------------------------------------------
 
 class MMDBReader:
-    """Pure-Python reader: ``get(ip) -> dict | None`` (maxminddb-compatible
-    for the lookup contract the enrich backend needs)."""
+    """Reader: ``get(ip)`` / ``get_many(ips)`` -> doc | None
+    (maxminddb-compatible for the lookup contract the enrich backend needs).
+
+    Returned documents are shared between calls and must not be mutated."""
 
     def __init__(self, path: str):
         with open(path, "rb") as f:
@@ -226,47 +274,104 @@ class MMDBReader:
         self.ip_version = self.metadata["ip_version"]
         self._tree_size = self.node_count * self.record_size * 2 // 8
         self._data_start = self._tree_size + 16
+        self._tree = self._tree_records().reshape(-1)  # node * 2 + bit -> record
+        self._v4_start = self._descend_zeros(96 if self.ip_version == 6 else 0)
+        self._docs: dict[int, object] = {}             # data record -> document
 
     # -- search tree -------------------------------------------------------
 
-    def _record(self, node: int, side: int) -> int:
-        rs = self.record_size
-        base = node * rs * 2 // 8
-        buf = self._buf
+    def _tree_records(self) -> np.ndarray:
+        """The search tree as a ``(node_count, 2)`` array of records."""
+        n, rs = self.node_count, self.record_size
         if rs == 32:
-            off = base + side * 4
-            return int.from_bytes(buf[off:off + 4], "big")
+            return np.frombuffer(self._buf, dtype=">u4", count=2 * n).reshape(n, 2)
+        if rs not in (24, 28):
+            raise ValueError(f"unsupported record size {rs}")
+        raw = np.frombuffer(self._buf, dtype=np.uint8, count=self._tree_size)
+        raw = raw.astype(np.uint32).reshape(n, rs // 4)
         if rs == 24:
-            off = base + side * 3
-            return int.from_bytes(buf[off:off + 3], "big")
-        if rs == 28:
-            middle = buf[base + 3]
-            if side == 0:
-                return ((middle >> 4) << 24) | int.from_bytes(buf[base:base + 3], "big")
-            return ((middle & 0x0F) << 24) | int.from_bytes(buf[base + 4:base + 7], "big")
-        raise ValueError(f"unsupported record size {rs}")
+            left, right = raw[:, 0:3], raw[:, 3:6]
+            hi_left = hi_right = 0
+        else:  # 28: the middle byte holds the high nibble of each record
+            left, right = raw[:, 0:3], raw[:, 4:7]
+            hi_left, hi_right = (raw[:, 3] >> 4) << 24, (raw[:, 3] & 0x0F) << 24
+        return np.stack([
+            hi_left | (left[:, 0] << 16) | (left[:, 1] << 8) | left[:, 2],
+            hi_right | (right[:, 0] << 16) | (right[:, 1] << 8) | right[:, 2],
+        ], axis=1)
+
+    def _descend_zeros(self, depth: int) -> int:
+        """Record reached from the root along ``depth`` zero bits: the IPv4
+        start node of a v6 tree (``::/96``), the root of a v4 tree."""
+        node = 0
+        for _ in range(depth):
+            if node >= self.node_count:
+                break
+            node = int(self._tree[2 * node])
+        return node
+
+    def _descend(self, start: int, packed: np.ndarray) -> np.ndarray:
+        """Record reached by each address of ``packed`` (k x bytes, uint8)
+        from node ``start``: one gather per bit level over the addresses
+        still inside the tree, so a data pointer or a miss stops early."""
+        out = np.full(len(packed), start, dtype=np.int64)
+        if start >= self.node_count or not len(packed):
+            return out
+        bits = np.ascontiguousarray(np.unpackbits(packed, axis=1).T)
+        pos = np.arange(len(packed))
+        node = out
+        for level in bits:
+            node = self._tree[2 * node + level[pos]].astype(np.int64)
+            done = node >= self.node_count
+            if done.any():
+                out[pos[done]] = node[done]
+                pos, node = pos[~done], node[~done]
+                if not len(pos):
+                    break
+        out[pos] = node  # ran out of bits inside the tree: no record
+        return out
+
+    def _parse(self, addresses: list) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """``(version, positions, packed bytes)`` per IP version present;
+        strings that are not addresses are left out (a miss)."""
+        arr = pa.array(addresses, pa.string())
+        mask = pc.fill_null(pc.match_substring_regex(arr, _DOTTED_QUAD), False)
+        strict = mask.to_numpy(zero_copy_only=False)
+        octets = pc.split_pattern(arr.filter(mask), ".").flatten()
+        pos = {4: [np.flatnonzero(strict)], 6: []}
+        raw = {4: [octets.cast(pa.uint8()).to_numpy().reshape(-1, 4)], 6: []}
+        for i in np.flatnonzero(~strict).tolist():
+            try:
+                addr = ipaddress.ip_address(addresses[i])
+            except ValueError:
+                continue
+            pos[addr.version].append(np.array([i]))
+            raw[addr.version].append(np.frombuffer(addr.packed, np.uint8)[None])
+        return [(v, np.concatenate(pos[v]), np.concatenate(raw[v]))
+                for v in (4, 6) if pos[v]]
+
+    def get_many(self, addresses: list) -> list:
+        """Document (or None) per address string; invalid strings miss."""
+        out = [None] * len(addresses)
+        for version, pos, packed in self._parse(addresses):
+            if version == 4:
+                recs = self._descend(self._v4_start, packed)
+            elif self.ip_version == 6:
+                recs = self._descend(0, packed)
+            else:
+                continue  # IPv6 address, IPv4-only tree
+            hit = recs > self.node_count
+            for i, rec in zip(pos[hit].tolist(), recs[hit].tolist()):
+                doc = self._docs.get(rec)
+                if doc is None:
+                    doc, _ = self._decode(self._tree_size + (rec - self.node_count))
+                    self._docs[rec] = doc
+                out[i] = doc
+        return out
 
     def get(self, ip: str):
         addr = ipaddress.ip_address(ip)  # ValueError on garbage (caller gates)
-        packed = addr.packed
-        if addr.version == 6 and self.ip_version == 4:
-            return None
-        if addr.version == 4 and self.ip_version == 6:
-            packed = b"\x00" * 12 + packed
-        node = 0
-        for byte in packed:
-            for i in range(8):
-                if node >= self.node_count:
-                    break
-                node = self._record(node, (byte >> (7 - i)) & 1)
-            if node >= self.node_count:
-                break
-        if node == self.node_count:
-            return None
-        if node > self.node_count:
-            value, _ = self._decode(self._tree_size + (node - self.node_count))
-            return value
-        return None  # ran out of bits inside the tree
+        return self.get_many([str(addr)])[0]
 
     # -- data section decoder ---------------------------------------------
 

@@ -3,7 +3,10 @@ the spec-based writer, read it back with the pure-Python reader, and run the
 enrich golden matrix through MaxmindBackend (filter_geoip.rb:204-217 backend
 dispatch; lookup contract of GeoIP2::Database#lookup)."""
 
+import hashlib
 import ipaddress
+import logging
+import random
 
 import pyarrow as pa
 import pytest
@@ -12,7 +15,12 @@ from fluent_plugin_geoip_ray.config import RecordSpec, compile_record_spec
 from fluent_plugin_geoip_ray.stages.enrich import GeoEnrich
 from fluent_plugin_geoip_ray.state.backends import MaxmindBackend, make_backend
 from fluent_plugin_geoip_ray.state.fixture import GEO_FIXTURE_ROWS, fixture_geo_docs
-from fluent_plugin_geoip_ray.state.mmdb import MMDBReader, write_mmdb
+from fluent_plugin_geoip_ray.state.mmdb import (
+    METADATA_MARKER,
+    MMDBReader,
+    encode_value,
+    write_mmdb,
+)
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +205,256 @@ def test_mmdb_property_roundtrip():
 
     with tempfile.TemporaryDirectory() as d:
         check(tmp_dir=d)
+
+
+# -- referee: the per-bit scalar trie walk -----------------------------------
+
+def _scalar_record(reader, node, side):
+    rs, buf = reader.record_size, reader._buf
+    base = node * rs * 2 // 8
+    if rs == 32:
+        off = base + side * 4
+        return int.from_bytes(buf[off:off + 4], "big")
+    if rs == 24:
+        off = base + side * 3
+        return int.from_bytes(buf[off:off + 3], "big")
+    middle = buf[base + 3]
+    if side == 0:
+        return ((middle >> 4) << 24) | int.from_bytes(buf[base:base + 3], "big")
+    return ((middle & 0x0F) << 24) | int.from_bytes(buf[base + 4:base + 7], "big")
+
+
+def scalar_get(reader, ip):
+    """One address, one bit at a time from node 0: the reference walk the
+    batched descent must agree with."""
+    addr = ipaddress.ip_address(ip)
+    packed = addr.packed
+    if addr.version == 6 and reader.ip_version == 4:
+        return None
+    if addr.version == 4 and reader.ip_version == 6:
+        packed = b"\x00" * 12 + packed
+    node = 0
+    for byte in packed:
+        for i in range(8):
+            if node >= reader.node_count:
+                break
+            node = _scalar_record(reader, node, (byte >> (7 - i)) & 1)
+        if node >= reader.node_count:
+            break
+    if node > reader.node_count:
+        return reader._decode(reader._tree_size + (node - reader.node_count))[0]
+    return None  # a miss, or out of bits inside the tree
+
+
+def scalar_get_or_miss(reader, ip):
+    try:
+        return scalar_get(reader, ip)
+    except ValueError:
+        return None
+
+
+# -- exact hosts: byte-identical writer output ---------------------------------
+
+def _host_docs():
+    rng = random.Random(11)
+    docs = {}
+    for i in range(400):
+        if i % 4 == 3:
+            ip = "2001:db8:%x::%x" % (rng.randrange(1 << 16), rng.randrange(1 << 16))
+        else:
+            ip = ".".join(str(rng.randrange(256)) for _ in range(4))
+        docs[ip] = {"country": {"iso_code": "C%d" % (i % 7)}, "n": i % 13}
+    docs["not-an-ip.example"] = {"skipped": True}
+    return docs
+
+
+@pytest.mark.parametrize("name,docs,digest", [
+    ("fixture", fixture_geo_docs(),
+     "276b1f3d723fdbb54703ea75bbe7b77b9d4f6ad85b77e8eab1bf74cec735fb08"),
+    ("hosts", _host_docs(),
+     "b63a4ac6ed98a21396d3ed6dc8a283fdfd1ff8c0f450f600aba219c224a7dbf7"),
+])
+def test_exact_host_writer_bytes_pinned(tmp_path, name, docs, digest):
+    """Exact-host input keeps the bytes of the exact-host-only writer
+    (record_size 32, v6 tree), so cached fixture databases stay valid."""
+    path = write_mmdb(docs, str(tmp_path / f"{name}.mmdb"))
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
+
+
+# -- prefix networks, record sizes, tree versions ------------------------------
+
+def _prefix_docs(ip_version):
+    """Overlapping networks of mixed length (a /8 holding a /16 holding a
+    /24 holding a /32, siblings, a v4 default-ish /1) plus v6 ones."""
+    docs = {
+        "10.0.0.0/8": {"net": "10/8"},
+        "10.1.0.0/16": {"net": "10.1/16"},
+        "10.1.2.0/24": {"net": "10.1.2/24"},
+        "10.1.2.3": {"net": "10.1.2.3/32"},
+        "10.1.3.0/25": {"net": "10.1.3/25"},
+        "10.128.0.0/9": {"net": "10.128/9"},
+        "128.0.0.0/1": {"net": "128/1"},
+        "192.168.0.0/16": {"net": "192.168/16", "cc": "ZZ"},
+        "192.168.7.7": {"net": "192.168.7.7/32", "cc": "ZZ"},
+        "1.2.3.4": {"net": "1.2.3.4/32"},
+        "not-an-ip.example": {"net": "skipped"},
+    }
+    if ip_version == 6:
+        docs.update({
+            "2001:db8::/32": {"net": "db8/32"},
+            "2001:db8:1::/48": {"net": "db8:1/48"},
+            "2001:db8:1::1": {"net": "db8:1::1/128"},
+            "2400::/12": {"net": "2400/12"},
+        })
+    return docs
+
+
+def _lpm_truth(docs, ip_version, ip):
+    """Longest-prefix match by brute-force containment."""
+    try:
+        addr = ipaddress.ip_address(ip)
+    except ValueError:
+        return None
+    if addr.version == 6 and ip_version == 4:
+        return None
+    best, best_len = None, -1
+    for key, doc in docs.items():
+        try:
+            net = ipaddress.ip_network(key)
+        except ValueError:
+            continue
+        if net.version == addr.version and addr in net and net.prefixlen > best_len:
+            best, best_len = doc, net.prefixlen
+    return best
+
+
+def _probe_addresses(docs, seed=5):
+    rng = random.Random(seed)
+    probes = ["01.2.3.4", "256.1.1.1", " 1.2.3.4", "1.2.3", "::ffff:1.2.3.4",
+              "", "x", "1.2.3.4 ", "1.2.3.4\n", "0.0.0.0", "255.255.255.255",
+              "10.1.2.3", "10.1.2.4", "2001:db8:1::1", "2001:DB8:1::2"]
+    for key in docs:
+        try:
+            net = ipaddress.ip_network(key)
+        except ValueError:
+            continue
+        probes.append(str(net.network_address))
+        probes.append(str(net.broadcast_address))
+        probes.append(str(net.network_address + rng.randrange(net.num_addresses)))
+        if int(net.network_address) > 0:
+            probes.append(str(net.network_address - 1))
+    probes += [str(ipaddress.IPv4Address(rng.getrandbits(32))) for _ in range(200)]
+    probes += [str(ipaddress.IPv6Address(rng.getrandbits(128))) for _ in range(50)]
+    probes += [str(ipaddress.IPv6Address((0x2001_0DB8 << 96) | rng.getrandbits(96)))
+               for _ in range(50)]
+    return probes
+
+
+@pytest.mark.parametrize("ip_version", [4, 6])
+@pytest.mark.parametrize("record_size", [24, 28, 32])
+def test_get_many_matches_scalar_referee(tmp_path, record_size, ip_version):
+    docs = _prefix_docs(ip_version)
+    path = write_mmdb(docs, str(tmp_path / "nets.mmdb"),
+                      record_size=record_size, ip_version=ip_version)
+    reader = MMDBReader(path)
+    assert reader.record_size == record_size
+    assert reader.ip_version == ip_version
+    probes = _probe_addresses(docs)
+    got = reader.get_many(probes)
+    assert len(got) == len(probes)
+    for ip, doc in zip(probes, got):
+        assert doc == scalar_get_or_miss(reader, ip), ip
+        assert doc == _lpm_truth(docs, ip_version, ip), ip
+    # the prefix structure is really exercised: most-specific wins
+    assert reader.get("10.1.2.3") == {"net": "10.1.2.3/32"}
+    assert reader.get("10.1.2.200") == {"net": "10.1.2/24"}
+    assert reader.get("10.1.200.1") == {"net": "10.1/16"}
+    assert reader.get("10.2.0.0") == {"net": "10/8"}
+    assert reader.get("10.200.0.0") == {"net": "10.128/9"}
+    assert reader.get("11.0.0.0") is None
+    for garbage in ("01.2.3.4", "256.1.1.1", " 1.2.3.4", "1.2.3", "", "x"):
+        with pytest.raises(ValueError):
+            reader.get(garbage)
+
+
+@pytest.mark.parametrize("record_size", [24, 28, 32])
+def test_get_many_exact_hosts_matches_referee(tmp_path, record_size):
+    docs = _host_docs()
+    path = write_mmdb(docs, str(tmp_path / "hosts.mmdb"), record_size=record_size)
+    reader = MMDBReader(path)
+    probes = [k for k in docs] + _probe_addresses({}, seed=9)
+    for ip, doc in zip(probes, reader.get_many(probes)):
+        assert doc == scalar_get_or_miss(reader, ip), ip
+        assert doc == (None if ip == "not-an-ip.example" else docs.get(ip)), ip
+
+
+@pytest.mark.parametrize("record_size", [24, 28, 32])
+def test_tree_records_match_scalar_records(tmp_path, record_size):
+    """Random tree bytes, so records use all their bits (the high nibbles
+    of 28-bit records too): the array view equals the byte-level reads."""
+    rng = random.Random(record_size)
+    n = 64
+    tree = bytes(rng.getrandbits(8) for _ in range(n * record_size // 4))
+    meta = {"binary_format_major_version": 2, "ip_version": 6,
+            "node_count": n, "record_size": record_size}
+    path = tmp_path / "random.mmdb"
+    path.write_bytes(tree + b"\x00" * 16 + METADATA_MARKER + encode_value(meta))
+    reader = MMDBReader(str(path))
+    got = reader._tree.reshape(n, 2).tolist()
+    assert got == [[_scalar_record(reader, i, s) for s in (0, 1)] for i in range(n)]
+
+
+def test_writer_rejects_unstorable_keys(tmp_path):
+    with pytest.raises(ValueError):
+        write_mmdb({"10.0.0.1/8": {}}, str(tmp_path / "a.mmdb"))   # host bits set
+    with pytest.raises(ValueError):
+        write_mmdb({"2001:db8::/32": {}}, str(tmp_path / "b.mmdb"), ip_version=4)
+    with pytest.raises(ValueError):
+        write_mmdb({"1.2.3.4": {}}, str(tmp_path / "c.mmdb"), record_size=16)
+
+
+def test_ipv4_start_node_inside_covering_v6_network(tmp_path):
+    """A v6 network covering ``::/96`` answers every IPv4 address (the
+    IPv4 start node is itself a data record)."""
+    docs = {"::/64": {"net": "::/64"}, "2001:db8::/32": {"net": "db8"}}
+    reader = MMDBReader(write_mmdb(docs, str(tmp_path / "v.mmdb")))
+    probes = ["1.2.3.4", "255.255.255.255", "::1", "2001:db8::5", "2002::"]
+    assert reader.get_many(probes) == [scalar_get(reader, ip) for ip in probes]
+    assert reader.get("1.2.3.4") == {"net": "::/64"}
+
+
+# -- enrich over the batched mmdb path ------------------------------------------
+
+class _PerValueMaxmind(MaxmindBackend):
+    """The per-address path: one ``lookup`` per unique value."""
+
+    def lookup_many(self, addresses):
+        return [self.lookup(a) for a in addresses]
+
+
+def test_enrich_batched_equals_per_value_lookup(mmdb_path, caplog):
+    record = {
+        "city": "${city.names.en['ip']}",
+        "cc": "${country.iso_code['ip']}",
+        "latitude": "${location.latitude['ip']}",
+    }
+    spec = compile_record_spec(RecordSpec(lookup_keys=["ip"], record=record))
+    values = ["", None, "not-an-ip", "01.2.3.4", "2001:4860:4860::8888",
+              "66.102.3.80", "8.8.8.8", "203.0.113.1", "2001:db8::1", None, ""]
+    batches = [pa.table({"ip": values}), pa.table({"ip": list(reversed(values))})]
+
+    bspec = {"library": "maxmind", "path": mmdb_path}
+    ref = GeoEnrich(spec, backend_spec=bspec)
+    ref.backend = _PerValueMaxmind(mmdb_path)
+    want = [ref(b).to_pylist() for b in batches]
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fluent_plugin_geoip_ray.stages.enrich"):
+        stage = GeoEnrich(spec, backend_spec=bspec)
+        got = [stage(b).to_pylist() for b in batches]
+    assert got == want
+    # the v6 hit has no city, so only the v4 hit passes the gate
+    assert [r["geoip_enriched"] for r in got[0]] == [v == "66.102.3.80" for v in values]
+    assert stage._doc_cache["2001:4860:4860::8888"]["country"]["iso_code"] == "US"
+    empty = [r for r in caplog.records if "is empty string" in r.getMessage()]
+    assert len(empty) == 1
