@@ -13,8 +13,8 @@ Ray-Data-native re-expression of the reference's per-event chain
   in the stage's cache go to the backend in ONE ``lookup_many`` call (for
   an .mmdb, a batched trie descent; transcript traffic is heavy-hitter
   skewed), then placeholder arrays are gathered back to rows -- a
-  broadcast-small-side lookup join (SURVEY §2.3 "Joins/lookups").  Backend
-  documents are shared between rows and calls, and read-only.
+  broadcast-small-side lookup join (SURVEY §2.3 "Joins/lookups").  Cached
+  documents are shared between rows and batches, and read-only.
 * the ``skip_adding_null_record`` gate (``filter_geoip.rb:40,122-123``)
   becomes a per-row boolean: skip fires iff no lookup succeeded, or the first
   placeholder (template order) whose lookup succeeded has a nil value --

@@ -10,7 +10,8 @@ Backends return the nested GeoIP2-style document for an IP/host string, or
 ``None`` for a miss -- exactly the contract ``geolocate`` consumes
 (``filter_geoip.rb:167-185``).  ``lookup_many`` answers a whole batch of
 addresses in one call (the enrich stage's path); ``lookup`` stays the
-single-address API.  Documents are shared between calls and read-only.
+single-address API.  Callers treat documents as read-only: a backend may
+return the same object for two addresses.
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ in this sandbox, so this module provides:
   descends the tree -- viewed at open as a ``(node_count, 2)`` record array
   -- with one numpy gather per bit level over the addresses still inside
   it (32 levels from the cached IPv4 start node, 128 for IPv6), stopping
-  early on data pointers and misses.  Each distinct data record is decoded
-  once per reader; the documents are shared and read-only.  ``get(ip)`` is
-  ``get_many([ip])[0]`` after validation.
+  early on data pointers and misses; each hit's data record is then
+  decoded.  ``get(ip)`` is ``get_many([ip])[0]`` after validation.
 * :func:`write_mmdb` -- a deterministic writer used to build fixture
   databases: exact hosts and CIDR networks with longest-prefix semantics,
   record size 24/28/32, an IPv6 tree with IPv4 at the conventional
@@ -258,9 +257,7 @@ def write_mmdb(docs: dict[str, dict], path: str,
 
 class MMDBReader:
     """Reader: ``get(ip)`` / ``get_many(ips)`` -> doc | None
-    (maxminddb-compatible for the lookup contract the enrich backend needs).
-
-    Returned documents are shared between calls and must not be mutated."""
+    (maxminddb-compatible for the lookup contract the enrich backend needs)."""
 
     def __init__(self, path: str):
         with open(path, "rb") as f:
@@ -276,29 +273,34 @@ class MMDBReader:
         self._data_start = self._tree_size + 16
         self._tree = self._tree_records().reshape(-1)  # node * 2 + bit -> record
         self._v4_start = self._descend_zeros(96 if self.ip_version == 6 else 0)
-        self._docs: dict[int, object] = {}             # data record -> document
 
     # -- search tree -------------------------------------------------------
 
     def _tree_records(self) -> np.ndarray:
-        """The search tree as a ``(node_count, 2)`` array of records."""
+        """The search tree as a ``(node_count, 2)`` array of records.
+
+        Record size 32 is a zero-copy view of the file buffer.  Sizes 24 and
+        28 are unpacked into one resident uint32 array (8 bytes per node,
+        e.g. ~80 MB for a 10M-node database; not measured on a real
+        GeoLite2 file), built in place from the uint8 byte columns so no
+        other n-length temporary is larger than one byte per node."""
         n, rs = self.node_count, self.record_size
         if rs == 32:
             return np.frombuffer(self._buf, dtype=">u4", count=2 * n).reshape(n, 2)
         if rs not in (24, 28):
             raise ValueError(f"unsupported record size {rs}")
-        raw = np.frombuffer(self._buf, dtype=np.uint8, count=self._tree_size)
-        raw = raw.astype(np.uint32).reshape(n, rs // 4)
-        if rs == 24:
-            left, right = raw[:, 0:3], raw[:, 3:6]
-            hi_left = hi_right = 0
-        else:  # 28: the middle byte holds the high nibble of each record
-            left, right = raw[:, 0:3], raw[:, 4:7]
-            hi_left, hi_right = (raw[:, 3] >> 4) << 24, (raw[:, 3] & 0x0F) << 24
-        return np.stack([
-            hi_left | (left[:, 0] << 16) | (left[:, 1] << 8) | left[:, 2],
-            hi_right | (right[:, 0] << 16) | (right[:, 1] << 8) | right[:, 2],
-        ], axis=1)
+        raw = np.frombuffer(self._buf, dtype=np.uint8,
+                            count=self._tree_size).reshape(n, rs // 4)
+        tree = np.zeros((n, 2), dtype=np.uint32)
+        left, right = tree[:, 0], tree[:, 1]
+        if rs == 28:  # the middle byte holds the high nibble of each record
+            left |= raw[:, 3] >> 4
+            right |= raw[:, 3] & 0x0F
+        for rec, first in ((left, 0), (right, 4 if rs == 28 else 3)):
+            for col in range(first, first + 3):
+                rec <<= 8
+                rec |= raw[:, col]
+        return tree
 
     def _descend_zeros(self, depth: int) -> int:
         """Record reached from the root along ``depth`` zero bits: the IPv4
@@ -361,12 +363,9 @@ class MMDBReader:
             else:
                 continue  # IPv6 address, IPv4-only tree
             hit = recs > self.node_count
+            base = self._tree_size - self.node_count
             for i, rec in zip(pos[hit].tolist(), recs[hit].tolist()):
-                doc = self._docs.get(rec)
-                if doc is None:
-                    doc, _ = self._decode(self._tree_size + (rec - self.node_count))
-                    self._docs[rec] = doc
-                out[i] = doc
+                out[i] = self._decode(base + rec)[0]
         return out
 
     def get(self, ip: str):
