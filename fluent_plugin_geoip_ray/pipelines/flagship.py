@@ -136,6 +136,35 @@ def build_enriched(
     )
 
 
+def _hash_column(h, column: pa.ChunkedArray) -> None:
+    """Feed ``column``'s logical content to ``h``, chunk by chunk, without a
+    copy: validity (if any nulls), then for strings the offsets rebased to 0
+    across chunks and the data bytes they cover, else the int64 values."""
+    chunks = [c for c in column.chunks if len(c)]
+    if column.null_count:
+        for c in chunks:
+            h.update(c.is_valid().to_numpy(zero_copy_only=False).tobytes())
+    if not (pa.types.is_string(column.type) or pa.types.is_large_string(column.type)):
+        for c in chunks:
+            h.update(pc.fill_null(c.cast(pa.int64()), 0).to_numpy().tobytes())
+        return
+    width = np.int32 if pa.types.is_string(column.type) else np.int64
+    base = 0
+    spans = []
+    for c in chunks:
+        _, offsets_buf, data = c.buffers()
+        offsets = np.frombuffer(
+            offsets_buf, dtype=width, count=c.offset + len(c) + 1
+        )[c.offset:].astype(np.int64)
+        h.update((offsets[:-1] - offsets[0] + base).tobytes())
+        base += int(offsets[-1] - offsets[0])
+        spans.append((data, int(offsets[0]), int(offsets[-1])))
+    h.update(np.int64(base).tobytes())
+    for data, start, end in spans:
+        if data is not None:
+            h.update(memoryview(data)[start:end])
+
+
 class FanoutWrite:
     """Single-pass route fan-out: write sink files, emit partial counts.
 
@@ -188,30 +217,23 @@ class FanoutWrite:
             self._made_dirs.add(part_dir)
         return fs, part_dir
 
-    def _file_name(self, routed: pa.Table) -> str:
+    def _file_name(self, routed: pa.Table, ext: str = "parquet") -> str:
         """Deterministic name from the FULL key-column content (not just the
         first/last row): two distinct batches can never share a name, so a
         retried task overwrites only its own identical file (idempotent),
-        while hot-conv batches with equal boundary rows stay distinct."""
-        import pandas as pd
+        while hot-conv batches with equal boundary rows stay distinct.
 
+        The sha1 covers the logical Arrow content (``_hash_column``), so a
+        slice or a differently chunked table with the same rows gets the
+        same name."""
         h = hashlib.sha1()
         h.update(str(routed.num_rows).encode())
         if routed.num_rows:
             for col in ("conv_id", "turn_idx", "ts"):
-                if col not in routed.column_names:
-                    continue
-                arr = routed.column(col)
-                if isinstance(arr, pa.ChunkedArray):
-                    arr = arr.combine_chunks()
-                if pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type):
-                    hv = pd.util.hash_array(arr.to_pandas().to_numpy(dtype=object))
-                else:
-                    hv = pd.util.hash_array(
-                        arr.cast(pa.int64()).to_numpy(zero_copy_only=False)
-                    )
-                h.update(np.ascontiguousarray(hv).tobytes())
-        return f"batch-{h.hexdigest()[:16]}.parquet"
+                if col in routed.column_names:
+                    h.update(col.encode())
+                    _hash_column(h, routed.column(col))
+        return f"batch-{h.hexdigest()[:16]}.{ext}"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         stats = {"route": [], "kind": [], "key": [], "n": []}
@@ -221,13 +243,12 @@ class FanoutWrite:
                 # sink may be a URI (s3://...); all IO goes through fsio --
                 # local keeps tmp+rename, object stores use single-PUT
                 fs, part_dir = self._part_dir(route.sink)
-                path = fsio.join(part_dir, self._file_name(routed))
                 if getattr(route, "sink_format", "parquet") == "json":
                     # ndjson lines (Elasticsearch-bulk-shaped consumers):
                     # vectorized Arrow->ndjson via polars (no pandas
                     # round-trip, no per-row Python); timestamps rendered
                     # ISO-8601 first so the line format is stable
-                    path = path.replace(".parquet", ".jsonl")
+                    path = fsio.join(part_dir, self._file_name(routed, "jsonl"))
                     enc = routed
                     for i, f in enumerate(enc.schema):
                         if pa.types.is_timestamp(f.type):
@@ -240,6 +261,7 @@ class FanoutWrite:
                     payload = pl.from_arrow(enc).write_ndjson()
                     fsio.write_bytes_atomic(fs, payload.encode(), path)
                 else:
+                    path = fsio.join(part_dir, self._file_name(routed))
                     fsio.write_parquet_atomic(fs, routed, path)
             stats["route"].append(route.name)
             stats["kind"].append("rows")

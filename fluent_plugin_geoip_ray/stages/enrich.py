@@ -12,13 +12,20 @@ Ray-Data-native re-expression of the reference's per-event chain
 * per batch, lookup values are dictionary-encoded, and the uniques not yet
   in the stage's cache go to the backend in ONE ``lookup_many`` call (for
   an .mmdb, a batched trie descent; transcript traffic is heavy-hitter
-  skewed), then placeholder arrays are gathered back to rows -- a
-  broadcast-small-side lookup join (SURVEY §2.3 "Joins/lookups").  Cached
-  documents are shared between rows and batches, and read-only.
+  skewed) -- a broadcast-small-side lookup join (SURVEY §2.3
+  "Joins/lookups").  Cached documents are shared between rows and batches,
+  and read-only.
+* every output is a function of the looked-up documents alone, so rows are
+  encoded by one joint code over all of the spec's record keys (the tuple
+  of their lookup codes, densified).  Placeholder values, the skip gate and
+  every template plan are evaluated once per joint code, then each output
+  column is expanded to rows with one ``take``: per-batch work is
+  O(distinct key tuples), not O(rows).
 * the ``skip_adding_null_record`` gate (``filter_geoip.rb:40,122-123``)
-  becomes a per-row boolean: skip fires iff no lookup succeeded, or the first
-  placeholder (template order) whose lookup succeeded has a nil value --
-  exactly ``placeholder.values.first.nil?`` on the insertion-ordered hash.
+  becomes a per-joint-code boolean: skip fires iff no lookup succeeded, or
+  the first placeholder (template order) whose lookup succeeded has a nil
+  value -- exactly ``placeholder.values.first.nil?`` on the
+  insertion-ordered hash.
   The batch keeps a fixed schema: enrich columns are nulled on skipped rows
   and a ``geoip_enriched:bool`` column records the gate (SURVEY §2.1 P6);
   routes filter on it.
@@ -106,14 +113,40 @@ class GeoEnrich:
         uniques.append(None)
         return codes, docs, uniques
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
+    def _joint_codes(self, batch: pa.Table):
+        """Encode each row by the tuple of its lookup codes.
+
+        Returns (joint:int64[n] into m joint uniques, m, key_codes, docs):
+        ``key_codes[key][j]`` is joint unique j's code into ``docs[key]``.
+        One key's codes are the joint codes; several keys combine as a mixed
+        radix, re-densified after each key so the radix stays below
+        n * (m + 1).
+        """
         spec = self.spec
-        record_keys = {p.record_key for p in spec.placeholders} | set(spec.lookup_keys)
-        codes: dict[str, np.ndarray] = {}
+        record_keys = dict.fromkeys(
+            [p.record_key for p in spec.placeholders] + list(spec.lookup_keys)
+        )
+        joint = np.zeros(batch.num_rows, dtype=np.int64)
+        m = 1
+        key_codes: dict[str, np.ndarray] = {}
         docs: dict[str, list] = {}
         for key in record_keys:
-            codes[key], docs[key], _ = self._lookup_column(batch, key)
+            codes, docs[key], _ = self._lookup_column(batch, key)
+            radix = len(docs[key])
+            if key_codes:
+                uniq, joint = np.unique(joint * radix + codes, return_inverse=True)
+            else:
+                uniq, joint = np.arange(radix, dtype=np.int64), codes
+            prev = uniq // radix
+            for k in key_codes:
+                key_codes[k] = key_codes[k][prev]
+            key_codes[key] = uniq % radix
+            m = len(uniq)
+        return joint, m, key_codes, docs
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        spec = self.spec
+        joint, m, key_codes, docs = self._joint_codes(batch)
 
         # per-placeholder unique-level values (create_placeholder,
         # filter_geoip.rb:187-202)
@@ -131,17 +164,17 @@ class GeoEnrich:
                     vals.append(v)
             unique_values[ph.key] = vals
 
-        cols = PlaceholderColumns(n, spec.placeholders, unique_values, codes)
+        cols = PlaceholderColumns(m, spec.placeholders, unique_values, key_codes)
 
         # skip gate: first-found placeholder nil, or none found
         # (placeholder.values.first.nil?, filter_geoip.rb:123)
-        undecided = np.ones(n, dtype=bool)
-        skip = np.ones(n, dtype=bool)
+        undecided = np.ones(m, dtype=bool)
+        skip = np.ones(m, dtype=bool)
         for ph in spec.placeholders:
             found_u = np.asarray(
                 [d is not None for d in docs[ph.record_key]], dtype=bool
             )
-            inserted = found_u[codes[ph.record_key]]
+            inserted = found_u[key_codes[ph.record_key]]
             newly = inserted & undecided
             if newly.any():
                 isnull = cols.typed_array(ph.key).is_null().to_numpy(
@@ -153,36 +186,34 @@ class GeoEnrich:
                 break
         enriched_mask = pa.array(~skip)
 
+        rows = pa.array(joint)
         out = batch
         for name, plan in spec.plans.items():
             arr = evaluate_plan(plan, cols)
             if spec.skip_adding_null_record:
                 arr = pc.if_else(enriched_mask, arr, pa.scalar(None, arr.type))
+            arr = arr.take(rows)
             if name in out.column_names:
                 out = out.set_column(out.column_names.index(name), name, arr)
             else:
                 out = out.append_column(name, arr)
+        enriched = enriched_mask.take(rows)
         if ENRICHED_COL in out.column_names:
             out = out.set_column(
-                out.column_names.index(ENRICHED_COL), ENRICHED_COL, enriched_mask
+                out.column_names.index(ENRICHED_COL), ENRICHED_COL, enriched
             )
         else:
-            out = out.append_column(ENRICHED_COL, enriched_mask)
+            out = out.append_column(ENRICHED_COL, enriched)
         return out
 
 
-# per-worker-process stage cache for tasks-mode enrich: Ray task workers are
-# long-lived and reused across executions, so state built here amortizes the
-# way the reference's per-Fluentd-worker DB load does (filter_geoip.rb:103)
-_WORKER_STAGE_CACHE: dict = {}
+def _tasks_enrich_fn(spec: CompiledRecordSpec, backend_spec: dict):
+    stage = None
 
-
-def _tasks_enrich_fn(spec: CompiledRecordSpec, backend_spec: dict, cache_key: str):
     def fn(batch: pa.Table) -> pa.Table:
-        stage = _WORKER_STAGE_CACHE.get(cache_key)
+        nonlocal stage
         if stage is None:
             stage = GeoEnrich(spec, backend_spec=backend_spec)
-            _WORKER_STAGE_CACHE[cache_key] = stage
         return stage(batch)
 
     return fn
@@ -200,10 +231,10 @@ def enrich_dataset(
 ):
     """Attach the enrich stage to a Dataset.
 
-    ``mode="tasks"`` (default): stateless task pool with a per-worker cached
-    :class:`GeoEnrich` -- workers are reused across Dataset executions, so
-    backend open + template compile are paid once per worker process, and no
-    actor processes churn per run.  Right for cheap-to-open backends.
+    ``mode="tasks"`` (default): stateless task pool; each task builds its
+    :class:`GeoEnrich` lazily on its first batch, so the backend is opened
+    once per task and no actor processes churn per run.  Right for
+    cheap-to-open backends.
 
     ``mode="actors"``: a fixed actor pool (``concurrency=(min,max)``) whose
     ``__init__`` opens the backend -- required when open cost or state size
@@ -228,13 +259,8 @@ def enrich_dataset(
             concurrency=concurrency or (2, 8),
             num_cpus=num_cpus,
         )
-    import hashlib
-    import pickle
-
-    bspec = backend_spec or {"library": "dict"}
-    cache_key = hashlib.sha1(pickle.dumps((compiled, bspec))).hexdigest()
     return ds.map_batches(
-        _tasks_enrich_fn(compiled, bspec, cache_key),
+        _tasks_enrich_fn(compiled, backend_spec or {"library": "dict"}),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,

@@ -8,7 +8,11 @@ mandates the routing layer: tag prefix/suffix substitution plus the
 
 Tag-pattern semantics are Fluentd's public match grammar: ``*`` matches one
 tag part, ``**`` matches zero or more parts, ``.`` separates parts -- compiled
-here to RE2 and applied vectorized per batch.
+here to RE2.  A route decision is a function of the tag plus the enrich gate,
+so per batch the tag column is dictionary-encoded, the pattern match and the
+tag rewrite run once per distinct tag, and both expand to rows with one
+``take``.  Null tags never match.  A route that keeps every row returns the
+batch's other columns as they are, without a ``filter`` copy.
 """
 
 from __future__ import annotations
@@ -70,25 +74,31 @@ class RouteSpec:
 
     # -- vectorized per-batch application ------------------------------------
 
-    def mask(self, batch: pa.Table) -> pa.Array:
-        tags = batch.column(TAG_COL)
+    def _match(self, tags: pa.Array) -> pa.Array:
         # fast path: "<literal>.**" is prefix-or-exact -- two cheap kernels
-        # instead of an RE2 scan per row
+        # instead of an RE2 scan
         if self.match.endswith(".**") and not any(
             ch in self.match[:-3] for ch in "*{}[]"
         ):
             literal = self.match[:-3]
-            m = pc.or_(
+            return pc.or_(
                 pc.starts_with(tags, pattern=literal + "."),
                 pc.equal(tags, literal),
             )
-        elif self.match == "**":
-            m = pc.is_valid(tags)
-        else:
-            m = pc.match_substring_regex(tags, self._regex)
+        if self.match == "**":
+            return pc.is_valid(tags)
+        return pc.match_substring_regex(tags, self._regex)
+
+    def _row_mask(self, batch: pa.Table, codes: pa.Array, tags: pa.Array) -> pa.Array:
+        """Match the distinct ``tags``, expand to rows through ``codes``;
+        null tags never match."""
+        m = pc.fill_null(self._match(tags).take(codes), False)
         if self.skip_adding_null_record and ENRICHED_COL in batch.column_names:
             m = pc.and_(m, pc.fill_null(batch.column(ENRICHED_COL), False))
         return m.combine_chunks() if isinstance(m, pa.ChunkedArray) else m
+
+    def mask(self, batch: pa.Table) -> pa.Array:
+        return self._row_mask(batch, *_tag_codes(batch))
 
     def rewrite_tag(self, tags: pa.Array) -> pa.Array:
         out = tags
@@ -111,13 +121,23 @@ class RouteSpec:
         return out
 
     def apply(self, batch: pa.Table) -> pa.Table:
-        routed = batch.filter(self.mask(batch))
-        tags = routed.column(TAG_COL)
-        if isinstance(tags, pa.ChunkedArray):
-            tags = tags.combine_chunks()
-        return routed.set_column(
-            routed.column_names.index(TAG_COL), TAG_COL, self.rewrite_tag(tags)
+        codes, tags = _tag_codes(batch)
+        m = self._row_mask(batch, codes, tags)
+        if m.true_count < batch.num_rows:
+            batch, codes = batch.filter(m), codes.filter(m)
+        return batch.set_column(
+            batch.column_names.index(TAG_COL), TAG_COL,
+            self.rewrite_tag(tags).take(codes),
         )
+
+
+def _tag_codes(batch: pa.Table) -> tuple[pa.Array, pa.Array]:
+    """(row -> distinct-tag index, null for null tags; the distinct tags)."""
+    tags = batch.column(TAG_COL)
+    if isinstance(tags, pa.ChunkedArray):
+        tags = tags.combine_chunks()
+    enc = pc.dictionary_encode(tags)
+    return enc.indices, enc.dictionary
 
 
 def write_sorted_sink(ds, sink_dir: str, keys=("conv_id", "turn_idx"),

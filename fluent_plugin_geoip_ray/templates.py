@@ -11,9 +11,10 @@ ONE Arrow array per batch, built from per-placeholder arrays:
   typed placeholder arrays -- equivalent by construction to the reference's
   encode-substitute-reparse (filter_geoip.rb:127-132), golden-tested.
 
-Placeholder arrays are computed at unique-lookup-value level (dictionary
-encoding) by the enrich stage, so the Python work per batch is O(unique IPs),
-not O(rows).
+The enrich stage evaluates every plan once per joint lookup code (one
+"row" per distinct tuple of lookup values in the batch), then expands each
+result to rows with one ``take``; so the work per batch is O(distinct key
+tuples), not O(rows).
 """
 
 from __future__ import annotations
@@ -70,21 +71,22 @@ def _to_s(value) -> str:
 
 
 class PlaceholderColumns:
-    """Per-batch placeholder arrays, built lazily from unique-level values.
+    """Placeholder arrays over ``n`` joint codes, built lazily from
+    unique-level values.
 
     ``unique_values[key]`` is the list of dug values per unique lookup value
-    (already 0.0-coalesced for lat/lon on found docs); ``codes`` maps row ->
-    unique index per lookup key.
+    (already 0.0-coalesced for lat/lon on found docs); ``codes`` maps joint
+    code -> unique index per lookup key.
     """
 
     def __init__(
         self,
-        n_rows: int,
+        n: int,
         placeholders: list[Placeholder],
         unique_values: dict[str, list],
         codes: dict[str, np.ndarray],
     ):
-        self.n = n_rows
+        self.n = n
         self._ph = {p.key: p for p in placeholders}
         self._uvals = unique_values
         self._codes = codes

@@ -192,6 +192,65 @@ def test_fanout_write_no_cross_batch_collision(sf_path, tmp_path):
     assert total == b1.num_rows + b2.num_rows
 
 
+def _keyed_table(conv_ids, turn_idx, ts):
+    return pa.table({
+        "conv_id": pa.array(conv_ids, type=pa.string()),
+        "turn_idx": pa.array(turn_idx, type=pa.int32()),
+        "ts": pa.array(ts, type=pa.timestamp("us")),
+        "text": pa.array([f"t{i}" for i in range(len(conv_ids))]),
+    })
+
+
+def test_file_name_hashes_logical_content():
+    """Sink names depend on the rows' key values only: not on slicing or
+    chunking, and every key byte, turn_idx, ts and null counts."""
+    from fluent_plugin_geoip_ray.pipelines.flagship import FanoutWrite
+
+    name = FanoutWrite([])._file_name
+    conv = ["conv-a", "conv-bb", "", "conv-a", "c\u00e9"]
+    turn = [0, 1, 2, 3, 4]
+    ts = [10, 20, 30, 40, 50]
+    t = _keyed_table(conv, turn, ts)
+    base = name(t)
+    assert base.startswith("batch-") and base.endswith(".parquet")
+
+    big = _keyed_table(["x", "yy"] + conv + ["zzz"], [7, 8] + turn + [9],
+                       [1, 2] + ts + [3])
+    assert name(big.slice(2, len(conv))) == base
+    two_chunks = pa.concat_tables([t.slice(0, 2), t.slice(2)])
+    assert two_chunks.column("conv_id").num_chunks == 2
+    assert name(two_chunks) == base
+    assert name(t, "jsonl") == base[: -len("parquet")] + "jsonl"
+
+    assert name(_keyed_table(["conv-a", "conv-bc", "", "conv-a", "c\u00e9"],
+                             turn, ts)) != base
+    assert name(_keyed_table(conv, [0, 1, 2, 3, 5], ts)) != base
+    assert name(_keyed_table(conv, turn, [10, 20, 30, 41, 50])) != base
+    with_null = _keyed_table(["a", None, "b"], [0, 1, 2], [0, 0, 0])
+    with_empty = _keyed_table(["a", "", "b"], [0, 1, 2], [0, 0, 0])
+    assert name(with_null) != name(with_empty)
+
+
+def test_json_sink_under_dir_named_parquet(tmp_path):
+    """ndjson files get their own extension; a ``.parquet`` in the sink
+    directory's name is left alone."""
+    import json
+
+    from fluent_plugin_geoip_ray.pipelines.flagship import FanoutWrite
+    from fluent_plugin_geoip_ray.stages.route import RouteSpec
+
+    sink = str(tmp_path / "x.parquet")
+    batch = _keyed_table(["a", "b"], [0, 1], [0, 1_000_000]).append_column(
+        "tag", pa.array(["transcripts.user", "transcripts.tool"]))
+    FanoutWrite([RouteSpec(name="j", sink=sink, sink_format="json")])(batch)
+    files = glob.glob(os.path.join(sink, "part=*", "*"))
+    assert len(files) == 1 and files[0].endswith(".jsonl")
+    assert os.path.basename(files[0]).startswith("batch-")
+    rows = [json.loads(line) for line in open(files[0])]
+    assert [r["conv_id"] for r in rows] == ["a", "b"]
+    assert [r["tag"] for r in rows] == ["transcripts.user", "transcripts.tool"]
+
+
 def test_multi_partition_resume():
     """3 partitions; one loses its manifest (crash) -> only that one re-runs."""
     import shutil

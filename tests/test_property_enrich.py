@@ -7,6 +7,8 @@ Hypothesis generates record specs (random mixes of passthrough / string /
 JSON templates over random geo paths and lookup keys) and random input
 columns (fixture IPs, misses, nulls, empty strings); the vectorized
 GeoEnrich output must match the row-at-a-time interpretation exactly.
+Batches of up to 200 rows drawn from a few key tuples exercise the joint
+lookup codes the stage evaluates templates over.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from fluent_plugin_geoip_ray.config import (
     RecordSpec,
     compile_record_spec,
 )
-from fluent_plugin_geoip_ray.stages.enrich import GeoEnrich
+from fluent_plugin_geoip_ray.stages.enrich import ENRICHED_COL, GeoEnrich
 from fluent_plugin_geoip_ray.state.fixture import fixture_geo_docs
-from fluent_plugin_geoip_ray.templates import _to_s, dig
+from fluent_plugin_geoip_ray.templates import _to_s, dig, output_schema
 
 DOCS = fixture_geo_docs()
 
@@ -181,15 +183,18 @@ def template_strategy(keys):
     return st.one_of(passthrough, string_tmpl, json_arr, json_obj)
 
 
+KEY_SETS = [["ip"], ["ip", "ip2"], ["ip", "ip2", "host"]]
+
+
 @st.composite
-def spec_and_rows(draw):
-    keys = draw(st.sampled_from([["ip"], ["ip", "ip2"]]))
+def spec_and_rows(draw, key_sets=KEY_SETS[:2], min_rows=1, max_rows=12):
+    keys = draw(st.sampled_from(key_sets))
     n_fields = draw(st.integers(1, 5))
     record = {
         f"f{i}": draw(template_strategy(keys)) for i in range(n_fields)
     }
     skip = draw(st.booleans())
-    n_rows = draw(st.integers(1, 12))
+    n_rows = draw(st.integers(min_rows, max_rows))
     rows = [
         {k: draw(st.sampled_from(LOOKUP_VALUES)) for k in keys}
         for _ in range(n_rows)
@@ -197,14 +202,25 @@ def spec_and_rows(draw):
     return keys, record, skip, rows
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(spec_and_rows())
-def test_vectorized_matches_row_interpreter(args):
-    keys, record, skip, rows = args
+@st.composite
+def spec_and_repeating_rows(draw):
+    """Up to 200 rows drawn from at most 8 key tuples, so tuples repeat."""
+    keys, record, skip, pool = draw(
+        spec_and_rows(key_sets=KEY_SETS, min_rows=1, max_rows=8)
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=200))
+    return keys, record, skip, [pool[i] for i in picks]
+
+
+def check_against_row_interpreter(keys, record, skip, rows):
     compiled = _compile(record, keys, skip)
     stage = GeoEnrich(compiled)
     batch = pa.table({k: [r[k] for r in rows] for k in keys})
-    got = stage(batch).to_pylist()
+    out = stage(batch)
+    want = output_schema(compiled) + [(ENRICHED_COL, pa.bool_())]
+    assert [(f.name, f.type) for f in out.schema][len(keys):] == want
+    got = out.to_pylist()
+    assert len(got) == len(rows)
     for i, row in enumerate(rows):
         expect = reference_row(compiled, row)
         for field in record:
@@ -216,3 +232,28 @@ def test_vectorized_matches_row_interpreter(args):
                 f"field {field!r} template {record[field]!r} row {row}: "
                 f"vectorized={g!r} reference={e!r}"
             )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec_and_rows())
+def test_vectorized_matches_row_interpreter(args):
+    check_against_row_interpreter(*args)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec_and_repeating_rows())
+def test_joint_codes_match_row_interpreter(args):
+    check_against_row_interpreter(*args)
+
+
+def test_zero_row_batch_keeps_output_schema():
+    record = {
+        "city": "${city.names.en['ip']}",
+        "pair": "${location.latitude['ip2']},${country.iso_code['host']}",
+        "point": "[${location.longitude['ip']}, ${location.latitude['host']}]",
+        "mixed": "[${city.names.en['ip2']}, ${location.latitude['ip']}]",
+        "obj": '{ "lat": ${location.latitude["host"]}, "cc": ${country.iso_code["ip"]} }',
+    }
+    for keys in KEY_SETS:
+        for skip in (False, True):
+            check_against_row_interpreter(keys, record, skip, [])

@@ -64,3 +64,98 @@ def test_route_skip_gate_filters_unenriched():
     r = RouteSpec(name="r", match="**", skip_adding_null_record=True)
     out = r.apply(_batch(["a", "a", "a"], enriched=[True, False, None]))
     assert out.num_rows == 1
+
+
+# ---- per-row referee ------------------------------------------------------
+
+TAG_POOL = [
+    "a", "a.b", "a.b.c", "a.c", "a.bx", "ab", "b", "b.a", "x.a.b",
+    "a.b.raw", "transcripts.user", "transcripts.tool.raw", "", None,
+]
+PATTERNS = ["**", "a.**", "transcripts.**", "a.*", "*.b", "a.*.c", "**.raw",
+            "a.**.c", "a.b", "b"]
+
+
+def referee_apply(route, rows):
+    """One row at a time: fullmatch, gate, then string prefix/suffix ops."""
+    rx = re.compile(tag_pattern_to_regex(route.match))
+    out = []
+    for row in rows:
+        tag = row["tag"]
+        if tag is None or rx.fullmatch(tag) is None:
+            continue
+        if route.skip_adding_null_record and row.get("geoip_enriched") is not True:
+            continue
+        if route.remove_tag_prefix and tag.startswith(route.remove_tag_prefix):
+            tag = tag[len(route.remove_tag_prefix):]
+        if route.remove_tag_suffix and tag.endswith(route.remove_tag_suffix):
+            tag = tag[: len(tag) - len(route.remove_tag_suffix)]
+        out.append({**row, "tag": route.add_tag_prefix + tag + route.add_tag_suffix})
+    return out
+
+
+def _random_batch(rng, n):
+    """Two chunks, tags drawn from TAG_POOL, gate True/False/None."""
+    tags = [rng.choice(TAG_POOL) for _ in range(n)]
+    table = pa.table({
+        "tag": pa.array(tags, type=pa.string()),
+        "conv_id": [f"c{i % 5}" for i in range(n)],
+        "turn_idx": list(range(n)),
+        "geoip_enriched": pa.array(
+            [rng.choice([True, False, None]) for _ in range(n)], type=pa.bool_()),
+    })
+    k = n // 3
+    return pa.concat_tables([table.slice(0, k), table.slice(k)])
+
+
+def test_route_apply_matches_row_referee():
+    import random
+
+    rng = random.Random(5)
+    rewrites = [
+        {},
+        {"remove_tag_prefix": "a.", "add_tag_prefix": "enriched."},
+        {"remove_tag_suffix": ".raw", "add_tag_suffix": ".s"},
+        {"remove_tag_prefix": "transcripts.", "remove_tag_suffix": ".c",
+         "add_tag_prefix": "p.", "add_tag_suffix": ".q"},
+    ]
+    for n in (0, 1, 40, 300):
+        batch = _random_batch(rng, n)
+        rows = batch.to_pylist()
+        for pattern in PATTERNS:
+            for rw in rewrites:
+                for gate in (False, True):
+                    route = RouteSpec(name="r", match=pattern,
+                                      skip_adding_null_record=gate, **rw)
+                    got = route.apply(batch)
+                    assert got.schema == batch.schema
+                    assert got.to_pylist() == referee_apply(route, rows), (
+                        pattern, rw, gate, n)
+
+
+def test_route_mask_matches_row_referee():
+    import random
+
+    batch = _random_batch(random.Random(9), 120)
+    rows = batch.to_pylist()
+    for pattern in PATTERNS:
+        for gate in (False, True):
+            route = RouteSpec(name="r", match=pattern, skip_adding_null_record=gate)
+            kept = {r["turn_idx"] for r in referee_apply(route, rows)}
+            want = [r["turn_idx"] in kept for r in rows]
+            assert route.mask(batch).to_pylist() == want, (pattern, gate)
+
+
+def test_all_pass_route_returns_other_columns_unchanged():
+    batch = _batch(["a.b", "c", "a.b", "d.e.f"])
+    batch = batch.append_column("text", pa.array(["x", "yy", "", "zzz"]))
+    out = RouteSpec(name="r", match="**", add_tag_suffix=".raw").apply(batch)
+    assert out.column("tag").to_pylist() == ["a.b.raw", "c.raw", "a.b.raw", "d.e.f.raw"]
+    for name in batch.column_names:
+        if name == "tag":
+            continue
+        assert out.column(name).equals(batch.column(name))
+        # no filter copy: the very same buffers
+        got = [b.address for c in out.column(name).chunks for b in c.buffers() if b]
+        want = [b.address for c in batch.column(name).chunks for b in c.buffers() if b]
+        assert got == want
