@@ -2119,7 +2119,6 @@ def q_anomaly(sf_dir: str):
         ds.map_batches(with_sq, batch_format="pyarrow"),
         ["event_type"],
         [("value", "sum", "s"), ("value_sq", "sum", "ss"), ("value", "count", "n")],
-        merge="driver",
     ).to_pandas()
     mean = moments["s"] / moments["n"]
     std = np.sqrt(np.maximum(moments["ss"] / moments["n"] - mean**2, 0.0))

@@ -35,7 +35,6 @@ from ..lineage import (
     plan_partitions,
     write_manifest,
 )
-from ..stages.aggregate import NULL_KEY
 from ..stages.enrich import enrich_dataset
 from ..stages.parse import parse_dataset
 from ..stages.route import RouteSpec
@@ -276,9 +275,6 @@ class FanoutWrite:
                     keys = keys.combine_chunks()
                 if not pa.types.is_string(keys.type):
                     keys = keys.cast(pa.string())
-                # null keys can't cross Ray's sort-based shuffle; sentinel now,
-                # restored after the final merge (stages/aggregate.py)
-                keys = pc.fill_null(keys, NULL_KEY)
                 self._group_tables.append(
                     pa.table(
                         {
@@ -311,20 +307,18 @@ def run_fanout(
     routes: list[RouteSpec],
     pid: int = 0,
     batch_size: int | None = None,
-    merge: str = "driver",
     agg_dir: str | None = None,
 ):
     """Consume the enriched Dataset: write sinks, return final stats table.
 
-    The returned table is the merged (route, kind, key, n) aggregate.
+    The returned table is the merged (route, kind, key, n) aggregate; a
+    null key (e.g. a null ``conv_id``) is its own row with a null ``key``.
 
-    ``merge="driver"`` streams the per-batch combiner outputs to the driver
-    and merges them with one C++ ``pyarrow.Table.group_by`` -- no all-to-all.
-    With ``agg_dir`` set, high-cardinality kinds (conv_id) are written as
-    parquet side-outputs by the workers and never reach the driver (see
-    FanoutWrite) -- the returned table then carries rows + country_code only.
-    ``merge="ray"`` runs a distributed groupby instead (for consuming the
-    result with write_parquet at very large scale).
+    The per-batch combiner outputs stream to the driver and merge with one
+    C++ ``pyarrow.Table.group_by`` -- no all-to-all.  With ``agg_dir`` set,
+    high-cardinality kinds (conv_id) are written as parquet side-outputs
+    by the workers and never reach the driver (see FanoutWrite) -- the
+    returned table then carries rows + country_code only.
     """
     stats_ds = enriched.map_batches(
         FanoutWrite(routes, pid=pid, agg_dir=agg_dir),
@@ -338,17 +332,6 @@ def run_fanout(
     # returns, writing a stray 1-row sink file and racing the next run's
     # partition cleanup.  A materialized dataset caches schema + blocks, so
     # no later probe ever re-runs the UDF.
-    if merge == "ray":
-        from ray.data.aggregate import Sum
-
-        merged_ds = stats_ds.groupby(["route", "kind", "key"]).aggregate(
-            Sum("n", alias_name="n")
-        )
-        df = merged_ds.to_pandas()
-        df.loc[df["key"] == NULL_KEY, "key"] = None
-        return pa.Table.from_pandas(
-            df, schema=FanoutWrite.STATS_SCHEMA, preserve_index=False
-        )
     import ray
 
     refs = stats_ds.to_arrow_refs()  # executes; blocks fetched in parallel
@@ -362,16 +345,11 @@ def run_fanout(
         .aggregate([("n", "sum")])
         .rename_columns(["route", "kind", "key", "n"])
     )
-    keys = merged.column("key").combine_chunks()
-    if not pa.types.is_string(keys.type):
-        keys = keys.cast(pa.string())
-    mask = pc.fill_null(pc.equal(keys, NULL_KEY), False)
-    keys = pc.if_else(mask, pa.scalar(None, pa.string()), keys)
     return pa.table(
         {
             "route": merged.column("route").combine_chunks().cast(pa.string()),
             "kind": merged.column("kind").combine_chunks().cast(pa.string()),
-            "key": keys,
+            "key": merged.column("key").combine_chunks().cast(pa.string()),
             "n": merged.column("n").combine_chunks().cast(pa.int64()),
         },
         schema=FanoutWrite.STATS_SCHEMA,
@@ -434,15 +412,11 @@ def read_aggregates(agg_dir: str, kinds: tuple | None = None) -> pa.Table:
     allt = pa.concat_tables([fsio.read_parquet(fs, f) for f in sorted(files)])
     if kinds:
         allt = allt.filter(pc.is_in(allt.column("kind"), value_set=pa.array(list(kinds))))
-    merged = (
+    return (
         allt.group_by(["route", "kind", "key"])
         .aggregate([("n", "sum")])
         .rename_columns(["route", "kind", "key", "n"])
     )
-    keys = merged.column("key").combine_chunks()
-    mask = pc.fill_null(pc.equal(keys, NULL_KEY), False)
-    keys = pc.if_else(mask, pa.scalar(None, pa.string()), keys)
-    return merged.set_column(merged.column_names.index("key"), "key", keys)
 
 
 def run_partitioned(
@@ -553,14 +527,6 @@ def run_partitioned(
         allt = pa.concat_tables(tables)
         merged = allt.group_by(["route", "kind", "key"]).aggregate([("n", "sum")])
         merged = merged.rename_columns(["route", "kind", "key", "n"])
-        # combine_chunks first: pc.if_else over a multi-chunk group_by output
-        # emits chunks with invalid binary offsets (write fails "offset out
-        # of bounds" at sf1 conv_id cardinality)
-        kcol = merged.column("key").combine_chunks()
-        key_col = pc.if_else(
-            pc.equal(kcol, NULL_KEY), pa.scalar(None, pa.string()), kcol
-        )
-        merged = merged.set_column(merged.column_names.index("key"), "key", key_col)
         fsio.write_parquet_atomic(ofs, merged, fsio.join(obase, "aggregates.parquet"))
     return {"ran": ran, "skipped": skipped, "aggregates": merged}
 

@@ -8,6 +8,13 @@ key per batch -- the combiner) and run the all-to-all only over the tiny
 partials, so shuffle volume is O(distinct keys x blocks), not O(rows).
 Hot-key skew (the conv_id hotspot) is irrelevant after partials: every block
 contributes at most one row per key.
+
+Every final merge is the keyed hash exchange
+(:func:`exchange.hash_exchange_by`); the grouped top-k family also has a
+driver merge, picked from the observed partial row count.  Null keys pass
+through as nulls: Arrow ``group_by`` keeps NULL as one group (the SQL
+``GROUP BY`` semantics) and :func:`exchange.stable_bucket_ids` sends every
+null key to one bucket.
 """
 
 from __future__ import annotations
@@ -15,94 +22,53 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ray.data.aggregate import Sum
-
-# Ray's sort-based shuffle cannot range-partition on null keys (None vs str
-# comparison in find_partition_index); nulls are sentinel-encoded through the
-# shuffle and restored afterwards.  SQL GROUP BY keeps a NULL group, so the
-# restore preserves oracle equality.
-NULL_KEY = "\x00__NULL__\x00"
+from .exchange import canon_float, hash_exchange_by
 
 
-def _encode_nulls(arr):
-    if pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type):
-        return pc.fill_null(arr, NULL_KEY)
-    if pa.types.is_floating(arr.type):
-        # -0.0 -> +0.0: SQL GROUP BY treats the zeros as one key, but
-        # Arrow's group_by hashes bit patterns (exchange.canon_float)
-        from .exchange import canon_float
-
-        return canon_float(arr)
-    return arr
+def _canon_keys(batch: pa.Table, keys: list[str]) -> pa.Table:
+    """Canonicalize float key columns (-0.0 -> +0.0): SQL ``GROUP BY``
+    treats the zeros as one key, but Arrow's group_by hashes bit patterns
+    (see :func:`exchange.canon_float`)."""
+    for k in keys:
+        batch = batch.set_column(
+            batch.column_names.index(k), k, canon_float(batch.column(k)))
+    return batch
 
 
-def _restore_nulls(key: str):
-    def restore(batch: pa.Table) -> pa.Table:
-        col = batch.column(key)
-        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-            if isinstance(col, pa.ChunkedArray):
-                # pc.if_else over multi-chunk input can emit chunks with
-                # invalid binary offsets (parquet write then fails)
-                col = col.combine_chunks()
-            col = pc.if_else(pc.equal(col, NULL_KEY), pa.scalar(None, col.type), col)
-            batch = batch.set_column(batch.column_names.index(key), key, col)
-        return batch
-
-    return restore
+def _group_by(t: pa.Table, keys: list[str], aggs: list) -> pa.Table:
+    """``t.group_by(keys).aggregate(aggs)`` with NULL keys grouped right.
+    pyarrow 16.1's fast grouper splits one multi-column key into several
+    groups when a key column holds nulls (e.g. a null string key followed
+    by an int key); a large_binary key column makes Arrow use its
+    row-encoding grouper, which groups them correctly."""
+    if len(keys) > 1 and any(t.column(k).null_count for k in keys):
+        t = t.append_column(
+            "__gk", pa.repeat(pa.scalar(b"", pa.large_binary()), t.num_rows))
+        return t.group_by(keys + ["__gk"]).aggregate(aggs).drop_columns(["__gk"])
+    return t.group_by(keys).aggregate(aggs)
 
 
-def _partial_count(key: str):
-    def partial(batch: pa.Table) -> pa.Table:
-        keyed = batch.set_column(
-            batch.column_names.index(key), key, _encode_nulls(batch.column(key))
-        )
-        out = keyed.group_by(key).aggregate([([], "count_all")])
-        return out.rename_columns([key, "n"])
-
-    return partial
+def count_by(ds, key: str, batch_size: int = 65536):
+    """``SELECT key, count(*) AS n GROUP BY key`` -- partial + final
+    through :func:`groupby_agg` (null keys form one group)."""
+    return groupby_agg(ds, [key], [(key, "count_star", "n")],
+                       batch_size=batch_size)
 
 
-def count_by(ds, key: str, batch_size: int = 65536, merge: str = "bucketed"):
-    """``SELECT key, count(*) AS n GROUP BY key`` -- partial + final.
-
-    The final merge defaults to the bucketed hash-exchange (scale-safe at
-    any key cardinality); ``merge="ray"`` uses Ray's groupby directly."""
-    partials = ds.map_batches(
-        _partial_count(key),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-    )
-    if merge == "ray":
-        agg = partials.groupby(key).aggregate(Sum("n", alias_name="n"))
-        return agg.map_batches(_restore_nulls(key), batch_format="pyarrow")
-    out = groupby_agg(partials, [key], [("n", "sum", "n")], merge=merge)
-    return out.map_batches(_restore_nulls(key), batch_format="pyarrow")
-
-
-def groupby_agg(ds, keys: list[str], aggs: list[tuple], batch_size: int = 65536,
-                merge: str = "bucketed"):
+def groupby_agg(ds, keys: list[str], aggs: list[tuple], batch_size: int = 65536):
     """General partial+final grouped aggregate.
 
     ``aggs`` entries are ``(col, fn, out_name)`` with fn in
-    {sum, count, min, max, mean}; partials run vectorized per batch
-    (pyarrow ``Table.group_by``), the final pass re-aggregates
+    {sum, count, count_star, min, max, mean}; partials run vectorized per
+    batch (pyarrow ``Table.group_by``), the final pass re-aggregates
     sums-of-sums / mins-of-mins and computes mean = sum/count at the end.
-    Null string keys survive the shuffle via sentinel encoding.
+    Null keys stay null and form one group, as in SQL.
 
-    ``merge="ray"``: distributed groupby over the partials (returns a lazy
-    Dataset).  NOTE: Ray's sort-based shuffle costs O(blocks), so it is
-    slow over hundreds of tiny partial blocks.  ``merge="driver"``: fetch
-    partial blocks in parallel and merge with one C++
-    ``pyarrow.Table.group_by`` -- right whenever the RESULT fits one
-    process, regardless of input size.  ``merge="bucketed"``: hash-bucket
-    the partials by key (ONE exchange over partial rows, skew-free by
-    construction) and re-aggregate each bucket with a C++ group_by -- the
-    high-cardinality scale path: no driver state, no sort shuffle, B
-    Python calls total.
+    The merge hash-buckets the partials by key (ONE exchange over partial
+    rows, skew-free by construction, :func:`exchange.hash_exchange_by`) and
+    re-aggregates each bucket with a C++ group_by: no driver state, no sort
+    shuffle, B Python calls total.
     """
-    from ray.data.aggregate import Max, Min
-
     # which pyarrow partial aggregations are needed (deduped by output name).
     # SQL semantics: count/mean are per-COLUMN valid-only (COUNT(col) /
     # AVG(col) ignore nulls); "count_star" is COUNT(*).
@@ -120,11 +86,7 @@ def groupby_agg(ds, keys: list[str], aggs: list[tuple], batch_size: int = 65536,
     partial_rename = {pa_name: f"__p_{pa_name}" for pa_name in need}
 
     def partial(batch: pa.Table) -> pa.Table:
-        for k in keys:
-            batch = batch.set_column(
-                batch.column_names.index(k), k, _encode_nulls(batch.column(k))
-            )
-        g = batch.group_by(keys).aggregate(pa_aggs)
+        g = _group_by(_canon_keys(batch, keys), keys, pa_aggs)
         return g.rename_columns(
             [partial_rename.get(nm, nm) for nm in g.column_names]
         )
@@ -151,63 +113,19 @@ def groupby_agg(ds, keys: list[str], aggs: list[tuple], batch_size: int = 65536,
             else:
                 arr = batch.column(f"__f_{col}_{fn}")
             batch = batch.append_column(out, arr)
-        batch = batch.drop_columns([f"__f_{nm}" for nm in need])
-        for k in keys:
-            batch = _restore_nulls(k)(batch)
-        return batch
+        return batch.drop_columns([f"__f_{nm}" for nm in need])
 
     refit_fn = {"sum": "sum", "count": "sum", "count_all": "sum", "min": "min", "max": "max"}
 
-    def _refit_table(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys).aggregate(
-            [(f"__p_{nm}", refit_fn[need[nm][1]]) for nm in need]
-        )
+    def merge_bucket(t: pa.Table) -> pa.Table:
+        g = _group_by(t, keys,
+                      [(f"__p_{nm}", refit_fn[need[nm][1]]) for nm in need])
         rename = {
             f"__p_{nm}_{refit_fn[need[nm][1]]}": f"__f_{nm}" for nm in need
         }
-        return g.rename_columns([rename.get(c, c) for c in g.column_names])
+        return finalize(g.rename_columns([rename.get(c, c) for c in g.column_names]))
 
-    if merge == "bucketed":
-        import numpy as np
-        import pandas as pd
-
-        num_buckets = 32
-
-        def add_bucket(t: pa.Table) -> pa.Table:
-            from .exchange import stable_bucket_ids
-
-            return t.append_column(
-                "__bucket", pa.array(stable_bucket_ids(t, keys, num_buckets))
-            )
-
-        bucketed = partials.map_batches(
-            add_bucket, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-        from .exchange import hash_exchange
-
-        def merge_bucket(t: pa.Table) -> pa.Table:
-            return finalize(_refit_table(t))
-
-        return hash_exchange(bucketed, num_buckets, merge_bucket)
-
-    if merge == "driver":
-        import ray
-        import ray.data as rd
-
-        tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-        if not tables:
-            return rd.from_items([])
-        allt = pa.concat_tables(tables).combine_chunks()
-        return rd.from_arrow(finalize(_refit_table(allt)))
-
-    refit = {"sum": Sum, "count": Sum, "count_all": Sum, "min": Min, "max": Max}
-    ray_aggs = []
-    for pa_name, (col, fn) in need.items():
-        ctor = Sum if fn in ("sum", "count", "count_all") else refit[fn]
-        ray_aggs.append(ctor(f"__p_{pa_name}", alias_name=f"__f_{pa_name}"))
-    agg = partials.groupby(keys).aggregate(*ray_aggs)
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return hash_exchange_by(partials, keys, merge_bucket)
 
 
 def salted_groupby_agg(ds, key: str, aggs: list[tuple], salt_buckets: int = 16,
@@ -273,25 +191,10 @@ def top_k(ds, col: str, k: int, keep_cols: list[str] | None = None,
     return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
 
 
-def _partial_sum_count(key: str, value: str):
-    def partial(batch: pa.Table) -> pa.Table:
-        out = batch.group_by(key).aggregate([(value, "sum"), ([], "count_all")])
-        return out.rename_columns([key, "s", "n"])
-
-    return partial
-
-
 def sum_count_by(ds, key: str, value: str, batch_size: int = 65536):
-    """Grouped sum+count with the same partial/final split."""
-    partials = ds.map_batches(
-        _partial_sum_count(key, value),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-    )
-    return partials.groupby(key).aggregate(
-        Sum("s", alias_name="s"), Sum("n", alias_name="n")
-    )
+    """Grouped sum+count (``s``, ``n``) through :func:`groupby_agg`."""
+    return groupby_agg(ds, [key], [(value, "sum", "s"), (value, "count_star", "n")],
+                       batch_size=batch_size)
 
 
 def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),
@@ -450,16 +353,6 @@ def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),
     # per quantile against base + q*total (the global cumsum is strictly
     # increasing across segments, so the probe cannot leave its key's
     # segment).  O(groups x bins) rows move once; the driver holds nothing.
-    import pandas as _pd
-
-    num_buckets = 32
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .exchange import stable_bucket_ids
-
-        return t.append_column(
-            "__bucket", pa.array(stable_bucket_ids(t, [key], num_buckets)))
-
     def finalize_bucket(t: pa.Table) -> pa.Table:
         keys_np = t.column(key).to_pandas().to_numpy(dtype=object)
         b = t.column("bin").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -485,31 +378,26 @@ def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),
             out[f"q{int(q * 100)}"] = pa.array(vals, pa.float64())
         return pa.table(out)
 
-    from .exchange import hash_exchange
-
-    bucketed = partials.map_batches(add_bucket, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, finalize_bucket)
+    return hash_exchange_by(partials, [key], finalize_bucket)
 
 
 def top_k_by_group(ds, group_col: str, order_col: str, k: int,
                    descending: bool = True, tie_breakers: list[str] | None = None,
-                   batch_size: int = 65536, merge: str = "auto",
-                   driver_limit: int = 2_000_000, num_buckets: int = 32):
+                   batch_size: int = 65536, driver_limit: int = 2_000_000,
+                   num_buckets: int = 32):
     """Top-k rows per group by ``order_col`` (grouped top-k): vectorized
     per-batch partial top-k (at most k rows per group per batch leave the
     worker -- algebraic, so partial-of-partials is exact).  Ties break on
     ``tie_breakers`` ascending (deterministic; the oracle's ROW_NUMBER
     ORDER BY).
 
-    Final merge: ``merge="auto"`` (default) counts the partial rows (an
-    O(1) scalar off the materialized partials) and uses the driver merge
-    only when they fit ``driver_limit``; past that -- unbounded group
-    cardinality, where k x groups rows would OOM the driver -- the
-    partials route through a hash exchange on ``group_col`` (same shape
-    as ``groupby_agg``'s bucketed merge) and the partial re-applies per
-    bucket, so no driver state at any cardinality.  ``merge="driver"`` /
-    ``merge="bucketed"`` force a path."""
+    Final merge: the partial rows are counted (an O(1) scalar off the
+    materialized partials) and merged on the driver when they fit
+    ``driver_limit``; past that -- unbounded group cardinality, where k x
+    groups rows would OOM the driver -- the partials route through a hash
+    exchange on ``group_col`` (same shape as ``groupby_agg``'s merge) and
+    the partial re-applies per bucket, so no driver state at any
+    cardinality."""
     import numpy as np
     import ray
     import ray.data as rd
@@ -532,27 +420,10 @@ def top_k_by_group(ds, group_col: str, order_col: str, k: int,
         return batch.take(pa.array(np.sort(keep)))
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=batch_size)
-
-    if merge == "auto":
-        partials = partials.materialize()
-        merge = "driver" if partials.count() <= driver_limit else "bucketed"
-
-    if merge == "bucketed":
-        import pandas as pd
-
-        def add_bucket(t: pa.Table) -> pa.Table:
-            from .exchange import stable_bucket_ids
-
-            return t.append_column(
-                "__bucket",
-                pa.array(stable_bucket_ids(t, [group_col], num_buckets)))
-
-        from .exchange import hash_exchange
-
-        bucketed = partials.map_batches(add_bucket, batch_format="pyarrow",
-                                        zero_copy_batch=True)
-        return hash_exchange(bucketed, num_buckets, partial)
+                              zero_copy_batch=True,
+                              batch_size=batch_size).materialize()
+    if partials.count() > driver_limit:
+        return hash_exchange_by(partials, [group_col], partial, num_buckets)
 
     tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
     if not tables:
@@ -562,22 +433,21 @@ def top_k_by_group(ds, group_col: str, order_col: str, k: int,
 
 
 def compact_latest(ds, key: str, ts_col: str, tie_breakers: list[str] | None = None,
-                   batch_size: int = 65536, merge: str = "auto"):
+                   batch_size: int = 65536, driver_limit: int = 2_000_000):
     """Log compaction: keep each key's LATEST row by ``ts_col`` (the CDC /
     state-table compaction step).  Grouped top-1 by timestamp descending --
     algebraic per-batch partials, so at most one row per key per batch ever
     leaves a worker.  Ties break on ``tie_breakers`` ascending.  The final
-    merge auto-switches to the bucketed hash exchange above the driver
-    limit (groups = distinct keys at CDC scale; see
+    merge switches to the bucketed hash exchange above ``driver_limit``
+    partial rows (groups = distinct keys at CDC scale; see
     :func:`top_k_by_group`)."""
     return top_k_by_group(ds, key, ts_col, k=1, descending=True,
                           tie_breakers=tie_breakers, batch_size=batch_size,
-                          merge=merge)
+                          driver_limit=driver_limit)
 
 
 def approx_distinct_by(ds, key: str, value: str, p: int = 11,
-                       batch_size: int = 65536, merge: str = "bucketed",
-                       num_buckets: int = 32):
+                       batch_size: int = 65536, num_buckets: int = 32):
     """Approximate COUNT(DISTINCT value) per key -- HyperLogLog sketch.
 
     Registers are built fully vectorized per batch (hash -> bucket index =
@@ -585,19 +455,14 @@ def approx_distinct_by(ds, key: str, value: str, p: int = 11,
     max via lexsort + ``maximum.reduceat``) and emitted as one
     FixedSizeList<uint8>[2^p] row per key per batch.  The merge is an
     elementwise register max per key routed through the bucketed
-    hash-exchange (same shape as ``groupby_agg``'s scale merge): each hash
+    hash-exchange (same shape as ``groupby_agg``'s merge): each hash
     bucket sees all partial rows of its keys, takes the register max with
     one ``maximum.reduceat`` over key-sorted rows, and reads the estimate
-    vectorized -- no driver state at any key cardinality
-    (``merge="driver"`` keeps the single-process merge for tiny results).
+    vectorized -- no driver state at any key cardinality.
     Standard error ~= 1.04/sqrt(2^p) (~2.3% at p=11); exact small counts
     via linear counting.
     """
     import numpy as np
-    import pandas as pd
-
-    import ray
-    import ray.data as rd
 
     m = 1 << p
 
@@ -668,23 +533,7 @@ def approx_distinct_by(ds, key: str, value: str, p: int = 11,
             "approx_distinct": pa.array(np.round(est).astype(np.int64)),
         })
 
-    if merge == "driver":
-        tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-        if not tables:
-            return rd.from_items([])
-        return rd.from_arrow(merge_table(pa.concat_tables(tables).combine_chunks()))
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .exchange import stable_bucket_ids
-
-        return t.append_column(
-            "__bucket", pa.array(stable_bucket_ids(t, [key], num_buckets)))
-
-    from .exchange import hash_exchange
-
-    bucketed = partials.map_batches(add_bucket, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, merge_table)
+    return hash_exchange_by(partials, [key], merge_table, num_buckets)
 
 
 def _fixed_uint8_matrix(col, m: int) -> "np.ndarray":
@@ -768,8 +617,7 @@ def profile(ds, columns: list[str] | None = None, batch_size: int = 65536):
     return out.sort_by("column")
 
 
-def rollup_agg(ds, keys: list[str], aggs: list[tuple],
-               merge: str = "bucketed"):
+def rollup_agg(ds, keys: list[str], aggs: list[tuple]):
     """``GROUP BY ROLLUP(keys)``: one result set holding aggregates at
     EVERY prefix level of ``keys`` -- finest first, then each roll-up,
     down to the grand total -- with rolled-up key columns NULL (the SQL
@@ -800,7 +648,7 @@ def rollup_agg(ds, keys: list[str], aggs: list[tuple],
     if len(set(out_names)) != len(out_names):
         raise ValueError("duplicate output names in aggs")
 
-    finest = groupby_agg(ds, keys, aggs, merge=merge).materialize()
+    finest = groupby_agg(ds, keys, aggs).materialize()
     schema = finest.schema().base_schema
     key_types = {k: schema.field(k).type for k in keys}
     out_cols = keys + out_names
@@ -823,15 +671,15 @@ def rollup_agg(ds, keys: list[str], aggs: list[tuple],
     for depth in range(len(keys) - 1, -1, -1):
         lvl_keys = keys[:depth]
         if lvl_keys:
-            nxt = groupby_agg(prev, lvl_keys, re_specs, merge=merge)
+            nxt = groupby_agg(prev, lvl_keys, re_specs)
         else:
             const = prev.map_batches(
                 lambda t: t.append_column(
                     "__rollup_all",
                     pa.repeat(pa.scalar(0, pa.int8()), t.num_rows)),
                 batch_format="pyarrow", zero_copy_batch=True)
-            nxt = groupby_agg(const, ["__rollup_all"], re_specs,
-                              merge=merge).drop_columns(["__rollup_all"])
+            nxt = groupby_agg(const, ["__rollup_all"],
+                              re_specs).drop_columns(["__rollup_all"])
         nxt = nxt.materialize()
         levels.append(nxt.map_batches(pad_level(lvl_keys),
                                       batch_format="pyarrow",
@@ -845,7 +693,7 @@ def rollup_agg(ds, keys: list[str], aggs: list[tuple],
 
 
 def count_distinct_by(ds, keys: list[str], value_col: str,
-                      out_col: str = "n_distinct", merge: str = "bucketed"):
+                      out_col: str = "n_distinct"):
     """EXACT ``COUNT(DISTINCT value_col)`` per key group -- the exact
     sibling of :func:`approx_distinct_by`, as the classic two-level
     aggregate: level 1 dedupes (keys, value) pairs (per-batch partial
@@ -860,9 +708,8 @@ def count_distinct_by(ds, keys: list[str], value_col: str,
     O(distinct pairs), which is exact but not compressible.
     """
     pairs = groupby_agg(ds, keys + [value_col],
-                        [(value_col, "count", "__cd_c")], merge=merge)
-    return groupby_agg(pairs, keys, [(value_col, "count", out_col)],
-                       merge=merge)
+                        [(value_col, "count", "__cd_c")])
+    return groupby_agg(pairs, keys, [(value_col, "count", out_col)])
 
 
 def string_agg_by(ds, key: str, value_col: str, order_by: list[str],
@@ -878,19 +725,6 @@ def string_agg_by(ds, key: str, value_col: str, order_by: list[str],
     and joins runs with Arrow kernels (ListArray + binary_join) -- no
     per-group Python.  Project upstream so only needed columns shuffle.
     """
-    import pandas as pd
-
-    from .exchange import hash_exchange
-
-    cols = [key, *order_by, value_col]
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .exchange import stable_bucket_ids
-
-        t = t.select(cols)
-        return t.append_column(
-            "__bucket", pa.array(stable_bucket_ids(t, [key], num_buckets)))
-
     def assemble(t: pa.Table) -> pa.Table:
         import numpy as np
 
@@ -918,13 +752,12 @@ def string_agg_by(ds, key: str, value_col: str, order_by: list[str],
             count_col: pa.array(counts.astype(np.int64)),
         })
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, assemble)
+    return hash_exchange_by(ds.select_columns([key, *order_by, value_col]),
+                            [key], assemble, num_buckets)
 
 
 def grouping_sets_agg(ds, keys: list[str], sets: list[list[str]],
-                      aggs: list[tuple], merge: str = "bucketed"):
+                      aggs: list[tuple]):
     """``GROUP BY GROUPING SETS``: one result set with aggregates at each
     requested subset of ``keys`` (absent key columns NULL -- the SQL
     convention).  The input is scanned ONCE at the all-keys level; every
@@ -947,7 +780,7 @@ def grouping_sets_agg(ds, keys: list[str], sets: list[list[str]],
     if len({tuple(sorted(st)) for st in sets}) != len(sets):
         raise ValueError("duplicate grouping sets")
     out_names = [out for _, _, out in aggs]
-    finest = groupby_agg(ds, keys, aggs, merge=merge).materialize()
+    finest = groupby_agg(ds, keys, aggs).materialize()
     schema = finest.schema().base_schema
     key_types = {k: schema.field(k).type for k in keys}
     out_cols = keys + out_names
@@ -970,15 +803,15 @@ def grouping_sets_agg(ds, keys: list[str], sets: list[list[str]],
         if lvl_keys == keys:
             lvl = finest
         elif lvl_keys:
-            lvl = groupby_agg(finest, lvl_keys, re_specs, merge=merge)
+            lvl = groupby_agg(finest, lvl_keys, re_specs)
         else:
             const = finest.map_batches(
                 lambda t: t.append_column(
                     "__gs_all", pa.repeat(pa.scalar(0, pa.int8()),
                                           t.num_rows)),
                 batch_format="pyarrow", zero_copy_batch=True)
-            lvl = groupby_agg(const, ["__gs_all"], re_specs,
-                              merge=merge).drop_columns(["__gs_all"])
+            lvl = groupby_agg(const, ["__gs_all"],
+                              re_specs).drop_columns(["__gs_all"])
         levels.append(lvl.map_batches(pad_level(lvl_keys),
                                       batch_format="pyarrow",
                                       zero_copy_batch=True))
@@ -988,8 +821,7 @@ def grouping_sets_agg(ds, keys: list[str], sets: list[list[str]],
     return out
 
 
-def cube_agg(ds, keys: list[str], aggs: list[tuple],
-             merge: str = "bucketed"):
+def cube_agg(ds, keys: list[str], aggs: list[tuple]):
     """``GROUP BY CUBE(keys)``: aggregates at EVERY subset of ``keys``
     (2^len(keys) levels) via :func:`grouping_sets_agg` -- one input scan,
     everything else re-aggregates the finest result."""
@@ -997,7 +829,7 @@ def cube_agg(ds, keys: list[str], aggs: list[tuple],
 
     sets = [list(c) for r in range(len(keys), -1, -1)
             for c in combinations(keys, r)]
-    return grouping_sets_agg(ds, keys, sets, aggs, merge=merge)
+    return grouping_sets_agg(ds, keys, sets, aggs)
 
 
 def approx_top_k(ds, col: str, k: int, summary_size: int | None = None,
@@ -1056,8 +888,7 @@ def approx_top_k(ds, col: str, k: int, summary_size: int | None = None,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    merged = groupby_agg(partials, [col], [("__mg", "sum", "__mg")],
-                         merge="bucketed")
+    merged = groupby_agg(partials, [col], [("__mg", "sum", "__mg")])
     head = top_k(merged, "__mg", m + 1, tie_breakers=[col]).to_pandas()
     if len(head) > m:
         thr = int(head["__mg"].iloc[m])
@@ -1202,8 +1033,7 @@ def pivot_counts(ds, key, pivot_col: str, values: list[str],
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=batch_size)
-    return groupby_agg(partials, keys, [(c, "sum", c) for c in cols],
-                       merge="bucketed")
+    return groupby_agg(partials, keys, [(c, "sum", c) for c in cols])
 
 
 def zscore_flag(ds, key: str, value: str, threshold: float = 3.0,
@@ -1241,7 +1071,7 @@ def zscore_flag(ds, key: str, value: str, threshold: float = 3.0,
                            zero_copy_batch=True, batch_size=batch_size)
     stats = groupby_agg(parts, [key],
                         [("n", "sum", "n"), ("s", "sum", "s"),
-                         ("s2", "sum", "s2")], merge="bucketed").materialize()
+                         ("s2", "sum", "s2")]).materialize()
     if stats.count() > stats_broadcast_limit:
         raise ValueError(
             f"zscore_flag: {stats.count()} distinct keys exceed "
@@ -1287,35 +1117,14 @@ def distinct_rows(ds, cols: list[str] | None = None, num_buckets: int = 32,
     exchange on the composite row hash and collapse once more per bucket.
     Null-safe (Arrow group_by keys nulls as their own group; the exchange
     hashes, never sorts)."""
-    import numpy as np
-    import pandas as pd
-
     keys = cols or list(ds.schema().names)
 
     def local(t: pa.Table) -> pa.Table:
-        from .exchange import canon_float
-
-        t = t.select(keys)
-        for i, k in enumerate(keys):
-            # SQL equality: one zero key (Arrow group_by hashes bit
-            # patterns); canon_float no-ops every non-float column
-            t = t.set_column(i, k, canon_float(t.column(k)))
-        return t.group_by(keys).aggregate([])
+        return _group_by(_canon_keys(t.select(keys), keys), keys, [])
 
     partials = ds.map_batches(local, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=batch_size)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .exchange import stable_bucket_ids
-
-        return t.append_column(
-            "__bucket", pa.array(stable_bucket_ids(t, keys, num_buckets)))
-
-    from .exchange import hash_exchange
-
-    bucketed = partials.map_batches(add_bucket, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, local)
+    return hash_exchange_by(partials, keys, local, num_buckets)
 
 
 def group_stats(ds, keys: list[str], aggs: list[tuple],

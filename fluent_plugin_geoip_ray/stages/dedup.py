@@ -96,10 +96,10 @@ def dedup_exact(ds, key_col: str = "doc_id", text_col: str = "text",
     broadcast as sorted
     arrays and the keep-filter is a vectorized searchsorted probe -- text
     never shuffles.  Past the limit it falls through to the shuffle path
-    automatically.  ``mode="broadcast"`` skips the count (driver-merged
-    winners; fastest when the result is known small); ``mode="shuffle"``
-    is the no-driver-state path: a hash-bucketed semi-join of rows against
-    the distributed winner table.
+    automatically.  ``mode="broadcast"`` skips the count (winners
+    collected on the driver; fastest when the result is known small);
+    ``mode="shuffle"`` is the no-driver-state path: a hash-bucketed
+    semi-join of rows against the distributed winner table.
     """
     hashed = ds.map_batches(
         lambda t: fingerprint(t, text_col=text_col),
@@ -111,13 +111,13 @@ def dedup_exact(ds, key_col: str = "doc_id", text_col: str = "text",
 
     if mode == "shuffle":
         winners = groupby_agg(
-            hashed, ["fingerprint"], [(key_col, "min", "__winner")], merge="bucketed"
+            hashed, ["fingerprint"], [(key_col, "min", "__winner")]
         )
         return _dedup_exact_semijoin(hashed, winners, key_col, list(ds.schema().names))
 
     if mode == "auto":
         winners_ds = groupby_agg(
-            hashed, ["fingerprint"], [(key_col, "min", "__winner")], merge="bucketed"
+            hashed, ["fingerprint"], [(key_col, "min", "__winner")]
         ).materialize()
         if winners_ds.count() > broadcast_limit:
             return _dedup_exact_semijoin(
@@ -132,7 +132,7 @@ def dedup_exact(ds, key_col: str = "doc_id", text_col: str = "text",
         )
     else:  # broadcast
         winners = groupby_agg(
-            hashed, ["fingerprint"], [(key_col, "min", "__winner")], merge="driver"
+            hashed, ["fingerprint"], [(key_col, "min", "__winner")]
         ).to_pandas()
 
     import ray
@@ -343,7 +343,7 @@ def _explode_buckets(key_col: str):
     return fn
 
 
-def lsh_verified_edges(sketches, key_col: str, verify, merge: str = "driver",
+def lsh_verified_edges(sketches, key_col: str, verify,
                        max_restar_rounds: int = 8, edge_mode: str = "auto",
                        hot_bucket_limit: int = 2_000_000):
     """Bucket winners + vectorized edge emission + in-pass verification.
@@ -400,7 +400,6 @@ def lsh_verified_edges(sketches, key_col: str, verify, merge: str = "driver",
     buckets_ds = groupby_agg(
         exploded, ["bucket"],
         [(key_col, "min", "__a"), (key_col, "count", "__n")],
-        merge=merge if merge != "driver" else "bucketed",
     )
     # distributed singleton filter: one map over the aggregate Dataset; the
     # driver never sees the O(distinct buckets) table, only hot buckets
@@ -608,8 +607,7 @@ def _lsh_edges_distributed(sketches, exploded, hot, key_col: str, verify,
         })
 
     stars = memb.map_batches(star, batch_format="pyarrow", zero_copy_batch=True)
-    pairs = groupby_agg(stars, ["a", "b"], [("bucket", "min", "bucket")],
-                        merge="bucketed")
+    pairs = groupby_agg(stars, ["a", "b"], [("bucket", "min", "bucket")])
 
     # ---- exchange 1: attach each endpoint's signature --------------------
     def edge_rows(side: int):
@@ -785,7 +783,6 @@ def lsh_candidate_pairs(ds, key_col: str = "doc_id", **lsh_kwargs):
     buckets = groupby_agg(
         exploded, ["bucket"],
         [(key_col, "min", "__a"), (key_col, "count", "__n")],
-        merge="driver",
     ).to_pandas()
     buckets = buckets[buckets["__n"] > 1]
     b_ids = buckets["bucket"].to_numpy().astype(np.int64)
@@ -895,7 +892,7 @@ def connected_components_distributed(edges_ds, max_iters: int = 20,
 
     labels = groupby_agg(
         edges.map_batches(_endpoints, batch_format="pyarrow", zero_copy_batch=True),
-        ["node"], [("node", "min", "label")], merge="bucketed",
+        ["node"], [("node", "min", "label")],
     ).materialize()
     prev_sum = labels.sum("label")
 
@@ -926,7 +923,7 @@ def connected_components_distributed(edges_ds, max_iters: int = 20,
         )
         allp = n_a.union(n_b).union(self_l)
         labels = groupby_agg(
-            allp, ["node"], [("nlabel", "min", "label")], merge="bucketed"
+            allp, ["node"], [("nlabel", "min", "label")]
         ).select_columns(["node", "label"]).materialize()
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:
@@ -1446,7 +1443,7 @@ def _set_similarity_join(sides, threshold: float, num_buckets: int,
     mixed1 = hash_exchange(exploded, num_buckets, classify_and_pair,
                            bucket_col="__xb")
     light_counts = groupby_agg(_mb(mixed1, tagged(0, ["a", "b"])), ["a", "b"],
-                               [("a", "count_star", "c")], merge="bucketed")
+                               [("a", "count_star", "c")])
     any_heavy = bool((_mb(mixed1, tagged(1, ["df"])).to_pandas()["df"]
                       > heavy_df_limit).any())
 
@@ -1545,8 +1542,7 @@ def _set_similarity_join(sides, threshold: float, num_buckets: int,
 
     joined = groupby_agg(
         _mb(cand_pairs, with_flag(1)).union(_mb(light_counts, with_flag(0))),
-        ["a", "b"], [("is_cand", "sum", "is_cand"), ("c", "sum", "c")],
-        merge="bucketed")
+        ["a", "b"], [("is_cand", "sum", "is_cand"), ("c", "sum", "c")])
     cands = _mb(joined, lambda t: t.filter(pa.array(
         _np_col(t, "is_cand") >= 1)).select(["a", "b", "c"])).materialize()
     if cands.count() == 0:
@@ -2044,8 +2040,7 @@ def line_doc_counts(ds, text_col: str = "text", sep: str = "\n",
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=batch_size)
-    return groupby_agg(partials, ["line"], [("nd", "sum", "nd")],
-                       merge="bucketed")
+    return groupby_agg(partials, ["line"], [("nd", "sum", "nd")])
 
 
 def _rebuild_texts(batch: pa.Table, text_col: str, sep: str,
@@ -2288,7 +2283,7 @@ def dedup_spans(ds, key_col: str = "doc_id", text_col: str = "text",
     counts = groupby_agg(
         ds.map_batches(partial, batch_format="pyarrow",
                        zero_copy_batch=True, batch_size=batch_size),
-        ["gram"], [("c", "sum", "c")], merge="bucketed")
+        ["gram"], [("c", "sum", "c")])
     hot = counts.map_batches(
         lambda t: t.filter(
             pc.greater_equal(t.column("c"), min_count)).select(["gram"]),

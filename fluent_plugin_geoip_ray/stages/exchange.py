@@ -186,12 +186,33 @@ def _split_task(num_buckets: int, bucket_col: str):
     return split
 
 
+def _append_bucket(t: pa.Table, keys: list[str], num_buckets: int) -> pa.Table:
+    # module level: pickled by reference, so a worker looks up
+    # stable_bucket_ids at call time (perfbench/tracing.py wraps it there)
+    return t.append_column(
+        "__bucket", pa.array(stable_bucket_ids(t, keys, num_buckets)))
+
+
+def hash_exchange_by(ds, keys: list[str], reduce_fn, num_buckets: int = 32):
+    """Co-locate the rows of ``ds`` that share ``keys`` and apply
+    ``reduce_fn`` to each bucket's table: the map side appends
+    ``__bucket = stable_bucket_ids(t, keys, num_buckets)``, then
+    :func:`hash_exchange` runs.  The one keyed route for exchanges whose
+    bucket is a pure function of key columns."""
+    bucketed = ds.map_batches(
+        _append_bucket, fn_kwargs={"keys": keys, "num_buckets": num_buckets},
+        batch_format="pyarrow", zero_copy_batch=True)
+    return hash_exchange(bucketed, num_buckets, reduce_fn)
+
+
 def hash_exchange(ds, num_buckets: int, reduce_fn, bucket_col: str = "__bucket"):
     """Co-locate rows of ``ds`` (which must already carry an int32
     ``bucket_col`` column in [0, num_buckets)) and apply ``reduce_fn`` to
     each bucket's full pyarrow Table.  Returns a MaterializedDataset with
     one block per bucket.  See module docstring for the why and the
-    partitioning contract."""
+    partitioning contract.  Exchanges keyed by columns go through
+    :func:`hash_exchange_by`; call this directly only when the bucket
+    column is computed some other way (join sides, dedup routes)."""
     import ray
     import ray.data as rd
 

@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import hash_exchange_by
+
 # 64-bit golden-ratio multiplier (Knuth): hash = (key * M + seed) mod 2^64.
 # Chosen because the identical formula is expressible in SQL HUGEINT math,
 # so oracles compare exact membership, not statistics.
@@ -99,16 +101,16 @@ def _topk_per_group(gk: np.ndarray, h: np.ndarray, k: int,
 
 
 def sample_per_group(ds, group_col: str, key_col: str, k: int, seed: int = 0,
-                     batch_size: int = 65536, merge: str = "auto",
-                     driver_limit: int = 2_000_000, num_buckets: int = 32):
+                     batch_size: int = 65536, driver_limit: int = 2_000_000,
+                     num_buckets: int = 32):
     """Deterministic k-per-group sample: the k smallest key hashes in each
     group.  Per batch, a vectorized partial top-k (at most k rows per group
     per batch leave the worker); the final merge re-applies the same top-k
     over the tiny partials.  Oracle: ``ROW_NUMBER() OVER (PARTITION BY g
     ORDER BY <hash>, key) <= k``.
 
-    ``merge="auto"`` counts the materialized partial rows and merges on the
-    driver below ``driver_limit``; above it -- unbounded group cardinality,
+    The materialized partial rows are counted and merged on the driver up
+    to ``driver_limit``; above it -- unbounded group cardinality,
     where k x groups rows would OOM the driver -- the partials route
     through a hash exchange on ``group_col`` and the partial re-applies per
     bucket (same shape as ``top_k_by_group``'s scale merge).  No driver
@@ -124,29 +126,10 @@ def sample_per_group(ds, group_col: str, key_col: str, k: int, seed: int = 0,
         return batch.take(pa.array(np.sort(keep)))
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=batch_size)
-    if merge == "partials":
-        return partials  # caller re-applies partial() after a repartition
-
-    if merge == "auto":
-        partials = partials.materialize()
-        merge = "driver" if partials.count() <= driver_limit else "bucketed"
-
-    if merge == "bucketed":
-        import pandas as pd
-
-        def add_bucket(t: pa.Table) -> pa.Table:
-            from .exchange import stable_bucket_ids
-
-            return t.append_column(
-                "__bucket",
-                pa.array(stable_bucket_ids(t, [group_col], num_buckets)))
-
-        from .exchange import hash_exchange
-
-        bucketed = partials.map_batches(add_bucket, batch_format="pyarrow",
-                                        zero_copy_batch=True)
-        return hash_exchange(bucketed, num_buckets, partial)
+                              zero_copy_batch=True,
+                              batch_size=batch_size).materialize()
+    if partials.count() > driver_limit:
+        return hash_exchange_by(partials, [group_col], partial, num_buckets)
 
     tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
     if not tables:
@@ -452,7 +435,6 @@ def stratified_sample(ds, stratum_col: str, key_col: str, fraction: float,
     import ray
 
     from .aggregate import groupby_agg
-    from .exchange import hash_exchange
 
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
@@ -462,8 +444,8 @@ def stratified_sample(ds, stratum_col: str, key_col: str, fraction: float,
     if fraction == 1.0:
         return ds
 
-    counts = groupby_agg(ds, [stratum_col], [(key_col, "count", "n")],
-                         merge="bucketed").materialize()
+    counts = groupby_agg(ds, [stratum_col],
+                         [(key_col, "count", "n")]).materialize()
     n_strata = counts.count()
     if n_strata > driver_strata_limit:
         raise ValueError(
@@ -494,18 +476,9 @@ def stratified_sample(ds, stratum_col: str, key_col: str, fraction: float,
         keep[o] = keep_sorted
         return t.filter(pa.array(keep))
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .exchange import stable_bucket_ids
-
-        return t.append_column(
-            "__bucket",
-            pa.array(stable_bucket_ids(t, [stratum_col], num_buckets)))
-
     partial = ds.map_batches(select, batch_format="pyarrow",
                              zero_copy_batch=True)
-    bucketed = partial.map_batches(add_bucket, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, select)
+    return hash_exchange_by(partial, [stratum_col], select, num_buckets)
 
 
 def sample_k(ds, key_col: str, k: int, seed: int = 0,

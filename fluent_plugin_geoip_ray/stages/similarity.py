@@ -550,7 +550,7 @@ def group_mean_pool(ds, group_col: str, vec_col: str = "embedding",
     import pyarrow.compute as pc
     import ray
 
-    from .exchange import hash_exchange
+    from .exchange import hash_exchange_by
 
     def partial(t: pa.Table) -> pa.Table:
         if not t.num_rows:
@@ -578,12 +578,6 @@ def group_mean_pool(ds, group_col: str, vec_col: str = "embedding",
             "n": pa.array(counts.astype(np.int64)),
         })
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .exchange import stable_bucket_ids
-
-        return t.append_column(
-            "__bucket", pa.array(stable_bucket_ids(t, ["g"], num_buckets)))
-
     def finalize(t: pa.Table) -> pa.Table:
         gv = t.column("g").to_pandas().to_numpy()
         x = _embedding_matrix(t, "s")
@@ -607,9 +601,7 @@ def group_mean_pool(ds, group_col: str, vec_col: str = "embedding",
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    bucketed = partials.map_batches(add_bucket, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, finalize)
+    return hash_exchange_by(partials, ["g"], finalize, num_buckets)
 
 
 # --------------------------------------------------------------------------

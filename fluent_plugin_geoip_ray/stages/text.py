@@ -372,8 +372,7 @@ def build_vocab(ds, text_col: str = "text", min_count: int = 1,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=batch_size)
-    vocab = groupby_agg(partials, ["token"], [("n", "sum", "count")],
-                        merge="bucketed")
+    vocab = groupby_agg(partials, ["token"], [("n", "sum", "count")])
     if min_count > 1:
         vocab = vocab.map_batches(
             lambda t: t.filter(
@@ -467,8 +466,7 @@ def ngram_lm_affinity(ds, ref_ds, text_col: str = "text",
 
     partials = ref_ds.map_batches(gram_tables, batch_format="pyarrow",
                                   zero_copy_batch=True, batch_size=batch_size)
-    counts = groupby_agg(partials, ["g", "k"], [("n", "sum", "n")],
-                         merge="bucketed").materialize()
+    counts = groupby_agg(partials, ["g", "k"], [("n", "sum", "n")]).materialize()
     n_grams = counts.count()
     if n_grams > broadcast_limit:
         raise ValueError(
@@ -666,8 +664,7 @@ def dsir_importance(ds, target_ds, text_col: str = "text",
     def counts_of(d):
         partials = d.map_batches(count_partial, batch_format="pyarrow",
                                  zero_copy_batch=True, batch_size=batch_size)
-        return groupby_agg(partials, ["g"], [("n", "sum", "n")],
-                           merge="bucketed").materialize()
+        return groupby_agg(partials, ["g"], [("n", "sum", "n")]).materialize()
 
     raw_counts = counts_of(ds)
     tgt_counts = counts_of(target_ds)
@@ -799,8 +796,7 @@ def tfidf(ds, key_col: str = "doc_id", text_col: str = "text",
                            zero_copy_batch=True,
                            batch_size=batch_size).materialize()
     n_docs = ds.count()
-    df_ds = groupby_agg(tf_ds, ["token"], [("tf", "count", "df")],
-                        merge="bucketed").materialize()
+    df_ds = groupby_agg(tf_ds, ["token"], [("tf", "count", "df")]).materialize()
 
     if df_ds.count() <= df_broadcast_limit:
         tables = [t for t in ray.get(df_ds.to_arrow_refs()) if t.num_rows]

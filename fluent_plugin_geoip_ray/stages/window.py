@@ -11,7 +11,7 @@ input is treated as an ordered partitioned log (the ``events`` table):
 * session: gap-based sessionization needs per-key time order -> sorted-scan
   implementation (sessions are contiguous runs after a (key, ts) sort; one
   vectorized pass per block + O(blocks) boundary-carry scan); the
-  per-group ``map_groups`` variant is kept only as a cross-check reference.
+  per-group ``map_groups`` reference lives in the tests as a referee.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .aggregate import groupby_agg
+from .exchange import hash_exchange_by
 
 
 def _key_lanes(col: pa.Array | pa.ChunkedArray):
@@ -33,19 +34,6 @@ def _key_lanes(col: pa.Array | pa.ChunkedArray):
     from .exchange import key_lanes
 
     return key_lanes(col)
-
-
-def _add_bucket_fn(key: str, num_buckets: int):
-    """The shared map-side stage of every per-key window operator --
-    TYPE-STABLE routing via :func:`exchange.stable_bucket_ids` (a
-    per-block int-vs-object hash-lane flip would split a key's
-    partition across buckets)."""
-    from .exchange import stable_bucket_ids
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__bucket", pa.array(stable_bucket_ids(t, [key], num_buckets)))
-    return add_bucket
 
 
 def _numeric_src(t: pa.Table, src: str) -> pa.Array:
@@ -150,50 +138,22 @@ def sliding_window_counts(ds, ts_col: str = "ts", size_sec: int = 3600,
 
 def session_windows(ds, key: str = "user_id", ts_col: str = "ts",
                     gap_sec: int = 1800, order_tiebreak: str | None = None,
-                    impl: str = "scan", merge: str = "auto",
                     driver_limit: int = 250_000):
     """Gap-based sessionization per key -> (key, session_idx, n_events,
     ts_min, ts_max), session_idx numbered 1.. per key in time order --
     equivalent to the SQL lag()+cumulative-sum idiom (the oracle).
 
-    ``impl="scan"`` (default): global sort by (key, ts[, tiebreak]), then
-    sessions are CONTIGUOUS runs -- one vectorized pass per block computes
-    run breaks, with an O(blocks) boundary-carry scan (last row of each
-    block -> next block's first-break flag + run-id offset) exactly like
-    the pack_bins scan.  Run stats are per-block ``reduceat`` partials
-    merged by run id; only O(blocks + sessions) rows ever leave the
-    workers.  ``impl="groups"`` is the one-Python-call-per-key
-    ``groupby().map_groups`` reference implementation -- 40x slower at
-    15k keys (kept for cross-checking).
+    Global sort by (key, ts[, tiebreak]), then sessions are CONTIGUOUS
+    runs -- one vectorized pass per block computes run breaks, with an
+    O(blocks) boundary-carry scan (last row of each block -> next block's
+    first-break flag + run-id offset) exactly like the pack_bins scan.
+    Run stats are per-block ``reduceat`` partials merged by run id; only
+    O(blocks + sessions) rows ever leave the workers.  The final merge
+    runs on the driver up to ``driver_limit`` sessions and through a hash
+    exchange on ``key`` above it (see :func:`_session_windows_scan`).
     """
-    if impl == "scan":
-        return _session_windows_scan(ds, key, ts_col, gap_sec, order_tiebreak,
-                                     merge=merge, driver_limit=driver_limit)
-    gap = np.timedelta64(gap_sec, "s")
-
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        sort_cols = [ts_col] + ([order_tiebreak] if order_tiebreak else [])
-        g = g.sort_values(sort_cols, kind="mergesort")
-        ts = g[ts_col].to_numpy()
-        brk = np.ones(len(g), dtype=np.int64)
-        if len(g) > 1:
-            brk[1:] = (np.diff(ts) > gap).astype(np.int64)
-        sess = np.cumsum(brk)
-        g = g.assign(__sess=sess)
-        out = g.groupby("__sess").agg(
-            n_events=(ts_col, "size"), ts_min=(ts_col, "min"), ts_max=(ts_col, "max")
-        ).reset_index(names="session_idx")
-        out.insert(0, key, g[key].iloc[0])
-        # Pin physical types so the output hashes identically to a SQL
-        # engine's (BIGINT session counters, microsecond timestamps): pandas
-        # cumsum yields int64 but the datetime path is ns-width by default.
-        out["session_idx"] = out["session_idx"].astype("int64")
-        out["n_events"] = out["n_events"].astype("int64")
-        out["ts_min"] = out["ts_min"].astype("datetime64[us]")
-        out["ts_max"] = out["ts_max"].astype("datetime64[us]")
-        return out
-
-    return ds.groupby(key).map_groups(sessions, batch_format="pandas")
+    return _session_windows_scan(ds, key, ts_col, gap_sec, order_tiebreak,
+                                 driver_limit=driver_limit)
 
 
 def _key_arrow(batch: pa.Table, key: str) -> pa.Array:
@@ -203,8 +163,7 @@ def _key_arrow(batch: pa.Table, key: str) -> pa.Array:
 
 def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
                           order_tiebreak: str | None,
-                          num_buckets: int = 32, merge: str = "auto",
-                          driver_limit: int = 250_000):
+                          num_buckets: int = 32, driver_limit: int = 250_000):
     """Sorted-scan sessionization (see :func:`session_windows`).
 
     After the (key, ts) sort + materialize, blocks are addressed
@@ -332,34 +291,21 @@ def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
         })
 
     # final merge: total session count is already known on the driver for
-    # free (acc[-1] = global run counter), so merge="auto" costs nothing to
-    # decide -- driver merge below driver_limit (one C++ pass over O(runs)
+    # free (acc[-1] = global run counter), so the choice costs nothing to
+    # make -- driver merge below driver_limit (one C++ pass over O(runs)
     # rows), bucketed hash exchange on key above it (no driver state at any
     # cardinality; all segments of a run share its key, so boundary-spanning
     # runs reunite in their bucket).
-    total_runs = int(acc[-1])
-    if merge == "driver" or (merge == "auto" and total_runs <= driver_limit):
+    if int(acc[-1]) <= driver_limit:
         tables = [t for t in ray.get(part_refs) if t.num_rows]
         return rd.from_arrow(_finalize(pa.concat_tables(tables).combine_chunks()))
-
-    import pandas as pd
-
-    partials = rd.from_arrow_refs(part_refs)
-
-    from .exchange import hash_exchange, stable_bucket_ids
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__bucket", pa.array(stable_bucket_ids(t, [key], num_buckets)))
-
-    bucketed = partials.map_batches(add_bucket, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, _finalize)
+    return hash_exchange_by(rd.from_arrow_refs(part_refs), [key], _finalize,
+                            num_buckets)
 
 
 def rate_limit(ds, key: str, ts_col: str, window_sec: int, k: int,
                tie_breakers: list[str] | None = None,
-               merge: str = "auto", num_buckets: int = 32):
+               driver_limit: int = 2_000_000, num_buckets: int = 32):
     """Per-key rate limiting / quota enforcement: keep only the FIRST
     ``k`` rows (by ``ts_col`` ascending, then ``tie_breakers``) inside
     each (key, tumbling ``window_sec`` window) -- the log-pipeline
@@ -395,7 +341,8 @@ def rate_limit(ds, key: str, ts_col: str, window_sec: int, k: int,
         ds.map_batches(add_grp, batch_format="pyarrow",
                        zero_copy_batch=True),
         "__rl_grp", ts_col, k, descending=False,
-        tie_breakers=tie_breakers, merge=merge, num_buckets=num_buckets)
+        tie_breakers=tie_breakers, driver_limit=driver_limit,
+        num_buckets=num_buckets)
     return limited.drop_columns(["__rl_grp"])
 
 
@@ -416,8 +363,6 @@ def lag_lead_by(ds, key: str, order_by: list[str], cols: dict,
     """
     import numpy as np
     import pandas as pd
-
-    from .exchange import hash_exchange
 
     if offset < 1:
         raise ValueError(f"offset must be >= 1, got {offset}")
@@ -464,9 +409,7 @@ def lag_lead_by(ds, key: str, order_by: list[str], cols: dict,
             out = out.append_column(out_name, shifted)
         return out
 
-    bucketed = ds.map_batches(_add_bucket_fn(key, num_buckets),
-                              batch_format="pyarrow", zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, shift_bucket)
+    return hash_exchange_by(ds, [key], shift_bucket, num_buckets)
 
 
 def funnel(ds, key: str, ts_col: str, type_col: str, steps: list[str],
@@ -484,8 +427,6 @@ def funnel(ds, key: str, ts_col: str, type_col: str, steps: list[str],
     """
     import pyarrow.compute as pc
 
-    from .exchange import hash_exchange
-
     steps_arr = pa.array(steps, pa.string())
     n_steps = len(steps)
     sentinel = np.iinfo(np.int64).max
@@ -501,15 +442,11 @@ def funnel(ds, key: str, ts_col: str, type_col: str, steps: list[str],
             types = types.combine_chunks()
         idx = pc.index_in(types, value_set=steps_arr)
         keep = pc.is_valid(idx)
-        sub = pa.table({
+        return pa.table({
             key: t.column(key).filter(keep),
             "__ts": t.column(ts_col).filter(keep).cast(pa.int64()),
             "__step": idx.filter(keep).cast(pa.int8()),
         })
-        from .exchange import stable_bucket_ids
-
-        return sub.append_column(
-            "__bucket", pa.array(stable_bucket_ids(sub, [key], num_buckets)))
 
     projected = ds.map_batches(project, batch_format="pyarrow",
                                zero_copy_batch=True, batch_size=batch_size)
@@ -542,7 +479,7 @@ def funnel(ds, key: str, ts_col: str, type_col: str, steps: list[str],
             out[f"t{si + 1}"] = m.cast(ts_type)
         return pa.table(out)
 
-    out = hash_exchange(projected, num_buckets, per_bucket)
+    out = hash_exchange_by(projected, [key], per_bucket, num_buckets)
     # a funnel can collapse to EMPTY from non-empty input (no key reaches
     # step 1); the empty exchange loses its schema, so rebuild a typed
     # empty result instead of returning a zero-column dataset
@@ -580,18 +517,6 @@ def dense_tumbling(ds, ts_col: str = "ts", size_sec: int = 3600,
     keys = keys or []
     if not keys:
         raise ValueError("dense_tumbling requires at least one key column")
-
-    from .exchange import hash_exchange, stable_bucket_ids
-
-    sparse = tumbling_window(ds, ts_col=ts_col, size_sec=size_sec,
-                             keys=keys)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__bucket", pa.array(stable_bucket_ids(t, keys, num_buckets)))
-
-    bucketed = sparse.map_batches(add_bucket, batch_format="pyarrow",
-                                  zero_copy_batch=True)
 
     def densify(t: pa.Table) -> pa.Table:
         key_types = {k: t.schema.field(k).type for k in keys}
@@ -633,7 +558,9 @@ def dense_tumbling(ds, ts_col: str = "ts", size_sec: int = 3600,
         out[count_col] = pa.array(dense_n)
         return pa.table(out)
 
-    return hash_exchange(bucketed, num_buckets, densify)
+    sparse = tumbling_window(ds, ts_col=ts_col, size_sec=size_sec,
+                             keys=keys)
+    return hash_exchange_by(sparse, keys, densify, num_buckets)
 
 
 def running_agg(ds, key: str, order_by: list[str], aggs: list,
@@ -678,8 +605,6 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
     import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
-
-    from .exchange import hash_exchange
 
     valid = {"sum", "count", "min", "max", "row_number", "rank",
              "dense_rank", "percent_rank", "cume_dist", "first_value"}
@@ -822,9 +747,7 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
             out = out.append_column(out_name, col)
         return out
 
-    bucketed = ds.map_batches(_add_bucket_fn(key, num_buckets),
-                              batch_format="pyarrow", zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, scan_bucket)
+    return hash_exchange_by(ds, [key], scan_bucket, num_buckets)
 
 
 def _range_extrema(v: np.ndarray, lb: np.ndarray, idx: np.ndarray,
@@ -891,8 +814,6 @@ def rolling_agg(ds, key: str, order_by: list[str], aggs: list,
     import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
-
-    from .exchange import hash_exchange
 
     valid = {"sum", "count", "avg", "min", "max"}
     for src, agg, _out in aggs:
@@ -988,9 +909,7 @@ def rolling_agg(ds, key: str, order_by: list[str], aggs: list,
             out = out.append_column(out_name, col)
         return out
 
-    bucketed = ds.map_batches(_add_bucket_fn(key, num_buckets),
-                              batch_format="pyarrow", zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, scan_bucket)
+    return hash_exchange_by(ds, [key], scan_bucket, num_buckets)
 
 
 def rolling_time_agg(ds, key: str, ts_col: str, aggs: list,
@@ -1026,8 +945,6 @@ def rolling_time_agg(ds, key: str, ts_col: str, aggs: list,
     import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
-
-    from .exchange import hash_exchange
 
     valid = {"sum", "count", "avg", "min", "max"}
     for src, agg, _out in aggs:
@@ -1149,9 +1066,7 @@ def rolling_time_agg(ds, key: str, ts_col: str, aggs: list,
             out = out.append_column(out_name, col)
         return out
 
-    bucketed = ds.map_batches(_add_bucket_fn(key, num_buckets),
-                              batch_format="pyarrow", zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, scan_bucket)
+    return hash_exchange_by(ds, [key], scan_bucket, num_buckets)
 
 
 def ewma_by(ds, key: str, order_by: list[str], src: str,
@@ -1173,8 +1088,6 @@ def ewma_by(ds, key: str, order_by: list[str], src: str,
     """
     import pyarrow.compute as pc
 
-    from .exchange import hash_exchange
-
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"ewma_by: alpha must be in (0, 1], got {alpha}")
 
@@ -1194,6 +1107,4 @@ def ewma_by(ds, key: str, order_by: list[str], src: str,
                          pa.scalar(None, pa.float64()))
         return t.append_column(out, col)
 
-    bucketed = ds.map_batches(_add_bucket_fn(key, num_buckets),
-                              batch_format="pyarrow", zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, scan_bucket)
+    return hash_exchange_by(ds, [key], scan_bucket, num_buckets)

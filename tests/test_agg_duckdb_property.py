@@ -1,7 +1,7 @@
 """Property-based differential test: grouped aggregates vs DuckDB.
 
 Random multi-block tables with null keys and null values drive
-groupby_agg (both bucketed and driver merges), count_distinct_by,
+groupby_agg, count_distinct_by,
 exact quantiles_by, rollup_agg and group_stats against the equivalent
 SQL.  Aggregate sources are integer-valued so sums and averages
 compare bit-exact (one IEEE division); quantile_cont interpolation is
@@ -36,8 +36,7 @@ def agg_case(draw):
     })
     df.loc[rng.random(n) < draw(st.floats(0.0, 0.35)), "v"] = np.nan
     nparts = draw(st.integers(min_value=1, max_value=5))
-    merge = draw(st.sampled_from(["bucketed", "driver"]))
-    return df, nparts, merge
+    return df, nparts
 
 
 def _blocks(df, nparts):
@@ -70,17 +69,17 @@ def _cmp(got, exp, sort_cols, cols):
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(agg_case())
 def test_aggregate_family_matches_duckdb(case):
-    df, nparts, merge = case
+    df, nparts = case
     t = df.copy()
     t["iv"] = pd.array(np.where(np.isnan(df["v"]), np.nan, df["v"])
                        ).astype("Int64")  # nullable int view, exact sums
 
-    # --- groupby_agg: the full fn set, both merges ---
+    # --- groupby_agg: the full fn set ---
     got = groupby_agg(_blocks(t, nparts), ["k"],
                       [("iv", "sum", "s"), ("iv", "count", "c"),
                        ("iv", "min", "mn"), ("iv", "max", "mx"),
-                       ("iv", "mean", "avg"), ("iv", "count_star", "n")],
-                      merge=merge).to_pandas()
+                       ("iv", "mean", "avg"), ("iv", "count_star", "n")]
+                      ).to_pandas()
     exp = _duck(t, """
         SELECT k, SUM(iv) AS s, COUNT(iv) AS c, MIN(iv) AS mn,
                MAX(iv) AS mx, AVG(iv) AS avg, COUNT(*) AS n

@@ -44,8 +44,7 @@ def test_stable_hash_int_lane_ignores_block_null_presence():
 def test_groupby_agg_bucketed_with_mixed_null_blocks():
     from fluent_plugin_geoip_ray.stages.aggregate import groupby_agg
 
-    out = groupby_agg(_mixed_blocks(), ["k"], [("v", "sum", "s")],
-                      merge="bucketed").to_pandas()
+    out = groupby_agg(_mixed_blocks(), ["k"], [("v", "sum", "s")]).to_pandas()
     # key 7 must be ONE group (1+3+10), not two rows in two buckets
     assert len(out[out["k"] == 7]) == 1
     assert out.set_index("k").loc[7, "s"] == 14.0
@@ -192,8 +191,7 @@ def test_date32_and_uint64_keys_work_everywhere():
         "d": pa.array([1, 1, 2, None], pa.date32()),
         "v": pa.array([1.0, 2.0, 3.0, 4.0]),
     })
-    out = groupby_agg(rd.from_arrow(tbl), ["d"], [("v", "sum", "s")],
-                      merge="bucketed").to_pandas()
+    out = groupby_agg(rd.from_arrow(tbl), ["d"], [("v", "sum", "s")]).to_pandas()
     assert len(out) == 3 and sorted(out["s"]) == [3.0, 3.0, 4.0]
 
     wt = pa.table({
@@ -265,8 +263,7 @@ def test_float_keys_negative_zero_co_buckets():
                   "v": pa.array([1.0, 2.0])})
     b = pa.table({"k": pa.array([-0.0, 1.5], pa.float64()),
                   "v": pa.array([10.0, 20.0])})
-    out = groupby_agg(rd.from_arrow([a, b]), ["k"], [("v", "sum", "s")],
-                      merge="bucketed").to_pandas()
+    out = groupby_agg(rd.from_arrow([a, b]), ["k"], [("v", "sum", "s")]).to_pandas()
     assert len(out) == 2
     assert sorted(out["s"]) == [11.0, 22.0]
 

@@ -132,16 +132,15 @@ def test_groupby_agg_null_value_semantics():
 
     t = pa.table({"k": ["a", "a", "a", "b", "b"],
                   "v": [1.0, None, 3.0, None, None]})
-    for merge in ("driver", "ray"):
-        out = (
-            groupby_agg(rd.from_arrow(t), ["k"],
-                        [("v", "count", "c"), ("v", "mean", "m"),
-                         ("v", "count_star", "n")], merge=merge)
-            .to_pandas().sort_values("k").reset_index(drop=True)
-        )
-        assert out["c"].tolist() == [2, 0], merge
-        assert out["n"].tolist() == [3, 2], merge
-        assert out["m"][0] == 2.0 and math.isnan(out["m"][1]), merge
+    out = (
+        groupby_agg(rd.from_arrow(t), ["k"],
+                    [("v", "count", "c"), ("v", "mean", "m"),
+                     ("v", "count_star", "n")])
+        .to_pandas().sort_values("k").reset_index(drop=True)
+    )
+    assert out["c"].tolist() == [2, 0]
+    assert out["n"].tolist() == [3, 2]
+    assert out["m"][0] == 2.0 and math.isnan(out["m"][1])
 
 
 def test_asof_join_backward():
@@ -258,42 +257,109 @@ def test_top_k_by_group():
     assert sorted(out["id"]) == sorted(out2["id"])
 
 
-def test_restore_nulls_multichunk_parquet_safe(tmp_path):
-    """Regression (found at sf1): pc.if_else over a MULTI-CHUNK string column
-    emits chunks with invalid binary offsets -- parquet write then fails
-    'First or last binary offset out of bounds'. _restore_nulls must
-    combine_chunks first."""
+def test_groupby_agg_null_keys_multichunk_parquet_safe(tmp_path):
+    """Regression (found at sf1): a multi-chunk string key column with null
+    keys once came back with invalid binary offsets, and the parquet write
+    failed 'First or last binary offset out of bounds'.  The groupby_agg
+    result, concatenated across its blocks, must write cleanly and keep
+    exactly one null key."""
     import pyarrow.parquet as pq
-
-    from fluent_plugin_geoip_ray.stages.aggregate import NULL_KEY, _restore_nulls
+    import ray
 
     chunks = [pa.array([f"k{j}_{i}" for i in range(50_000)]) for j in range(4)]
-    chunks.append(pa.array([NULL_KEY] * 10))
+    chunks.append(pa.array([None] * 10, pa.string()))
     t = pa.table({"key": pa.chunked_array(chunks),
                   "n": pa.array(np.arange(200_010, dtype=np.int64))})
-    g = t.group_by(["key"]).aggregate([("n", "sum")]).rename_columns(["key", "n"])
-    out = _restore_nulls("key")(g)
+    res = groupby_agg(rd.from_arrow(t).repartition(4), ["key"],
+                      [("n", "sum", "n")])
+    out = pa.concat_tables([b for b in ray.get(res.to_arrow_refs())
+                            if b.num_rows])
+    assert out.column("key").num_chunks > 1
     pq.write_table(out, str(tmp_path / "x.parquet"))   # must not raise
+    assert out.num_rows == 200_001
     assert out.column("key").null_count == 1
+    back = pq.read_table(str(tmp_path / "x.parquet"))
+    assert back.column("key").null_count == 1
 
 
-def test_groupby_agg_merge_modes_agree():
-    """driver / ray / bucketed merges must produce identical results."""
+def test_groupby_agg_repartitioned_matches_pandas():
+    """The bucketed merge over 8 partial blocks equals pandas (sum, count,
+    mean) on 500 string keys."""
     rng = np.random.default_rng(31)
     t = pa.table({
         "k": pa.array(rng.integers(0, 500, 5000).astype(str)),
         "v": pa.array(rng.random(5000)),
     })
-    outs = {}
-    for merge in ("driver", "ray", "bucketed"):
-        outs[merge] = (
-            groupby_agg(rd.from_arrow(t).repartition(8), ["k"],
-                        [("v", "sum", "s"), ("v", "count", "c"),
-                         ("v", "mean", "m")], merge=merge)
-            .to_pandas().sort_values("k").reset_index(drop=True)
-        )
-    pd.testing.assert_frame_equal(outs["driver"], outs["ray"])
-    pd.testing.assert_frame_equal(outs["driver"], outs["bucketed"])
+    got = (
+        groupby_agg(rd.from_arrow(t).repartition(8), ["k"],
+                    [("v", "sum", "s"), ("v", "count", "c"),
+                     ("v", "mean", "m")])
+        .to_pandas().sort_values("k").reset_index(drop=True)
+    )
+    exp = (t.to_pandas().groupby("k")["v"].agg(s="sum", c="count", m="mean")
+           .reset_index().sort_values("k").reset_index(drop=True))
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
+NULL_LOOKALIKE = "\x00__NULL__\x00"
+
+
+def test_null_lookalike_string_key_is_its_own_group():
+    """A real string key that spells the old null sentinel must not merge
+    with the NULL group (count_by and groupby_agg, two blocks)."""
+    t = pa.table({"k": pa.array([NULL_LOOKALIKE, None, "a", NULL_LOOKALIKE,
+                                 None, "a"], pa.string()),
+                  "v": pa.array([1, 2, 3, 4, 5, 6], pa.int64())})
+    ds = rd.from_arrow([t.slice(0, 3), t.slice(3)])
+    counts = count_by(ds, "k").take_all()
+    assert len(counts) == 3
+    assert {r["k"]: r["n"] for r in counts} == {None: 2, NULL_LOOKALIKE: 2, "a": 2}
+    sums = groupby_agg(ds, ["k"], [("v", "sum", "s")]).take_all()
+    assert len(sums) == 3
+    assert {r["k"]: r["s"] for r in sums} == {None: 7, NULL_LOOKALIKE: 5, "a": 9}
+
+
+def test_multi_key_nulls_form_one_group_per_key():
+    """pyarrow's fast grouper splits a multi-column key holding nulls into
+    several groups; groupby_agg and distinct_rows must still return one row
+    per distinct (s, i) key, nulls included."""
+    from fluent_plugin_geoip_ray.stages.aggregate import distinct_rows
+
+    rng = np.random.default_rng(4)
+    n = 3000
+    s = rng.choice(np.array(["a", "b", None], dtype=object), n)
+    i = [None if r < 0.1 else int(x)
+         for r, x in zip(rng.random(n), rng.integers(0, 30, n))]
+    t = pa.table({"s": pa.array(list(s), pa.string()),
+                  "i": pa.array(i, pa.int64()),
+                  "v": pa.array(np.ones(n, np.int64))})
+    exp = t.to_pandas().groupby(["s", "i"], dropna=False).size()
+    got = groupby_agg(rd.from_arrow(t), ["s", "i"],
+                      [("v", "sum", "n")]).to_pandas()
+    assert len(got) == len(exp) and got["n"].sum() == n
+    distinct = distinct_rows(rd.from_arrow(t.select(["s", "i"]))).to_pandas()
+    assert len(distinct) == len(exp)
+
+
+def test_fanout_null_lookalike_conv_id_is_its_own_row():
+    """The flagship stats table keeps a real conv_id that spells the old
+    null sentinel apart from a null conv_id."""
+    from fluent_plugin_geoip_ray.pipelines.flagship import FanoutWrite, run_fanout
+    from fluent_plugin_geoip_ray.stages.route import RouteSpec
+
+    batch = pa.table({
+        "tag": pa.array(["t"] * 4),
+        "conv_id": pa.array([NULL_LOOKALIKE, None, NULL_LOOKALIKE, "c"],
+                            pa.string()),
+    })
+    routes = [RouteSpec(name="all")]
+    direct = FanoutWrite(routes)(batch)
+    stats = run_fanout(rd.from_arrow([batch.slice(0, 2), batch.slice(2)]),
+                       routes)
+    for table in (direct, stats):
+        rows = {r["key"]: r["n"] for r in table.to_pylist()
+                if r["kind"] == "conv_id"}
+        assert rows == {NULL_LOOKALIKE: 2, None: 1, "c": 1}
 
 
 def test_approx_distinct_by_error_bound_and_merge_invariance():
@@ -336,10 +402,10 @@ def test_top_k_by_group_bucketed_matches_driver():
         "v": pa.array(rng.random(4000)),
     })
     outs = {}
-    for merge in ("driver", "bucketed"):
-        outs[merge] = (
+    for path, kw in (("driver", {}), ("bucketed", {"driver_limit": 0})):
+        outs[path] = (
             top_k_by_group(rd.from_arrow(t).repartition(9), "g", "v", k=3,
-                           tie_breakers=["id"], merge=merge)
+                           tie_breakers=["id"], **kw)
             .to_pandas().sort_values(["g", "id"]).reset_index(drop=True)
         )
     pd.testing.assert_frame_equal(outs["driver"], outs["bucketed"])
@@ -355,18 +421,19 @@ def test_compact_latest_bucketed_matches_driver():
         "id": pa.array(np.arange(3000, dtype=np.int64)),
     })
     outs = {}
-    for merge in ("driver", "bucketed"):
-        outs[merge] = (
+    for path, kw in (("driver", {}), ("bucketed", {"driver_limit": 0})):
+        outs[path] = (
             compact_latest(rd.from_arrow(t).repartition(5), "k", "ts",
-                           tie_breakers=["id"], merge=merge)
+                           tie_breakers=["id"], **kw)
             .to_pandas().sort_values("k").reset_index(drop=True)
         )
     pd.testing.assert_frame_equal(outs["driver"], outs["bucketed"])
 
 
 def test_approx_distinct_bucketed_matches_driver():
-    """Register-max merge through the hash exchange == single-process merge
-    (VERDICT r2 item #4: the docstring's promise, now real)."""
+    """Register-max merge through the hash exchange over 11 blocks == the
+    single-block run, whose merge sees one partial row per key and so is
+    exactly the single-process estimate (VERDICT r2 item #4)."""
     from fluent_plugin_geoip_ray.stages.aggregate import approx_distinct_by
 
     rng = np.random.default_rng(53)
@@ -376,10 +443,10 @@ def test_approx_distinct_bucketed_matches_driver():
         "v": pa.array(rng.integers(0, 5_000, n).astype(np.int64)),
     })
     outs = {}
-    for merge in ("driver", "bucketed"):
-        outs[merge] = (
-            approx_distinct_by(rd.from_arrow(t).repartition(11), "k", "v",
-                               merge=merge)
+    for path, ds in (("driver", rd.from_arrow(t)),
+                     ("bucketed", rd.from_arrow(t).repartition(11))):
+        outs[path] = (
+            approx_distinct_by(ds, "k", "v")
             .to_pandas().sort_values("k").reset_index(drop=True)
         )
     pd.testing.assert_frame_equal(outs["driver"], outs["bucketed"])

@@ -42,8 +42,7 @@ def test_groupby_agg_bucketed_matches_pandas(case):
     out = groupby_agg(rd.from_arrow(t).repartition(parts), ["k"],
                       [("v", "sum", "s"), ("v", "count", "c"),
                        ("v", "min", "lo"), ("v", "max", "hi"),
-                       ("v", "count_star", "n")],
-                      merge="bucketed").to_pandas()
+                       ("v", "count_star", "n")]).to_pandas()
     # SQL SUM of an all-null group is NULL (pandas defaults to 0)
     ref = df.groupby("k", dropna=False).agg(
         s=("v", lambda x: x.sum(min_count=1)), c=("v", "count"),

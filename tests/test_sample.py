@@ -91,11 +91,10 @@ def test_sample_per_group_bucketed_equals_driver():
     import pandas as pd
 
     t = _tbl(4000)
-    a = (sample_per_group(rd.from_arrow(t).repartition(7), "g", "id", k=3,
-                          merge="driver")
+    a = (sample_per_group(rd.from_arrow(t).repartition(7), "g", "id", k=3)
          .to_pandas().sort_values(["g", "id"]).reset_index(drop=True))
     b = (sample_per_group(rd.from_arrow(t).repartition(7), "g", "id", k=3,
-                          merge="bucketed")
+                          driver_limit=0)
          .to_pandas().sort_values(["g", "id"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b[a.columns])
 

@@ -35,22 +35,23 @@ def session_case(draw):
     })
     gap = draw(st.integers(min_value=1, max_value=90))
     nparts = draw(st.integers(min_value=1, max_value=5))
-    merge = draw(st.sampled_from(["driver", "bucketed"]))
-    return df, gap, nparts, merge
+    driver_limit = draw(st.sampled_from([250_000, 0]))  # driver / bucketed
+    return df, gap, nparts, driver_limit
 
 
 @settings(max_examples=15, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(session_case())
 def test_session_windows_matches_duckdb(case):
-    df, gap, nparts, merge = case
+    df, gap, nparts, driver_limit = case
     t = pa.Table.from_pandas(df, preserve_index=False)
     step = max(t.num_rows // nparts, 1)
     ds = rd.from_arrow([t.slice(s, step)
                         for s in range(0, t.num_rows, step)])
 
     got = (session_windows(ds, key="user_id", gap_sec=gap,
-                           order_tiebreak="event_id", merge=merge)
+                           order_tiebreak="event_id",
+                           driver_limit=driver_limit)
            .to_pandas()
            .sort_values(["user_id", "session_idx"])
            .reset_index(drop=True))

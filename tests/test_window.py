@@ -27,6 +27,35 @@ def events_df(n=2000, seed=5):
     )
 
 
+def session_windows_groups(ds, key, ts_col="ts", gap_sec=1800,
+                           order_tiebreak=None):
+    """Referee for :func:`session_windows`: one ``map_groups`` Python call
+    per key (sort the key's rows, break on gaps > ``gap_sec``)."""
+    gap = np.timedelta64(gap_sec, "s")
+
+    def sessions(g: pd.DataFrame) -> pd.DataFrame:
+        sort_cols = [ts_col] + ([order_tiebreak] if order_tiebreak else [])
+        g = g.sort_values(sort_cols, kind="mergesort")
+        ts = g[ts_col].to_numpy()
+        brk = np.ones(len(g), dtype=np.int64)
+        if len(g) > 1:
+            brk[1:] = (np.diff(ts) > gap).astype(np.int64)
+        g = g.assign(__sess=np.cumsum(brk))
+        out = g.groupby("__sess").agg(
+            n_events=(ts_col, "size"), ts_min=(ts_col, "min"), ts_max=(ts_col, "max")
+        ).reset_index(names="session_idx")
+        out.insert(0, key, g[key].iloc[0])
+        # the physical types session_windows emits (BIGINT counters,
+        # microsecond timestamps)
+        out["session_idx"] = out["session_idx"].astype("int64")
+        out["n_events"] = out["n_events"].astype("int64")
+        out["ts_min"] = out["ts_min"].astype("datetime64[us]")
+        out["ts_max"] = out["ts_max"].astype("datetime64[us]")
+        return out
+
+    return ds.groupby(key).map_groups(sessions, batch_format="pandas")
+
+
 def test_tumbling_window_counts():
     df = events_df()
     out = tumbling_window(
@@ -85,12 +114,12 @@ def test_session_scan_matches_groups_impl():
     df = events_df(1500)
     a = (
         session_windows(rd.from_pandas(df), key="user_id", gap_sec=1800,
-                        order_tiebreak="event_id", impl="scan")
+                        order_tiebreak="event_id")
         .to_pandas().sort_values(["user_id", "session_idx"]).reset_index(drop=True)
     )
     b = (
-        session_windows(rd.from_pandas(df), key="user_id", gap_sec=1800,
-                        order_tiebreak="event_id", impl="groups")
+        session_windows_groups(rd.from_pandas(df), key="user_id", gap_sec=1800,
+                               order_tiebreak="event_id")
         .to_pandas().sort_values(["user_id", "session_idx"]).reset_index(drop=True)
     )
     import pandas as pd
@@ -127,12 +156,12 @@ def test_session_scan_string_keys():
     df["user_id"] = np.array([f"user-{u:03d}" for u in df["user_id"]])
     a = (
         session_windows(rd.from_pandas(df).repartition(9), key="user_id",
-                        gap_sec=1800, order_tiebreak="event_id", impl="scan")
+                        gap_sec=1800, order_tiebreak="event_id")
         .to_pandas().sort_values(["user_id", "session_idx"]).reset_index(drop=True)
     )
     b = (
-        session_windows(rd.from_pandas(df), key="user_id", gap_sec=1800,
-                        order_tiebreak="event_id", impl="groups")
+        session_windows_groups(rd.from_pandas(df), key="user_id", gap_sec=1800,
+                               order_tiebreak="event_id")
         .to_pandas().sort_values(["user_id", "session_idx"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a[b.columns], b)
@@ -176,15 +205,14 @@ def test_session_scan_driver_equals_bucketed_merge():
             df["user_id"] = np.array([f"u{u:03d}" for u in df["user_id"]])
         a = (
             session_windows(rd.from_pandas(df).repartition(8), key="user_id",
-                            gap_sec=1800, order_tiebreak="event_id",
-                            merge="driver")
+                            gap_sec=1800, order_tiebreak="event_id")
             .to_pandas().sort_values(["user_id", "session_idx"])
             .reset_index(drop=True)
         )
         b = (
             session_windows(rd.from_pandas(df).repartition(8), key="user_id",
                             gap_sec=1800, order_tiebreak="event_id",
-                            merge="bucketed")
+                            driver_limit=0)
             .to_pandas().sort_values(["user_id", "session_idx"])
             .reset_index(drop=True)
         )
@@ -236,7 +264,7 @@ def test_rate_limit_bucketed_merge_parity():
                       tie_breakers=["event_id"]).to_pandas()
     forced = rate_limit(rd.from_arrow(t).repartition(9), "user_id", "ts",
                         900, 3, tie_breakers=["event_id"],
-                        merge="bucketed").to_pandas()
+                        driver_limit=0).to_pandas()
     assert set(auto["event_id"]) == set(forced["event_id"])
 
 

@@ -235,7 +235,7 @@ def main() -> int:
             order_tiebreak="event_id").count()),
         ("sessions_bucketed", lambda: session_windows(
             rd.from_arrow(events), key="user_id", gap_sec=1800,
-            order_tiebreak="event_id", merge="bucketed").count()),
+            order_tiebreak="event_id", driver_limit=0).count()),
         ("asof_big", lambda: __import__(
             "fluent_plugin_geoip_ray.stages.join", fromlist=["asof_join_big"]
         ).asof_join_big(
