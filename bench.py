@@ -80,7 +80,6 @@ def run_bench() -> dict:
             enr = build_enriched(
                 rd.read_parquet(path),
                 record_spec=heavy_record_spec(),
-                enrich_concurrency=(2, max(4, num_cpus)),
             )
             return count_by(enr, "country_code").to_pandas()
 
@@ -112,16 +111,12 @@ def run_bench() -> dict:
         pass
 
     try:
-        # warm-up execution: spawns Ray workers + actor pool and imports the
-        # package in every worker once, so the timed run measures pipeline
+        # warm-up execution: spawns Ray workers and imports the package in
+        # every worker once, so the timed run measures pipeline
         # throughput (what scales with CPUs), not process cold-start (which
         # does not). Same protocol at both CPU counts.
         warm_dir = tempfile.mkdtemp(prefix="graft_warm_", dir=sink_root)
-        run_flagship(
-            path,
-            out_dir=warm_dir,
-            enrich_concurrency=(2, max(4, num_cpus)),
-        )
+        run_flagship(path, out_dir=warm_dir)
         shutil.rmtree(warm_dir, ignore_errors=True)
 
         # min-of-N per query: this host is multi-tenant with ±2-3x noise
@@ -138,11 +133,7 @@ def run_bench() -> dict:
             queries[name] = round(best, 3)
             return result
 
-        stats = timed("flagship", lambda: run_flagship(
-            path,
-            out_dir=out_dir,
-            enrich_concurrency=(2, max(4, num_cpus)),
-        ))
+        stats = timed("flagship", lambda: run_flagship(path, out_dir=out_dir))
         import pyarrow.compute as pc
 
         rows = int(
@@ -161,8 +152,7 @@ def run_bench() -> dict:
 
         # secondary: enrich-only scan (no sink IO) and aggregate
         timed("enrich_agg_country", lambda: count_by(
-            build_enriched(rd.read_parquet(path),
-                           enrich_concurrency=(2, max(4, num_cpus))),
+            build_enriched(rd.read_parquet(path)),
             "country_code").to_pandas())
 
         # training-data + window operator timings over the same sf's tables

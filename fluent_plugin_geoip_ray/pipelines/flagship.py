@@ -114,25 +114,17 @@ def build_enriched(
     ds,
     record_spec: RecordSpec | None = None,
     backend_spec: dict | None = None,
-    enrich_batch_size: int | None = None,
-    enrich_concurrency=None,
 ):
     """parse + enrich stages attached to a Dataset (lazy).
 
-    ``enrich_batch_size=None`` = whole blocks, zero-copy, no rebatch buffers
+    Enrich runs over whole blocks, zero-copy, with no rebatch buffers
     (block size is set by the input layout / target_max_block_size)."""
     spec = compile_record_spec(record_spec or canonical_record_spec())
     # extract only the parse fields this spec's lookup keys consume (each is
     # an RE2 pass over text); other lookup keys are pre-existing columns
     fields = tuple(f for f in ("ip", "ip2", "host") if f in spec.lookup_keys)
     ds = parse_dataset(ds, fields=fields or ("ip",))
-    return enrich_dataset(
-        ds,
-        spec,
-        backend_spec=backend_spec,
-        batch_size=enrich_batch_size,
-        concurrency=enrich_concurrency,
-    )
+    return enrich_dataset(ds, spec, backend_spec=backend_spec)
 
 
 def _hash_column(h, column: pa.ChunkedArray) -> None:
@@ -164,6 +156,12 @@ def _hash_column(h, column: pa.ChunkedArray) -> None:
             h.update(memoryview(data)[start:end])
 
 
+# per-batch partial count kinds: every one goes to ``agg_dir`` when it is
+# set, and only the constant-size driver kinds travel to the driver merge
+_AGG_KEYS = ("country_code", "conv_id")
+_DRIVER_KINDS = ("rows", "country_code")
+
+
 class FanoutWrite:
     """Single-pass route fan-out: write sink files, emit partial counts.
 
@@ -179,13 +177,11 @@ class FanoutWrite:
     )
 
     def __init__(self, routes: list[RouteSpec], pid: int = 0,
-                 agg_keys: tuple = ("country_code", "conv_id"),
-                 agg_dir: str | None = None,
-                 driver_kinds: tuple = ("rows", "country_code")):
+                 agg_dir: str | None = None):
         """``agg_dir``: when set, the FULL per-batch partial counts (including
         the high-cardinality conv_id kind) are written as parquet side-outputs
         under ``agg_dir/part=<pid>/`` -- they never cross the cluster -- and
-        only the ``driver_kinds`` partials (constant-size) flow downstream to
+        only the ``_DRIVER_KINDS`` partials (constant-size) flow downstream to
         the driver merge.  At 10^12-turn scale a per-conv_id count is itself a
         large table; producing it as mergeable partitioned parquet (merged
         distributed on consumption, exactly like run_partitioned's final
@@ -193,9 +189,7 @@ class FanoutWrite:
         partial flows downstream (correctness paths, small inputs)."""
         self.routes = routes
         self.pid = pid
-        self.agg_keys = agg_keys
         self.agg_dir = agg_dir
-        self.driver_kinds = driver_kinds
         self._group_tables: list = []
         # resolve each sink's filesystem ONCE (pyarrow filesystems pickle,
         # so resolved handles ride into the actor pool) and memoize created
@@ -266,7 +260,7 @@ class FanoutWrite:
             stats["kind"].append("rows")
             stats["key"].append("")
             stats["n"].append(routed.num_rows)
-            for col in self.agg_keys:
+            for col in _AGG_KEYS:
                 if col not in routed.column_names:
                     continue
                 g = routed.group_by(col).aggregate([([], "count_all")])
@@ -298,7 +292,7 @@ class FanoutWrite:
         path = fsio.join(part_dir, self._file_name(batch).replace("batch-", "agg-"))
         fsio.write_parquet_atomic(fs, full, path)
         # ... and only the constant-size kinds travel to the driver merge
-        mask = pc.is_in(full.column("kind"), value_set=pa.array(list(self.driver_kinds)))
+        mask = pc.is_in(full.column("kind"), value_set=pa.array(list(_DRIVER_KINDS)))
         return full.filter(mask)
 
 
@@ -306,7 +300,6 @@ def run_fanout(
     enriched,
     routes: list[RouteSpec],
     pid: int = 0,
-    batch_size: int | None = None,
     agg_dir: str | None = None,
 ):
     """Consume the enriched Dataset: write sinks, return final stats table.
@@ -324,7 +317,6 @@ def run_fanout(
         FanoutWrite(routes, pid=pid, agg_dir=agg_dir),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
     ).materialize()
     # materialize() is load-bearing, not an optimization: the fan-out UDF has
     # SIDE EFFECTS (sink files).  On a lazy dataset, Ray Data's deferred
@@ -363,32 +355,24 @@ def run_flagship(
     routes: list[RouteSpec] | None = None,
     backend_spec: dict | None = None,
     stages: list[dict] | None = None,
-    enrich_batch_size: int | None = None,
-    enrich_concurrency=None,
-    scale_agg: bool = True,
 ):
     """One-shot (non-partitioned) flagship run. Returns the stats table.
 
-    ``scale_agg=True`` (default, requires ``out_dir``): conv_id count
-    partials are written distributed under ``<out_dir>/agg_partials/`` and
-    the returned table carries the constant-size kinds (rows, country_code);
-    ``scale_agg=False`` merges everything onto the driver (small inputs)."""
+    With ``out_dir`` set, conv_id count partials are written distributed
+    under ``<out_dir>/agg_partials/`` and the returned table carries the
+    constant-size kinds (rows, country_code); without it everything merges
+    onto the driver (small inputs)."""
     import ray.data as rd
 
     ds = rd.read_parquet(input_path)
     routes = routes if routes is not None else canonical_routes(out_dir)
-    enriched = build_enriched(
-        ds,
-        record_spec=record_spec,
-        backend_spec=backend_spec,
-        enrich_batch_size=enrich_batch_size,
-        enrich_concurrency=enrich_concurrency,
-    )
+    enriched = build_enriched(ds, record_spec=record_spec,
+                              backend_spec=backend_spec)
     if stages:
         from ..stages.registry import apply_stages
 
         enriched = apply_stages(enriched, stages)
-    agg_dir = fsio.join(out_dir, "agg_partials") if (out_dir and scale_agg) else None
+    agg_dir = fsio.join(out_dir, "agg_partials") if out_dir else None
     return run_fanout(enriched, routes, agg_dir=agg_dir)
 
 
@@ -428,7 +412,6 @@ def run_partitioned(
     stages: list[dict] | None = None,
     files_per_partition: int = 1,
     resume: bool = True,
-    enrich_concurrency=None,
 ) -> dict:
     """Resumable partitioned run (lineage.py): skip committed partitions,
     re-run (after cleanup) incomplete ones, then merge partial aggregates.
@@ -454,10 +437,8 @@ def run_partitioned(
         clean_partition_outputs(out_dir, sinks, part.pid)
         t0 = time.perf_counter()
         ds = rd.read_parquet(list(part.files))
-        enriched = build_enriched(
-            ds, record_spec=record_spec, backend_spec=backend_spec,
-            enrich_concurrency=enrich_concurrency,
-        )
+        enriched = build_enriched(ds, record_spec=record_spec,
+                                  backend_spec=backend_spec)
         if stages:
             from ..stages.registry import apply_stages
 

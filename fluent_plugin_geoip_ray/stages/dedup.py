@@ -6,8 +6,8 @@ Ray-Data-first:
 * exact: vectorized content hash inside ``map_batches`` (combiner), then a
   partial+final grouped min over (hash -> winner key); the keep-filter is a
   broadcast sorted-array probe (numpy searchsorted), or -- above a winner
-  cardinality threshold / ``mode="shuffle"`` -- a hash-bucketed distributed
-  semi-join with no driver-side winner state.
+  cardinality threshold -- a hash-bucketed distributed semi-join with no
+  driver-side winner state.
 * MinHash/SimHash: ONE sketch row per doc (key, signature, bucket hashes),
   computed fully vectorized per batch (numpy over flattened token arrays +
   ``reduceat``) and materialized once -- tens of bytes/doc; text never
@@ -27,11 +27,16 @@ Ray-Data-first:
 
 from __future__ import annotations
 
+import logging
+import time
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .text import fingerprint
+
+logger = logging.getLogger(__name__)
 
 _MERSENNE = (1 << 61) - 1
 _FNV_OFFSET = np.uint64(14695981039346656037)
@@ -83,62 +88,41 @@ def _sorted_unique(ds, col: str, dtype=np.uint64) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def dedup_exact(ds, key_col: str = "doc_id", text_col: str = "text",
-                mode: str = "auto", broadcast_limit: int = 5_000_000):
+                broadcast_limit: int = 5_000_000):
     """Keep exactly one row (min ``key_col``) per distinct ``text_col``.
 
     Oracle: ``SELECT * WHERE key IN (SELECT min(key) GROUP BY text)``.
 
-    ``mode="auto"`` (default): winners = distributed partial+final grouped
-    min(key) per content hash (shuffle carries only (hash, key) pairs); if
-    the winner count fits ``broadcast_limit`` (default 5M -- winners are
-    concatenated on the driver before ``ray.put``, so the default is sized
-    to ~100 MB of driver RSS, not the object-store ceiling) they are
-    broadcast as sorted
-    arrays and the keep-filter is a vectorized searchsorted probe -- text
-    never shuffles.  Past the limit it falls through to the shuffle path
-    automatically.  ``mode="broadcast"`` skips the count (winners
-    collected on the driver; fastest when the result is known small);
-    ``mode="shuffle"`` is the no-driver-state path: a hash-bucketed
-    semi-join of rows against the distributed winner table.
+    Winners = distributed partial+final grouped min(key) per content hash
+    (shuffle carries only (hash, key) pairs).  If the winner count fits
+    ``broadcast_limit`` (default 5M -- winners are concatenated on the
+    driver before ``ray.put``, so the default is sized to ~100 MB of driver
+    RSS, not the object-store ceiling) they are broadcast as sorted arrays
+    and the keep-filter is a vectorized searchsorted probe -- text never
+    shuffles.  Past the limit it takes :func:`_dedup_exact_semijoin`, a
+    hash-bucketed semi-join of rows against the distributed winner table
+    with no driver-side winner state.
     """
+    import ray
+
+    from .aggregate import groupby_agg
+
     hashed = ds.map_batches(
         lambda t: fingerprint(t, text_col=text_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-
-    from .aggregate import groupby_agg
-
-    if mode == "shuffle":
-        winners = groupby_agg(
-            hashed, ["fingerprint"], [(key_col, "min", "__winner")]
+    winners_ds = groupby_agg(
+        hashed, ["fingerprint"], [(key_col, "min", "__winner")]
+    ).materialize()
+    if winners_ds.count() > broadcast_limit:
+        return _dedup_exact_semijoin(
+            hashed, winners_ds, key_col, list(ds.schema().names)
         )
-        return _dedup_exact_semijoin(hashed, winners, key_col, list(ds.schema().names))
-
-    if mode == "auto":
-        winners_ds = groupby_agg(
-            hashed, ["fingerprint"], [(key_col, "min", "__winner")]
-        ).materialize()
-        if winners_ds.count() > broadcast_limit:
-            return _dedup_exact_semijoin(
-                hashed, winners_ds, key_col, list(ds.schema().names)
-            )
-        import ray
-
-        tables = [t for t in ray.get(winners_ds.to_arrow_refs()) if t.num_rows]
-        winners = (
-            pa.concat_tables(tables).combine_chunks().to_pandas()
-            if tables else None
-        )
-    else:  # broadcast
-        winners = groupby_agg(
-            hashed, ["fingerprint"], [(key_col, "min", "__winner")]
-        ).to_pandas()
-
-    import ray
-
-    if winners is None or not len(winners):
+    tables = [t for t in ray.get(winners_ds.to_arrow_refs()) if t.num_rows]
+    if not tables:
         return hashed.drop_columns(["fingerprint"])
+    winners = pa.concat_tables(tables).combine_chunks().to_pandas()
     order = np.argsort(winners["fingerprint"].to_numpy())
     fp_sorted = winners["fingerprint"].to_numpy()[order]
     key_sorted = winners["__winner"].to_numpy()[order]
@@ -344,7 +328,7 @@ def _explode_buckets(key_col: str):
 
 
 def lsh_verified_edges(sketches, key_col: str, verify,
-                       max_restar_rounds: int = 8, edge_mode: str = "auto",
+                       max_restar_rounds: int = 8,
                        hot_bucket_limit: int = 2_000_000):
     """Bucket winners + vectorized edge emission + in-pass verification.
 
@@ -358,9 +342,9 @@ def lsh_verified_edges(sketches, key_col: str, verify,
        O(docs x bands) singleton buckets never leave the workers -- only
        HOT buckets (O(duplicate memberships)) are ever collected
        (VERDICT r2 item #1).  When even the hot-bucket table exceeds
-       ``hot_bucket_limit`` (or ``edge_mode="distributed"``), the whole
-       edge emission switches to :func:`_lsh_edges_distributed` -- bucketed
-       joins + hash exchanges, zero driver state -- and a lazy edge
+       ``hot_bucket_limit``, the whole edge emission switches to
+       :func:`_lsh_edges_distributed` -- bucketed joins + hash
+       exchanges, zero driver state -- and a lazy edge
        DATASET is returned instead of a DataFrame.
     2. broadcast path: one ``map_batches`` pass over the sketch table emits
        star edges (bucket member -> bucket min) via searchsorted probes and
@@ -374,16 +358,13 @@ def lsh_verified_edges(sketches, key_col: str, verify,
 
     Returns verified edges (a, b): a pandas DataFrame on the broadcast
     path, a Dataset on the distributed path.  Assumes keys are globally
-    unique int64 doc ids.
+    unique int64 doc ids.  Phase timings go to this module's logger at
+    DEBUG level.
     """
-    import os
-    import time as _time
-
     import pandas as pd
     import ray
 
-    _dbg = os.environ.get("GRAFT_DEBUG_TIMING")
-    _t0 = _time.perf_counter()
+    t0 = time.perf_counter()
 
     # Pass A: bucket winners (min key, count) -- TINY rows (24B), via the
     # bucketed hash-exchange merge (no driver state, skew-free).  Carrying
@@ -410,8 +391,7 @@ def lsh_verified_edges(sketches, key_col: str, verify,
     n_hot = hot.count()
     if n_hot == 0:
         return pd.DataFrame({"a": [], "b": []})
-    if edge_mode == "distributed" or (edge_mode == "auto"
-                                      and n_hot > hot_bucket_limit):
+    if n_hot > hot_bucket_limit:
         return _lsh_edges_distributed(sketches, exploded, hot, key_col,
                                       verify, max_restar_rounds)
     tables = [t for t in ray.get(hot.to_arrow_refs()) if t.num_rows]
@@ -430,9 +410,8 @@ def lsh_verified_edges(sketches, key_col: str, verify,
     wk, wsig = wk[worder], wsig[worder]
 
     state = ray.put((b_ids, b_win, wk, wsig))
-    if _dbg:
-        print(f"[lsh] winners {_time.perf_counter()-_t0:.2f}s", flush=True)
-        _t0 = _time.perf_counter()
+    logger.debug("lsh winners %.2fs", time.perf_counter() - t0)
+    t0 = time.perf_counter()
 
     def edges_fn(batch: pa.Table) -> pa.Table:
         ids, win, wkk, wss = ray.get(state)
@@ -475,9 +454,8 @@ def lsh_verified_edges(sketches, key_col: str, verify,
             ).to_arrow_refs()
         ) if t.num_rows
     ]
-    if _dbg:
-        print(f"[lsh] edge pass {_time.perf_counter()-_t0:.2f}s", flush=True)
-        _t0 = _time.perf_counter()
+    logger.debug("lsh edge pass %.2fs", time.perf_counter() - t0)
+    t0 = time.perf_counter()
     if not edge_tables:
         return pd.DataFrame({"a": [], "b": []})
     edges = pa.concat_tables(edge_tables).combine_chunks()
@@ -488,10 +466,9 @@ def lsh_verified_edges(sketches, key_col: str, verify,
     })
 
     failed = edges.filter(pa.array(~okm))
-    if _dbg:
-        print(f"[lsh] edge split {_time.perf_counter()-_t0:.2f}s "
-              f"(verified={len(verified)}, failed={failed.num_rows})", flush=True)
-        _t0 = _time.perf_counter()
+    logger.debug("lsh edge split %.2fs (verified=%d, failed=%d)",
+                 time.perf_counter() - t0, len(verified), failed.num_rows)
+    t0 = time.perf_counter()
     if failed.num_rows == 0:
         return verified
 
@@ -523,9 +500,8 @@ def lsh_verified_edges(sketches, key_col: str, verify,
             extra_b.extend(rest[ok2].tolist())
             members = rest[~ok2]
 
-    if _dbg:
-        print(f"[lsh] restar {_time.perf_counter()-_t0:.2f}s "
-              f"(extra={len(extra_a)})", flush=True)
+    logger.debug("lsh restar %.2fs (extra=%d)",
+                 time.perf_counter() - t0, len(extra_a))
     if extra_a:
         verified = pd.concat(
             [verified, pd.DataFrame({"a": extra_a, "b": extra_b})],
@@ -759,55 +735,6 @@ def _lsh_edges_distributed(sketches, exploded, hot, key_col: str, verify,
     return verified.union(extra)
 
 
-def lsh_candidate_pairs(ds, key_col: str = "doc_id", **lsh_kwargs):
-    """doc -> sketch -> band buckets -> UNVERIFIED candidate edge Dataset.
-
-    Star edges member -> bucket-min at O(bucket size); buckets resolved by a
-    partial+final aggregate (tiny shuffle) + broadcast sorted winner arrays,
-    edge emission fully vectorized (searchsorted probe, no per-row Python).
-    Kept as a building block; the dedup paths use :func:`lsh_verified_edges`
-    which verifies in the same pass.
-    """
-    import ray
-
-    from .aggregate import groupby_agg
-
-    sketches = ds.map_batches(
-        MinHashSketch(key_col=key_col, **lsh_kwargs),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-    exploded = sketches.map_batches(
-        _explode_buckets(key_col), batch_format="pyarrow", zero_copy_batch=True
-    )
-    buckets = groupby_agg(
-        exploded, ["bucket"],
-        [(key_col, "min", "__a"), (key_col, "count", "__n")],
-    ).to_pandas()
-    buckets = buckets[buckets["__n"] > 1]
-    b_ids = buckets["bucket"].to_numpy().astype(np.int64)
-    b_win = buckets["__a"].to_numpy().astype(np.int64)
-    order = np.argsort(b_ids)
-    state = ray.put((b_ids[order], b_win[order]))
-
-    def edges(batch: pa.Table) -> pa.Table:
-        ids, win = ray.get(state)
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        bk = _fixed_list_to_matrix(batch.column("bucket"))
-        n, width = bk.shape
-        flat = bk.ravel()
-        mkeys = np.repeat(keys, width)
-        if len(ids) == 0:
-            empty = pa.array([], pa.int64())
-            return pa.table({"a": empty, "b": empty})
-        pos = np.minimum(np.searchsorted(ids, flat), len(ids) - 1)
-        valid = (ids[pos] == flat) & (win[pos] != mkeys)
-        return pa.table({"a": pa.array(win[pos][valid]),
-                         "b": pa.array(mkeys[valid])})
-
-    return sketches.map_batches(edges, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def connected_components(edges) -> dict:
     """Union-find over a streamed edge list -> {key -> cluster_min_key}.
 
@@ -1033,15 +960,15 @@ def _drop_keys(ds, losers_ds, key_col: str, broadcast_limit: int):
     return _drop_losers_ds(ds, losers_ds, key_col)
 
 
-def _resolve_clusters_and_drop(ds, edges, key_col: str, mode: str = "auto",
+def _resolve_clusters_and_drop(ds, edges, key_col: str,
                                edge_driver_limit: int = 20_000_000):
     """Cluster the verified edges and drop non-representative members.
 
-    Auto-switch (mirrors ``dedup_exact``'s ``mode="auto"``): a small pandas
-    edge list takes driver union-find + broadcast loser filter (fastest at
-    dashboard scale); a Dataset edge list (the distributed emission path),
-    ``mode="distributed"``, or a driver edge list past ``edge_driver_limit``
-    routes through :func:`connected_components_distributed` (labels stay a
+    Size switch (mirrors ``dedup_exact``'s ``broadcast_limit``): a pandas
+    edge list of at most ``edge_driver_limit`` rows takes driver union-find
+    + broadcast loser filter (fastest at dashboard scale); a Dataset edge
+    list (the distributed emission path) or a driver edge list past
+    ``edge_driver_limit`` routes through :func:`connected_components_distributed` (labels stay a
     Dataset) and the bucketed anti-join -- no driver-side cluster state at
     any duplicate rate."""
     import pandas as pd
@@ -1050,7 +977,7 @@ def _resolve_clusters_and_drop(ds, edges, key_col: str, mode: str = "auto",
     if isinstance(edges, pd.DataFrame):
         if not len(edges):
             return ds
-        if mode != "distributed" and len(edges) <= edge_driver_limit:
+        if len(edges) <= edge_driver_limit:
             labels = connected_components(edges)
             losers = {k for k, root in labels.items() if root != k}
             return _drop_losers(ds, losers, key_col)
@@ -1095,7 +1022,7 @@ def build_sketch_index(ds, index_dir: str, kind: str = "minhash",
 def dedup_minhash(ds, key_col: str = "doc_id", text_col: str = "text",
                   jaccard_threshold: float = 0.7, num_perm: int = 64,
                   bands: int = 16, seed: int = 42,
-                  sketch_dir: str | None = None, mode: str = "auto",
+                  sketch_dir: str | None = None,
                   hot_bucket_limit: int = 2_000_000,
                   edge_driver_limit: int = 20_000_000):
     """Near-dup removal: keep the min-key representative of each LSH cluster.
@@ -1107,11 +1034,10 @@ def dedup_minhash(ds, key_col: str = "doc_id", text_col: str = "text",
     ``sketch_dir``: read a persisted sketch table (build_sketch_index)
     instead of re-sketching the corpus text (resume / re-threshold path).
 
-    ``mode``: "auto" (default) broadcasts winners / union-finds on the
-    driver while hot buckets and edges fit the limits, and auto-switches to
-    the fully distributed emission (:func:`_lsh_edges_distributed`) +
-    distributed CC + bucketed anti-join past them; "distributed" forces the
-    scale path end-to-end; "driver" forces the broadcast path.
+    Winners are broadcast and clusters union-found on the driver while the
+    hot buckets fit ``hot_bucket_limit`` and the edges ``edge_driver_limit``;
+    past either limit that step takes the fully distributed emission
+    (:func:`_lsh_edges_distributed`) or distributed CC + bucketed anti-join.
     """
     import ray.data as rd
 
@@ -1128,11 +1054,9 @@ def dedup_minhash(ds, key_col: str = "doc_id", text_col: str = "text",
     def verify(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
         return (sa == sb).mean(axis=1) >= jaccard_threshold
 
-    edge_mode = {"auto": "auto", "distributed": "distributed",
-                 "driver": "broadcast"}[mode]
-    edges = lsh_verified_edges(sketches, key_col, verify, edge_mode=edge_mode,
+    edges = lsh_verified_edges(sketches, key_col, verify,
                                hot_bucket_limit=hot_bucket_limit)
-    return _resolve_clusters_and_drop(ds, edges, key_col, mode=mode,
+    return _resolve_clusters_and_drop(ds, edges, key_col,
                                       edge_driver_limit=edge_driver_limit)
 
 
@@ -1203,7 +1127,7 @@ def _hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dedup_simhash(ds, key_col: str = "doc_id", text_col: str = "text",
-                  max_hamming: int = 3, mode: str = "auto",
+                  max_hamming: int = 3,
                   hot_bucket_limit: int = 2_000_000,
                   edge_driver_limit: int = 20_000_000):
     """SimHash near-dup: band-bucket candidates, hamming-verify, keep min key.
@@ -1211,7 +1135,7 @@ def dedup_simhash(ds, key_col: str = "doc_id", text_col: str = "text",
     Same machinery as :func:`dedup_minhash` -- the sketch table carries the
     64-bit simhash as a width-1 signature, verification is a vectorized
     XOR-popcount in the edge-emission pass, failed members re-star; the
-    same ``mode`` auto-switch governs the driver vs distributed paths."""
+    same size limits pick the driver vs distributed paths."""
     sketches = ds.map_batches(
         SimHashSketch(key_col=key_col, text_col=text_col),
         batch_format="pyarrow",
@@ -1221,11 +1145,9 @@ def dedup_simhash(ds, key_col: str = "doc_id", text_col: str = "text",
     def verify(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
         return _hamming64(sa[:, 0], sb[:, 0]) <= max_hamming
 
-    edge_mode = {"auto": "auto", "distributed": "distributed",
-                 "driver": "broadcast"}[mode]
-    edges = lsh_verified_edges(sketches, key_col, verify, edge_mode=edge_mode,
+    edges = lsh_verified_edges(sketches, key_col, verify,
                                hot_bucket_limit=hot_bucket_limit)
-    return _resolve_clusters_and_drop(ds, edges, key_col, mode=mode,
+    return _resolve_clusters_and_drop(ds, edges, key_col,
                                       edge_driver_limit=edge_driver_limit)
 
 
@@ -2345,7 +2267,7 @@ KEY_OFFSET = np.int64(1) << np.int64(62)
 def dedup_incremental(new_ds, index_dir: str, key_col: str = "doc_id",
                       text_col: str = "text",
                       jaccard_threshold: float = 0.7, num_perm: int = 64,
-                      bands: int = 16, seed: int = 42, mode: str = "auto",
+                      bands: int = 16, seed: int = 42,
                       update_index: bool = False,
                       hot_bucket_limit: int = 2_000_000,
                       edge_driver_limit: int = 20_000_000):
@@ -2426,16 +2348,12 @@ def dedup_incremental(new_ds, index_dir: str, key_col: str = "doc_id",
     def verify(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
         return (sa == sb).mean(axis=1) >= jaccard_threshold
 
-    edge_mode = {"auto": "auto", "distributed": "distributed",
-                 "driver": "broadcast"}[mode]
     edges = lsh_verified_edges(combined, key_col, verify,
-                               edge_mode=edge_mode,
                                hot_bucket_limit=hot_bucket_limit)
 
     import pandas as pd
 
-    if isinstance(edges, pd.DataFrame) and mode != "distributed" \
-            and len(edges) <= edge_driver_limit:
+    if isinstance(edges, pd.DataFrame) and len(edges) <= edge_driver_limit:
         if len(edges):
             labels = connected_components(edges)
             losers = {int(k - KEY_OFFSET) for k, root in labels.items()

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-_SPLIT_CACHE: dict[tuple, object] = {}
+import ray
 
 
 def stable_hash(col) -> np.ndarray:
@@ -138,52 +137,48 @@ def stable_bucket_ids(table: pa.Table, keys: list[str],
     return (h % num_buckets).astype(np.int32)
 
 
-def _split_task(num_buckets: int, bucket_col: str):
-    """Remote fn: block -> ``num_buckets`` tables (cached per signature)."""
-    import ray
+@ray.remote
+def _split(block, num_buckets: int, bucket_col: str):
+    """Block -> ``num_buckets`` tables (the caller sets ``num_returns``)."""
+    if not isinstance(block, pa.Table):  # internal blocks may be pandas
+        block = pa.Table.from_pandas(block, preserve_index=False)
+    if bucket_col not in block.column_names:
+        # a 0-row input block skips the upstream map UDF entirely and
+        # arrives with the PRE-map schema; emit 0-column sentinels the
+        # reduce side drops (a non-empty block without __bucket is a
+        # caller bug)
+        if block.num_rows:
+            raise ValueError(
+                f"hash_exchange: block missing {bucket_col}")
+        parts = [pa.table({})] * num_buckets
+        return parts[0] if num_buckets == 1 else tuple(parts)
+    b = block.column(bucket_col).to_numpy(zero_copy_only=False)
+    body = block.drop_columns([bucket_col])
+    if block.num_rows == 0:
+        parts = [body] * num_buckets
+    else:
+        order = np.argsort(b, kind="stable")          # counting-sort perm
+        sorted_b = b[order]
+        bounds = np.searchsorted(sorted_b, np.arange(num_buckets + 1))
+        idx = pa.array(order)
+        taken = body.take(idx)
+        parts = [taken.slice(bounds[i], bounds[i + 1] - bounds[i])
+                 for i in range(num_buckets)]
+    if num_buckets == 1:
+        return parts[0]
+    return tuple(parts)
 
-    # key by job id too: a remote-fn handle from a previous ray.init() is
-    # dead after shutdown/re-init (scripts that own their session)
-    try:
-        job = ray.get_runtime_context().get_job_id()
-    except Exception:  # noqa: BLE001 - outside a session; resolved at call
-        job = None
-    key = (num_buckets, bucket_col, job)
-    if key in _SPLIT_CACHE:
-        return _SPLIT_CACHE[key]
 
-    @ray.remote(num_returns=num_buckets)
-    def split(block):
-        if not isinstance(block, pa.Table):  # internal blocks may be pandas
-            block = pa.Table.from_pandas(block, preserve_index=False)
-        if bucket_col not in block.column_names:
-            # a 0-row input block skips the upstream map UDF entirely and
-            # arrives with the PRE-map schema; emit 0-column sentinels the
-            # reduce side drops (a non-empty block without __bucket is a
-            # caller bug)
-            if block.num_rows:
-                raise ValueError(
-                    f"hash_exchange: block missing {bucket_col}")
-            parts = [pa.table({})] * num_buckets
-            return parts[0] if num_buckets == 1 else tuple(parts)
-        b = block.column(bucket_col).to_numpy(zero_copy_only=False)
-        body = block.drop_columns([bucket_col])
-        if block.num_rows == 0:
-            parts = [body] * num_buckets
-        else:
-            order = np.argsort(b, kind="stable")          # counting-sort perm
-            sorted_b = b[order]
-            bounds = np.searchsorted(sorted_b, np.arange(num_buckets + 1))
-            idx = pa.array(order)
-            taken = body.take(idx)
-            parts = [taken.slice(bounds[i], bounds[i + 1] - bounds[i])
-                     for i in range(num_buckets)]
-        if num_buckets == 1:
-            return parts[0]
-        return tuple(parts)
-
-    _SPLIT_CACHE[key] = split
-    return split
+@ray.remote(num_returns=2)
+def _reduce(fn, *shards):
+    real = [s for s in shards if s.num_columns]      # drop sentinels
+    if not real or not any(s.num_rows for s in real):
+        # match map_groups semantics: an empty bucket emits NO block
+        # (per-bucket fns never see 0-row input)
+        return False, pa.table({})
+    t = pa.concat_tables([s for s in real if s.num_rows],
+                         promote_options="default")
+    return True, fn(t.combine_chunks())
 
 
 def _append_bucket(t: pa.Table, keys: list[str], num_buckets: int) -> pa.Table:
@@ -213,33 +208,18 @@ def hash_exchange(ds, num_buckets: int, reduce_fn, bucket_col: str = "__bucket")
     partitioning contract.  Exchanges keyed by columns go through
     :func:`hash_exchange_by`; call this directly only when the bucket
     column is computed some other way (join sides, dedup routes)."""
-    import ray
     import ray.data as rd
 
-    split = _split_task(num_buckets, bucket_col)
-
-    @ray.remote(num_returns=2)
-    def reduce(fn, *shards):
-        real = [s for s in shards if s.num_columns]      # drop sentinels
-        if not real or not any(s.num_rows for s in real):
-            # match map_groups semantics: an empty bucket emits NO block
-            # (per-bucket fns never see 0-row input)
-            return False, pa.table({})
-        t = pa.concat_tables([s for s in real if s.num_rows],
-                             promote_options="default")
-        return True, fn(t.combine_chunks())
-
+    split = _split.options(num_returns=num_buckets)
     # Launch a split task per block AS the upstream produces it
     # (iter_internal_ref_bundles streams refs with backpressure) -- the
     # map side of the exchange then overlaps the upstream's straggler tail
     # instead of waiting behind a full-execution barrier (to_arrow_refs).
     # Measured at sf0.1: count_by final 1.10 s -> ~0.75 s; identical refs.
     shard_refs = []
-    try:
-        for bundle in ds.iter_internal_ref_bundles():
-            shard_refs.extend(split.remote(r) for r in bundle.block_refs)
-    except (AttributeError, TypeError):  # older Ray: barrier fallback
-        shard_refs = [split.remote(r) for r in ds.to_arrow_refs()]
+    for bundle in ds.iter_internal_ref_bundles():
+        shard_refs.extend(split.remote(r, num_buckets, bucket_col)
+                          for r in bundle.block_refs)
     if not shard_refs:
         return ds
     if num_buckets == 1:
@@ -248,7 +228,7 @@ def hash_exchange(ds, num_buckets: int, reduce_fn, bucket_col: str = "__bucket")
         per_bucket = list(zip(*shard_refs))
     flag_refs, out_refs = [], []
     for parts in per_bucket:
-        f, o = reduce.remote(reduce_fn, *parts)
+        f, o = _reduce.remote(reduce_fn, *parts)
         flag_refs.append(f)
         out_refs.append(o)
     flags = ray.get(flag_refs)           # tiny bools; reduces already ran

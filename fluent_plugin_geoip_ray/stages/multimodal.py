@@ -635,7 +635,7 @@ class PHashSketch:
 
 
 def dedup_images(ds, key_col: str = "media_id", payload_col: str = "payload",
-                 max_hamming: int = 10, mode: str = "auto", strict: bool = True,
+                 max_hamming: int = 10, strict: bool = True,
                  hot_bucket_limit: int = 2_000_000,
                  edge_driver_limit: int = 20_000_000):
     """Image near-dup removal by perceptual hash: decode + pHash in an
@@ -665,11 +665,9 @@ def dedup_images(ds, key_col: str = "media_id", payload_col: str = "payload",
     def verify(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
         return _hamming64(sa[:, 0], sb[:, 0]) <= max_hamming
 
-    edge_mode = {"auto": "auto", "distributed": "distributed",
-                 "driver": "broadcast"}[mode]
-    edges = lsh_verified_edges(sketches, key_col, verify, edge_mode=edge_mode,
+    edges = lsh_verified_edges(sketches, key_col, verify,
                                hot_bucket_limit=hot_bucket_limit)
-    return _resolve_clusters_and_drop(ds, edges, key_col, mode=mode,
+    return _resolve_clusters_and_drop(ds, edges, key_col,
                                       edge_driver_limit=edge_driver_limit)
 
 
@@ -784,7 +782,7 @@ class AudioPHashSketch:
 
 
 def dedup_audio(ds, key_col: str = "media_id", payload_col: str = "payload",
-                max_hamming: int = 6, mode: str = "auto",
+                max_hamming: int = 6,
                 hot_bucket_limit: int = 2_000_000,
                 edge_driver_limit: int = 20_000_000):
     """Audio near-dup removal by spectral fingerprint: decode + fingerprint
@@ -807,11 +805,9 @@ def dedup_audio(ds, key_col: str = "media_id", payload_col: str = "payload",
     def verify(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
         return _hamming64(sa[:, 0], sb[:, 0]) <= max_hamming
 
-    edge_mode = {"auto": "auto", "distributed": "distributed",
-                 "driver": "broadcast"}[mode]
-    edges = lsh_verified_edges(sketches, key_col, verify, edge_mode=edge_mode,
+    edges = lsh_verified_edges(sketches, key_col, verify,
                                hot_bucket_limit=hot_bucket_limit)
-    return _resolve_clusters_and_drop(ds, edges, key_col, mode=mode,
+    return _resolve_clusters_and_drop(ds, edges, key_col,
                                       edge_driver_limit=edge_driver_limit)
 
 
@@ -910,7 +906,7 @@ class VideoPHashSketch:
 
 def dedup_videos(ds, key_col: str = "media_id", payload_col: str = "payload",
                  max_total_hamming: int = 24, n_frames: int = 4,
-                 mode: str = "auto", hot_bucket_limit: int = 2_000_000,
+                 hot_bucket_limit: int = 2_000_000,
                  edge_driver_limit: int = 20_000_000):
     """Video near-dup removal: frame-sampled pHash sequence, bucketed on
     the first frame's bands, verified by TOTAL hamming over all sampled
@@ -936,11 +932,9 @@ def dedup_videos(ds, key_col: str = "media_id", payload_col: str = "payload",
             total += _hamming64(sa[:, j], sb[:, j])  # uint64 accumulator
         return total <= max_total_hamming
 
-    edge_mode = {"auto": "auto", "distributed": "distributed",
-                 "driver": "broadcast"}[mode]
-    edges = lsh_verified_edges(sketches, key_col, verify, edge_mode=edge_mode,
+    edges = lsh_verified_edges(sketches, key_col, verify,
                                hot_bucket_limit=hot_bucket_limit)
-    return _resolve_clusters_and_drop(ds, edges, key_col, mode=mode,
+    return _resolve_clusters_and_drop(ds, edges, key_col,
                                       edge_driver_limit=edge_driver_limit)
 
 

@@ -287,7 +287,7 @@ class EmbeddingLSHSketch:
 
 def embedding_near_dup(ds, threshold: float = 0.95, id_col: str = "vec_id",
                        emb_col: str = "embedding", n_planes: int = 16,
-                       seed: int = 42, mode: str = "auto",
+                       seed: int = 42,
                        hot_bucket_limit: int = 2_000_000,
                        edge_driver_limit: int = 20_000_000):
     """Embedding-cosine near-dup via random-hyperplane LSH buckets +
@@ -297,10 +297,10 @@ def embedding_near_dup(ds, threshold: float = 0.95, id_col: str = "vec_id",
     partial+final aggregate, star edges emitted via vectorized searchsorted
     probes and verified by a dot product in the same pass (the normalized
     vector rides in the sketch), members failing against the bucket min
-    re-starred among themselves.  ``mode`` mirrors
-    :func:`dedup.dedup_minhash`: past the hot-bucket / edge limits (or
-    forced with "distributed") emission, clustering and the drop filter all
-    run Dataset-native with no driver state."""
+    re-starred among themselves.  The size limits mirror
+    :func:`dedup.dedup_minhash`: past the hot-bucket / edge limits emission,
+    clustering and the drop filter all run Dataset-native with no driver
+    state."""
     import ray
 
     from .dedup import _resolve_clusters_and_drop, lsh_verified_edges
@@ -324,11 +324,9 @@ def embedding_near_dup(ds, threshold: float = 0.95, id_col: str = "vec_id",
     def verify(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
         return (sa.astype(np.float64) * sb.astype(np.float64)).sum(axis=1) >= threshold
 
-    edge_mode = {"auto": "auto", "distributed": "distributed",
-                 "driver": "broadcast"}[mode]
-    edges = lsh_verified_edges(sketches, id_col, verify, edge_mode=edge_mode,
+    edges = lsh_verified_edges(sketches, id_col, verify,
                                hot_bucket_limit=hot_bucket_limit)
-    return _resolve_clusters_and_drop(ds, edges, id_col, mode=mode,
+    return _resolve_clusters_and_drop(ds, edges, id_col,
                                       edge_driver_limit=edge_driver_limit)
 
 
@@ -338,7 +336,7 @@ def embedding_near_dup(ds, threshold: float = 0.95, id_col: str = "vec_id",
 
 def semantic_dedup(ds, threshold: float = 0.95, n_clusters: int = 64,
                    id_col: str = "vec_id", emb_col: str = "embedding",
-                   sample_n: int = 4096, seed: int = 42, mode: str = "auto",
+                   sample_n: int = 4096, seed: int = 42,
                    max_cluster_rows: int = 65536, chunk_rows: int = 512,
                    edge_driver_limit: int = 20_000_000):
     """SemDeDup-style semantic dedup (public method of Abbas et al. 2023,
@@ -362,7 +360,7 @@ def semantic_dedup(ds, threshold: float = 0.95, n_clusters: int = 64,
     explicit-skew-guard convention of ``dedup_ngram``.  Edge resolution
     reuses :func:`dedup._resolve_clusters_and_drop`: driver union-find
     below ``edge_driver_limit``, Dataset-native distributed components +
-    bucketed anti-join above it (or always with ``mode="distributed"``).
+    bucketed anti-join above it.
     """
     import ray
 
@@ -415,9 +413,9 @@ def semantic_dedup(ds, threshold: float = 0.95, n_clusters: int = 64,
     edges = hash_exchange(bucketed, k_eff, cluster_edges,
                           bucket_col="ivf_bucket")
     n_edges = edges.count()
-    if mode != "distributed" and n_edges <= edge_driver_limit:
+    if n_edges <= edge_driver_limit:
         edges = edges.to_pandas()
-    return _resolve_clusters_and_drop(ds, edges, id_col, mode=mode,
+    return _resolve_clusters_and_drop(ds, edges, id_col,
                                       edge_driver_limit=edge_driver_limit)
 
 

@@ -142,26 +142,14 @@ def test_distributed_components_on_dataset():
     assert lp[12] == 10  # 3-chain converged (needs >1 propagation round)
 
 
-def test_dedup_exact_modes_agree(docs_ds):
-    from fluent_plugin_geoip_ray.stages.dedup import dedup_exact
-
-    expect = sorted(dedup_exact(docs_ds, mode="broadcast").to_pandas()["doc_id"])
-    for mode in ("auto", "shuffle"):
-        got = sorted(
-            dedup_exact(rd.from_arrow(make_docs()), mode=mode).to_pandas()["doc_id"]
-        )
-        assert got == expect, mode
-
-
 def test_dedup_exact_auto_switches_to_semijoin(docs_ds):
-    """broadcast_limit=0 forces the auto path onto the distributed semi-join;
-    result must be identical (pins the auto-switch plumbing)."""
+    """broadcast_limit=0 forces the distributed semi-join; the result must
+    equal the default broadcast probe's (pins the size-switch plumbing)."""
     from fluent_plugin_geoip_ray.stages.dedup import dedup_exact
 
     out = dedup_exact(docs_ds, broadcast_limit=0).to_pandas()
     assert sorted(out["doc_id"]) == sorted(
-        dedup_exact(rd.from_arrow(make_docs()), mode="broadcast")
-        .to_pandas()["doc_id"]
+        dedup_exact(rd.from_arrow(make_docs())).to_pandas()["doc_id"]
     )
     assert set(out.columns) == {"doc_id", "text"}
 
@@ -230,15 +218,11 @@ def test_neardup_distributed_path_matches_driver(fn, kw):
 
     t = make_dup_corpus()
     f = getattr(dd, fn)
-    ref = sorted(f(rd.from_arrow(t), mode="driver", **kw)
-                 .to_pandas()["doc_id"])
-    dist = sorted(f(rd.from_arrow(t), mode="distributed", **kw)
-                  .to_pandas()["doc_id"])
-    assert dist == ref
-    # auto with zeroed limits must take the distributed path and still agree
-    auto = sorted(f(rd.from_arrow(t), mode="auto", hot_bucket_limit=0,
+    ref = sorted(f(rd.from_arrow(t), **kw).to_pandas()["doc_id"])
+    # zeroed limits must take the distributed path and still agree
+    dist = sorted(f(rd.from_arrow(t), hot_bucket_limit=0,
                     edge_driver_limit=0, **kw).to_pandas()["doc_id"])
-    assert auto == ref
+    assert dist == ref
 
 
 def test_neardup_distributed_no_duplicates_corpus():
@@ -247,7 +231,8 @@ def test_neardup_distributed_no_duplicates_corpus():
     from fluent_plugin_geoip_ray.stages.dedup import dedup_minhash
 
     t = make_dup_corpus(n_clusters=0, cluster_size=0, n_unique=25)
-    out = dedup_minhash(rd.from_arrow(t), mode="distributed").to_pandas()
+    out = dedup_minhash(rd.from_arrow(t), hot_bucket_limit=0,
+                        edge_driver_limit=0).to_pandas()
     assert sorted(out["doc_id"]) == sorted(t.column("doc_id").to_pylist())
 
 
@@ -268,10 +253,10 @@ def test_neardup_known_pairs_merged():
             "vectorization and register allocation in the backend passes",
         ]),
     })
-    for mode in ("driver", "distributed"):
+    for limits in ({}, {"hot_bucket_limit": 0, "edge_driver_limit": 0}):
         ids = set(dedup_minhash(rd.from_arrow(t), jaccard_threshold=0.5,
-                                mode=mode).to_pandas()["doc_id"])
-        assert ids == {10, 20, 30}, mode
+                                **limits).to_pandas()["doc_id"])
+        assert ids == {10, 20, 30}, limits
 
 
 def test_restar_distributed_matches_broadcast():
@@ -294,7 +279,7 @@ def test_restar_distributed_matches_broadcast():
         return (sa == sb).mean(axis=1) >= 0.9
 
     edges = lsh_verified_edges(sketches, "doc_id", verify,
-                               edge_mode="distributed")
+                               hot_bucket_limit=0)
     pairs = set(map(tuple, edges.to_pandas()[["a", "b"]].to_numpy()))
     assert (2, 3) in pairs
     assert not any(1 in p for p in pairs)
@@ -848,17 +833,19 @@ def _incr_corpora(tmpdir, seed=13):
     return hist, new, index_dir
 
 
-@pytest.mark.parametrize("mode", ["auto", "distributed"])
-def test_dedup_incremental_semantics(tmp_path, mode):
+@pytest.mark.parametrize(
+    "limits", [{}, {"hot_bucket_limit": 0, "edge_driver_limit": 0}],
+    ids=["auto", "distributed"])
+def test_dedup_incremental_semantics(tmp_path, limits):
     from fluent_plugin_geoip_ray.stages.dedup import dedup_incremental
 
     _, new, index_dir = _incr_corpora(tmp_path)
-    out = dedup_incremental(rd.from_arrow(new), index_dir, mode=mode)
+    out = dedup_incremental(rd.from_arrow(new), index_dir, **limits)
     kept = sorted(out.to_pandas()["doc_id"])
     # copies of hist drop; intra-batch dup keeps min; novels survive
-    assert 100 not in kept and 101 not in kept, mode
-    assert 102 in kept and 103 not in kept, mode
-    assert 104 in kept and 105 in kept, mode
+    assert 100 not in kept and 101 not in kept, limits
+    assert 102 in kept and 103 not in kept, limits
+    assert 104 in kept and 105 in kept, limits
 
 
 def test_dedup_incremental_update_index_sees_prior_increment(tmp_path):

@@ -15,6 +15,9 @@ from fluent_plugin_geoip_ray.stages.multimodal import (
     synthesize_binary_table,
 )
 
+# size limits that force the near-dup family's distributed path
+DISTRIBUTED = {"hot_bucket_limit": 0, "edge_driver_limit": 0}
+
 
 def test_strict_decode_raises():
     t = synthesize_binary_table(4)
@@ -354,8 +357,9 @@ def test_dedup_images_known_answer_and_band_guarantee():
         assert bin(h0 ^ h1).count("1") <= 3
         assert any(((h0 >> (16 * b)) & 0xFFFF) == ((h1 >> (16 * b)) & 0xFFFF)
                    for b in range(4))
-    out = dedup_images(rd.from_arrow(t).repartition(3)).to_pandas()
-    assert sorted(out["media_id"]) == list(range(12))
+    for limits in ({}, DISTRIBUTED):
+        out = dedup_images(rd.from_arrow(t).repartition(3), **limits)
+        assert sorted(out.to_pandas()["media_id"]) == list(range(12)), limits
 
 
 def test_audio_fingerprint_gain_invariance_and_separation():
@@ -396,8 +400,9 @@ def test_dedup_audio_known_answer():
     )
 
     t = synthesize_audio_corpus(n_base=10)
-    out = dedup_audio(rd.from_arrow(t).repartition(3)).to_pandas()
-    assert sorted(out["media_id"]) == list(range(10))
+    for limits in ({}, DISTRIBUTED):
+        out = dedup_audio(rd.from_arrow(t).repartition(3), **limits)
+        assert sorted(out.to_pandas()["media_id"]) == list(range(10)), limits
 
 
 def test_dedup_videos_known_answer_and_margins():
@@ -427,5 +432,6 @@ def test_dedup_videos_known_answer_and_margins():
         for j in range(i + 1, 6):
             assert tot(sigs[i], sigs[j]) >= 48
 
-    out = dedup_videos(rd.from_arrow(t).repartition(3)).to_pandas()
-    assert sorted(out["media_id"]) == list(range(6))
+    for limits in ({}, DISTRIBUTED):
+        out = dedup_videos(rd.from_arrow(t).repartition(3), **limits)
+        assert sorted(out.to_pandas()["media_id"]) == list(range(6)), limits

@@ -77,16 +77,12 @@ def test_embedding_near_dup_distributed_matches_driver():
     anti-join drop must match the driver path exactly."""
     m = make_vectors(n=60)
     clones = np.vstack([m, m[:8] * 1.0001])
-    ref = sorted(embedding_near_dup(vec_ds(clones), threshold=0.999,
-                                    mode="driver").to_pandas()["vec_id"])
+    ref = sorted(embedding_near_dup(vec_ds(clones), threshold=0.999)
+                 .to_pandas()["vec_id"])
     dist = sorted(embedding_near_dup(vec_ds(clones), threshold=0.999,
-                                     mode="distributed").to_pandas()["vec_id"])
-    assert dist == ref
-    auto = sorted(embedding_near_dup(vec_ds(clones), threshold=0.999,
-                                     mode="auto", hot_bucket_limit=0,
-                                     edge_driver_limit=0)
+                                     hot_bucket_limit=0, edge_driver_limit=0)
                   .to_pandas()["vec_id"])
-    assert auto == ref
+    assert dist == ref
 
 
 def test_persisted_ivf_index_roundtrip(tmp_path):
@@ -158,14 +154,15 @@ def _semdedup_fixture(n_groups=6, dim=24, seed=11):
     return t, expected_survivors
 
 
-@pytest.mark.parametrize("mode", ["auto", "distributed"])
-def test_semantic_dedup_known_groups(mode):
+@pytest.mark.parametrize("limits", [{}, {"edge_driver_limit": 0}],
+                         ids=["auto", "distributed"])
+def test_semantic_dedup_known_groups(limits):
     from fluent_plugin_geoip_ray.stages.similarity import semantic_dedup
 
     t, expected = _semdedup_fixture()
     ds = rd.from_arrow(t).repartition(3)
     out = semantic_dedup(ds, threshold=0.99, n_clusters=4, sample_n=100,
-                         mode=mode)
+                         **limits)
     got = set(out.to_pandas()["vec_id"])
     assert got == expected
 
