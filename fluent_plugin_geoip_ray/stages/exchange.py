@@ -9,28 +9,46 @@ ordering is needed -- so this module implements the classic two-stage hash
 exchange with raw Ray tasks (the documented escape hatch for semantics the
 Dataset API can't express):
 
-* map side: one task per input block splits it into ``num_buckets``
-  sub-tables (one vectorized ``take`` per bucket via a counting-sort
-  permutation -- NOT ``num_buckets`` filter scans);
-* reduce side: one task per bucket concats its shards and applies the
-  per-bucket function.
+* map side: one task per input block sorts it by bucket (one vectorized
+  ``take`` via a counting-sort permutation -- NOT ``num_buckets`` filter
+  scans) and cuts it into one shard per reduce task;
+* reduce side: one task per GROUP of contiguous buckets; for each
+  non-empty bucket of its group, in bucket order, it concats that
+  bucket's slices of the shards and applies the per-bucket function.
 
-Total object-store traffic equals the sort shuffle's (every row moves
-once), but there is no sort, no sample pass, and Python overhead is
-O(blocks + buckets).  The reduce output is a ``MaterializedDataset`` of
-``num_buckets`` blocks, so downstream stages stream as usual.
+``num_buckets`` is the unit of co-location and of the per-bucket
+function; the cluster's CPU count sizes the exchange.  It runs
+``G = min(num_buckets, cluster CPUs)`` reduce tasks (bucket ``b`` belongs
+to group ``b * G // num_buckets``), so the map side creates blocks x G
+objects and Ray's fixed per-task and per-object cost does not grow with
+the bucket count.  Total object-store traffic equals the sort shuffle's
+(every row moves once), but there is no sort, no sample pass, and Python
+overhead is O(blocks x G + buckets).  The reduce output is a
+``MaterializedDataset`` of one block per non-empty group, so downstream
+stages stream as usual; read in order, its blocks hold the buckets in
+bucket order.
 
-Scale notes (100 TB): the map side creates blocks x buckets small objects;
-keep ``num_buckets`` at O(cluster cores), not O(keys).  One bucket's rows
-must fit the reduce worker's heap -- identical to the map_groups contract
-this replaces.
+Scale notes (100 TB): reduce tasks = min(num_buckets, CPUs) and a group's
+output is one block, so one group's rows must fit the reduce worker's
+heap (more CPUs shrink a group; more buckets do not).  Keep
+``num_buckets`` at O(cluster cores), not O(keys).  One bucket's rows must
+fit the per-bucket function -- identical to the map_groups contract this
+replaces.  Every exchange logs its per-bucket row and byte counts (DEBUG)
+and WARNs when the largest bucket holds more than 4x the median one.
 """
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 import ray
+
+logger = logging.getLogger(__name__)
+
+# max/median rows of the non-empty buckets above which an exchange WARNs
+_SKEW_WARN = 4.0
 
 
 def stable_hash(col) -> np.ndarray:
@@ -137,48 +155,91 @@ def stable_bucket_ids(table: pa.Table, keys: list[str],
     return (h % num_buckets).astype(np.int32)
 
 
+def _cluster_cpus() -> int:
+    """CPUs of the Ray cluster: the most reduce tasks one exchange runs."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def _first_bucket(g: int, num_buckets: int, groups: int) -> int:
+    """First bucket of group ``g``: the least ``b`` with ``b * groups //
+    num_buckets == g`` (``num_buckets`` for ``g == groups``)."""
+    return -(-g * num_buckets // groups)
+
+
 @ray.remote
-def _split(block, num_buckets: int, bucket_col: str):
-    """Block -> ``num_buckets`` tables (the caller sets ``num_returns``)."""
+def _split(block, num_buckets: int, groups: int, bucket_col: str):
+    """Block -> ``groups`` shards (the caller sets ``num_returns``): the
+    block's rows sorted by bucket (stable), cut at group boundaries, with
+    the bucket column kept for the reduce side's per-bucket slicing."""
     if not isinstance(block, pa.Table):  # internal blocks may be pandas
         block = pa.Table.from_pandas(block, preserve_index=False)
-    if bucket_col not in block.column_names:
-        # a 0-row input block skips the upstream map UDF entirely and
-        # arrives with the PRE-map schema; emit 0-column sentinels the
-        # reduce side drops (a non-empty block without __bucket is a
-        # caller bug)
-        if block.num_rows:
-            raise ValueError(
-                f"hash_exchange: block missing {bucket_col}")
-        parts = [pa.table({})] * num_buckets
-        return parts[0] if num_buckets == 1 else tuple(parts)
-    b = block.column(bucket_col).to_numpy(zero_copy_only=False)
-    body = block.drop_columns([bucket_col])
     if block.num_rows == 0:
-        parts = [body] * num_buckets
+        # nothing to route; a 0-row input block skips the upstream map
+        # UDF entirely and may arrive with the PRE-map schema (no bucket
+        # column) -- the reduce side drops 0-row shards
+        parts = [block] * groups
+    elif bucket_col not in block.column_names:
+        raise ValueError(f"hash_exchange: block missing {bucket_col}")
     else:
+        b = block.column(bucket_col).to_numpy(zero_copy_only=False)
         order = np.argsort(b, kind="stable")          # counting-sort perm
-        sorted_b = b[order]
-        bounds = np.searchsorted(sorted_b, np.arange(num_buckets + 1))
-        idx = pa.array(order)
-        taken = body.take(idx)
-        parts = [taken.slice(bounds[i], bounds[i + 1] - bounds[i])
-                 for i in range(num_buckets)]
-    if num_buckets == 1:
-        return parts[0]
-    return tuple(parts)
+        bounds = np.searchsorted(b[order], [
+            _first_bucket(g, num_buckets, groups) for g in range(groups + 1)])
+        taken = block.take(pa.array(order))
+        parts = [taken.slice(bounds[g], bounds[g + 1] - bounds[g])
+                 for g in range(groups)]
+    return parts[0] if groups == 1 else tuple(parts)
 
 
 @ray.remote(num_returns=2)
-def _reduce(fn, *shards):
-    real = [s for s in shards if s.num_columns]      # drop sentinels
-    if not real or not any(s.num_rows for s in real):
-        # match map_groups semantics: an empty bucket emits NO block
-        # (per-bucket fns never see 0-row input)
-        return False, pa.table({})
-    t = pa.concat_tables([s for s in real if s.num_rows],
-                         promote_options="default")
-    return True, fn(t.combine_chunks())
+def _reduce(fn, lo: int, hi: int, bucket_col: str, *shards):
+    """Buckets ``[lo, hi)`` of one group -> ``(report, block)``: ``fn``
+    runs once per non-empty bucket, in bucket order, on that bucket's
+    rows in shard order; the block concatenates its outputs.  ``report``
+    is an int64 ``(k, 2)`` array of the ``(rows, bytes)`` of each ``fn``
+    call's input (k == 0: the group emits no block)."""
+    shards = [s for s in shards if s.num_rows]
+    cuts = [np.searchsorted(s.column(bucket_col).to_numpy(),
+                            np.arange(lo, hi + 1)) for s in shards]
+    report, outs = [], []
+    for j in range(hi - lo):
+        pieces = [s.slice(c[j], c[j + 1] - c[j])
+                  for s, c in zip(shards, cuts) if c[j + 1] > c[j]]
+        if not pieces:      # per-bucket fns never see 0-row input
+            continue
+        t = pa.concat_tables(pieces, promote_options="default") \
+            .drop_columns([bucket_col]).combine_chunks()
+        report.append((t.num_rows, t.nbytes))
+        outs.append(fn(t))
+    report = np.array(report, dtype=np.int64).reshape(-1, 2)
+    if not outs:
+        return report, pa.table({})
+    return report, pa.concat_tables(outs, promote_options="permissive")
+
+
+def _log_report(report: np.ndarray, num_buckets: int, groups: int,
+                blocks: int) -> None:
+    """The exchange report: one DEBUG line of per-bucket counts, and a
+    WARNING when the non-empty buckets' max/median rows exceeds
+    ``_SKEW_WARN``."""
+    if not len(report):
+        logger.debug("hash_exchange: %d buckets, %d reduce tasks, %d input "
+                     "blocks, no rows", num_buckets, groups, blocks)
+        return
+    rows, nbytes = report[:, 0], report[:, 1]
+    med = float(np.median(rows))
+    logger.debug(
+        "hash_exchange: %d buckets (%d non-empty), %d reduce tasks, %d input "
+        "blocks, %d rows, %d bytes; rows per bucket min/median/max "
+        "%d/%g/%d; bytes per bucket min/median/max %d/%g/%d",
+        num_buckets, len(rows), groups, blocks, rows.sum(), nbytes.sum(),
+        rows.min(), med, rows.max(),
+        nbytes.min(), float(np.median(nbytes)), nbytes.max())
+    if rows.max() > _SKEW_WARN * med:
+        logger.warning(
+            "hash_exchange: bucket skew %.2f (max %d / median %g rows over "
+            "%d non-empty buckets) -- one bucket dominates its reduce task",
+            rows.max() / med, rows.max(), med, len(rows))
 
 
 def _append_bucket(t: pa.Table, keys: list[str], num_buckets: int) -> pa.Table:
@@ -202,15 +263,21 @@ def hash_exchange_by(ds, keys: list[str], reduce_fn, num_buckets: int = 32):
 
 def hash_exchange(ds, num_buckets: int, reduce_fn, bucket_col: str = "__bucket"):
     """Co-locate rows of ``ds`` (which must already carry an int32
-    ``bucket_col`` column in [0, num_buckets)) and apply ``reduce_fn`` to
-    each bucket's full pyarrow Table.  Returns a MaterializedDataset with
-    one block per bucket.  See module docstring for the why and the
-    partitioning contract.  Exchanges keyed by columns go through
-    :func:`hash_exchange_by`; call this directly only when the bucket
-    column is computed some other way (join sides, dedup routes)."""
+    ``bucket_col`` column in [0, num_buckets)) and apply ``reduce_fn``
+    once to each non-empty bucket's full pyarrow Table (the bucket column
+    dropped).  Returns a MaterializedDataset with one block per non-empty
+    group of contiguous buckets -- ``min(num_buckets, cluster CPUs)``
+    groups -- holding its buckets' outputs in bucket order.  A failed
+    reduce task is retried by Ray and re-runs every bucket of its group,
+    so ``reduce_fn`` must be a pure function of its table.  See module
+    docstring for the why and the partitioning contract.  Exchanges
+    keyed by columns go through :func:`hash_exchange_by`; call this
+    directly only when the bucket column is computed some other way
+    (join sides, dedup routes)."""
     import ray.data as rd
 
-    split = _split.options(num_returns=num_buckets)
+    groups = min(num_buckets, _cluster_cpus())
+    split = _split.options(num_returns=groups)
     # Launch a split task per block AS the upstream produces it
     # (iter_internal_ref_bundles streams refs with backpressure) -- the
     # map side of the exchange then overlaps the upstream's straggler tail
@@ -218,21 +285,21 @@ def hash_exchange(ds, num_buckets: int, reduce_fn, bucket_col: str = "__bucket")
     # Measured at sf0.1: count_by final 1.10 s -> ~0.75 s; identical refs.
     shard_refs = []
     for bundle in ds.iter_internal_ref_bundles():
-        shard_refs.extend(split.remote(r, num_buckets, bucket_col)
+        shard_refs.extend(split.remote(r, num_buckets, groups, bucket_col)
                           for r in bundle.block_refs)
     if not shard_refs:
         return ds
-    if num_buckets == 1:
-        per_bucket = [tuple(shard_refs)]
-    else:
-        per_bucket = list(zip(*shard_refs))
-    flag_refs, out_refs = [], []
-    for parts in per_bucket:
-        f, o = _reduce.remote(reduce_fn, *parts)
-        flag_refs.append(f)
+    per_group = [shard_refs] if groups == 1 else list(zip(*shard_refs))
+    report_refs, out_refs = [], []
+    for g, parts in enumerate(per_group):
+        r, o = _reduce.remote(reduce_fn, _first_bucket(g, num_buckets, groups),
+                              _first_bucket(g + 1, num_buckets, groups),
+                              bucket_col, *parts)
+        report_refs.append(r)
         out_refs.append(o)
-    flags = ray.get(flag_refs)           # tiny bools; reduces already ran
-    kept = [o for f, o in zip(flags, out_refs) if f]
+    reports = ray.get(report_refs)       # tiny arrays; reduces already ran
+    _log_report(np.concatenate(reports), num_buckets, groups, len(shard_refs))
+    kept = [o for r, o in zip(reports, out_refs) if len(r)]
     if not kept:
         # fully-empty input: one empty block (matches the sort-groupby
         # path, where map_groups never ran either)

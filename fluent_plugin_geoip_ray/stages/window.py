@@ -25,12 +25,13 @@ from .exchange import hash_exchange_by
 
 
 def _key_lanes(col: pa.Array | pa.ChunkedArray):
-    """Partition-key column -> ``(filled_values, is_null)`` numpy pair
-    for WITHIN-BUCKET lexsort and neighbor compares -- delegates to
-    :func:`exchange.key_lanes` (one lane dispatch for hashing, sorting
-    and matching; see its docstring for the per-type contract).  The
-    null lane both sorts nulls last and keeps each null row its own
-    segment (the documented null-key caveat)."""
+    """Partition-key or order column -> ``(filled_values, is_null)``
+    numpy pair for WITHIN-BUCKET lexsort and neighbor compares --
+    delegates to :func:`exchange.key_lanes` (one lane dispatch for
+    hashing, sorting and matching; see its docstring for the per-type
+    contract).  The null lane sorts nulls last, keeps each null key
+    row its own segment (the documented null-key caveat) and makes null
+    order values peers of each other."""
     from .exchange import key_lanes
 
     return key_lanes(col)
@@ -55,19 +56,22 @@ def _numeric_src(t: pa.Table, src: str) -> pa.Array:
 def _sorted_segments(t: pa.Table, key: str, order_by: list[str],
                      need_order_cols: bool = False):
     """Shared reduce-side preamble of the frame family: lexsort the
-    bucket by (key, *order_by) -- nulls-last null-safe key lanes via
-    :func:`_key_lanes` -- then locate key segments.  Returns
-    ``(t_sorted, sorted_order_cols, g, starts, start_idx, seg,
-    seg_base)`` where ``g`` is the sorted filled key lane (length
-    bookkeeping + equality together with ``starts``), ``starts`` flags
-    segment heads (null keys each start one), ``seg`` is the per-row
-    segment id and ``seg_base`` each row's segment-head index.
-    ``sorted_order_cols`` (the order columns re-gathered into sorted
-    row order) is only materialized when ``need_order_cols`` -- just
-    the rank family reads it; everyone else skips the O(n) gathers."""
+    bucket by (key, *order_by) -- every column through the nulls-last
+    null-safe lanes of :func:`_key_lanes` (NaN sorts after every number,
+    before NULL: the SQL ``ASC NULLS LAST`` order) -- then locate key
+    segments.  Returns ``(t_sorted, sorted_order_lanes, g, starts,
+    start_idx, seg, seg_base)`` where ``g`` is the sorted filled key lane
+    (length bookkeeping + equality together with ``starts``), ``starts``
+    flags segment heads (null keys each start one), ``seg`` is the
+    per-row segment id and ``seg_base`` each row's segment-head index.
+    ``sorted_order_lanes`` (one ``(values, is_null)`` pair per order
+    column, re-gathered into sorted row order) is only materialized when
+    ``need_order_cols`` -- just the rank family reads it; everyone else
+    skips the O(n) gathers."""
     kf, kn = _key_lanes(t.column(key))
-    sort_cols = [t.column(c).to_pandas().to_numpy()
-                 for c in reversed(order_by)] + [kf, kn]
+    order_lanes = [_key_lanes(t.column(c)) for c in order_by]
+    sort_cols = [lane for vf, vn in reversed(order_lanes)
+                 for lane in (vf, vn)] + [kf, kn]
     order = np.lexsort(tuple(sort_cols))
     t = t.take(pa.array(order))
     g, gn = kf[order], kn[order]
@@ -78,9 +82,9 @@ def _sorted_segments(t: pa.Table, key: str, order_by: list[str],
     start_idx = np.flatnonzero(starts)
     seg = np.cumsum(starts) - 1
     seg_base = start_idx[seg]
-    ordered_cols = [c[order] for c in reversed(sort_cols[:-2])] \
+    ordered_lanes = [(vf[order], vn[order]) for vf, vn in order_lanes] \
         if need_order_cols else []
-    return t, ordered_cols, g, starts, start_idx, seg, seg_base
+    return t, ordered_lanes, g, starts, start_idx, seg, seg_base
 
 
 def _ts_us(batch: pa.Table, ts_col: str) -> np.ndarray:
@@ -584,7 +588,8 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
     first ``n % k`` tiles one extra row (the SQL NTILE contract);
     ``rank``/``dense_rank``/``percent_rank``/``cume_dist`` are
     tie-aware over the FULL ``order_by`` tuple, with NULL order values
-    peers of each other (the SQL contract) (``percent_rank`` =
+    peers of each other and NaNs peers of each other, NaN sorting before
+    NULL as its own peer group (the SQL contract) (``percent_rank`` =
     ``(rank-1)/(n-1)``, 0.0 for single-row partitions; ``cume_dist`` =
     peers-through-me over partition rows -- int-to-double conversion
     and one IEEE division each, so the compare vs SQL is exact).
@@ -621,7 +626,7 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
                     for _s, a, _o in aggs)
 
     def scan_bucket(t: pa.Table) -> pa.Table:
-        t, ordered_cols, g, starts, start_idx, seg, seg_base = \
+        t, order_lanes, g, starts, start_idx, seg, seg_base = \
             _sorted_segments(t, key, order_by, need_order_cols=need_ties)
         n = len(g)
         rn = np.arange(n, dtype=np.int64) - seg_base + 1
@@ -630,15 +635,16 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
         if need_ties:
             # tie runs: a row starts a new ORDER BY peer group when the
             # key changes or ANY order column differs from its neighbor;
-            # SQL makes NULL order values peers of EACH OTHER, so a
-            # both-null neighbor pair never breaks a run (NaN != NaN and
-            # NaT != NaT are True elementwise -- mask them back out)
+            # SQL makes NULLs peers of each other and NaNs peers of each
+            # other, but a NaN never a peer of a NULL -- the null lane
+            # splits them (nulls share one fill value), and a both-NaN
+            # pair is masked back out (NaN != NaN elementwise)
             run_start = starts.copy()
             if n > 1:
-                for cs in ordered_cols:                 # order cols, sorted
-                    neq = cs[1:] != cs[:-1]
-                    nn = pd.isna(cs)
-                    run_start[1:] |= neq & ~(nn[1:] & nn[:-1])
+                for vf, vn in order_lanes:              # sorted row order
+                    nan = pd.isna(vf)
+                    run_start[1:] |= (vn[1:] != vn[:-1]) | (
+                        (vf[1:] != vf[:-1]) & ~(nan[1:] & nan[:-1]))
             last_start = np.maximum.accumulate(
                 np.where(run_start, np.arange(n, dtype=np.int64), -1))
             rank = last_start - seg_base + 1            # rn of my run's head

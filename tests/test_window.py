@@ -800,6 +800,60 @@ def test_running_agg_rank_family_null_order_values_are_peers():
                               exp[c].to_numpy().astype(np.float64)), c
 
 
+def test_frame_family_null_and_nan_order_values_match_duckdb():
+    """A string order column with NULLs sorts them last (it used to raise
+    TypeError in the lexsort), and a float order column keeps NaN and
+    NULL apart: NaNs are peers of each other, NULLs of each other, and
+    NaN sorts before NULL (SQL ``ASC NULLS LAST``)."""
+    import duckdb
+    import ray
+    from fluent_plugin_geoip_ray.stages.window import lag_lead_by, running_agg
+
+    nan = float("nan")
+    t = pa.table({
+        "id": pa.array(range(10), pa.int64()),
+        "k": pa.array([1, 1, 1, 2, 2, 2, 2, 3, 3, 3], pa.int64()),
+        "s": pa.array(["x", None, "y", None, "b", "a", None,
+                       "x", None, "y"]),
+        "f": pa.array([2.0, None, nan, nan, None, nan, None,
+                       None, 1.0, nan], pa.float64()),
+    })
+    con = duckdb.connect()
+    con.register("t", t)
+
+    # lag over a partition with two NULL order values is only defined up
+    # to their tie order; both sides sort by (s, id) to pin it
+    lag = lag_lead_by(rd.from_arrow(t).repartition(3), "k",
+                      order_by=["s", "id"], cols={"id": ("lag", "prev_id")},
+                      num_buckets=4)
+    lag = pa.concat_tables(ray.get(lag.to_arrow_refs())).sort_by("id")
+    exp = con.execute("""
+        SELECT id, LAG(id) OVER (PARTITION BY k ORDER BY s NULLS LAST, id)
+               AS prev_id
+        FROM t ORDER BY id""").arrow()
+    assert lag.column("prev_id").to_pylist() == exp.column("prev_id").to_pylist()
+    # partition 1 is ["x", NULL, "y"]: x < y < NULL
+    assert lag.column("prev_id").to_pylist()[:3] == [None, 2, 0]
+
+    ranks = running_agg(rd.from_arrow(t).repartition(3), "k",
+                        order_by=["f"],
+                        aggs=[("", "rank", "r"), ("", "dense_rank", "dr"),
+                              ("", "cume_dist", "cd")],
+                        num_buckets=4)
+    ranks = pa.concat_tables(ray.get(ranks.to_arrow_refs())).sort_by("id")
+    exp = con.execute("""
+        SELECT id, RANK() OVER w AS r, DENSE_RANK() OVER w AS dr,
+               CUME_DIST() OVER w AS cd
+        FROM t WINDOW w AS (PARTITION BY k ORDER BY f NULLS LAST)
+        ORDER BY id""").arrow()
+    con.close()
+    for c in ("r", "dr", "cd"):
+        assert ranks.column(c).to_pylist() == exp.column(c).to_pylist(), c
+    # partition 2 is [NaN, NULL, NaN, NULL]: ranks 1,3,1,3, dense 1,2,1,2
+    assert ranks.column("r").to_pylist()[3:7] == [1, 3, 1, 3]
+    assert ranks.column("dr").to_pylist()[3:7] == [1, 2, 1, 2]
+
+
 def test_rolling_time_agg_fractional_preceding_sec():
     """Round-5 review: preceding_sec=0.5 must mean half a second, not a
     silent truncation to a peers-only frame."""
