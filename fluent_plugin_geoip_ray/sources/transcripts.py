@@ -228,8 +228,12 @@ def ensure_for_sf_dir(sf_dir: str) -> str:
 
 
 def read_transcripts(sf_dir_or_sf, **read_kwargs):
-    """ray.data Dataset over the generated transcripts for a scale."""
-    import ray.data as rd
+    """ray.data Dataset over the generated transcripts for a scale.
+
+    Read like the flagship's input (``pipelines.flagship._read_input``):
+    one read task per part file when there are at least as many files as
+    cluster CPUs, so the map stages after the read fuse with it."""
+    from ..pipelines.flagship import _read_input
 
     sf = (
         sf_from_dir(sf_dir_or_sf)
@@ -237,4 +241,4 @@ def read_transcripts(sf_dir_or_sf, **read_kwargs):
         else float(sf_dir_or_sf)
     )
     path = ensure_transcripts(sf)
-    return rd.read_parquet(path, **read_kwargs)
+    return _read_input(path, **read_kwargs)

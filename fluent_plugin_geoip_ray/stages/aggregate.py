@@ -1127,6 +1127,68 @@ def distinct_rows(ds, cols: list[str] | None = None, num_buckets: int = 32,
     return hash_exchange_by(partials, keys, local, num_buckets)
 
 
+class _StatsStitch:
+    """``map_batches`` callable of :func:`group_stats`: every row gets the
+    stats row of its key tuple (NULL stats if the tuple has none).
+
+    Unlike an equi-join, a null key matches the null group.  Each key
+    column maps to its position among the stats' distinct values of that
+    column (``index_in(skip_nulls=False)``: null finds the null entry);
+    the per-column codes fold, column by column, into the rank of the
+    tuple among the stats' tuples (mixed radix, re-densified after each
+    column so the code stays below ``rows x distinct values``).  Stats
+    rows are distinct tuples, so the final rank picks one row."""
+
+    def __init__(self, stats_ref, keys: list[str]):
+        import numpy as np
+        import ray
+
+        stats = _canon_keys(ray.get(stats_ref), keys)
+        self.keys = keys
+        self.values = [pc.unique(stats.column(k)) for k in keys]
+        self.ranks = []  # per column: sorted folded codes of the stats
+        code, _ = self._fold(stats)
+        self.row_of = np.empty(stats.num_rows, dtype=np.int64)
+        self.row_of[code] = np.arange(stats.num_rows)
+        self.stat_cols = [(n, stats.column(n).combine_chunks())
+                          for n in stats.column_names if n not in keys]
+
+    def _fold(self, t: pa.Table):
+        """``(rank, missing)`` per row of ``t``: ``missing`` where the key
+        tuple is not among the stats'.  The first call (on the stats)
+        records each column's sorted codes; later calls look them up."""
+        import numpy as np
+
+        code = np.zeros(t.num_rows, dtype=np.int64)
+        missing = np.zeros(t.num_rows, dtype=bool)
+        for j, k in enumerate(self.keys):
+            c = pc.index_in(t.column(k), value_set=self.values[j],
+                            skip_nulls=False)
+            missing |= np.asarray(pc.is_null(c))
+            code = code * len(self.values[j]) + np.asarray(
+                pc.fill_null(c, 0), dtype=np.int64)
+            if len(self.ranks) == j:
+                ranked, code = np.unique(code, return_inverse=True)
+                self.ranks.append(ranked)
+            else:
+                ranked = self.ranks[j]
+                pos = np.minimum(np.searchsorted(ranked, code),
+                                 max(len(ranked) - 1, 0))
+                if len(ranked):
+                    missing |= ranked[pos] != code
+                code = pos
+        return code, missing
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        code, missing = self._fold(_canon_keys(batch.select(self.keys),
+                                               self.keys))
+        idx = pa.array(self.row_of[code] if len(self.row_of) else code,
+                       mask=missing)
+        for name, col in self.stat_cols:
+            batch = batch.append_column(name, col.take(idx))
+        return batch
+
+
 def group_stats(ds, keys: list[str], aggs: list[tuple],
                 broadcast_limit: int = 5_000_000, batch_size: int = 65536):
     """Whole-partition aggregates attached to EVERY row -- SQL ``agg(col)
@@ -1135,24 +1197,20 @@ def group_stats(ds, keys: list[str], aggs: list[tuple],
 
     Composition, not a new shuffle: the stats table is one partial+final
     :func:`groupby_agg` (shuffle volume O(keys x blocks)), broadcast ONCE
-    via ``ray.put``, and stitched onto the stream with the
-    ``index_in``+``take`` broadcast join -- the big side never moves.
+    via ``ray.put``, and stitched onto the stream with ``index_in`` +
+    ``take`` (:class:`_StatsStitch`) -- the big side never moves.
     ``aggs`` as in :func:`groupby_agg` ((col, fn, out) with fn in
     {sum, count, count_star, min, max, mean}; mean = exact sum/count, one
     IEEE division, so int sources compare bit-exact vs SQL).
 
-    Null-KEY caveat: SQL ``PARTITION BY`` groups null keys together and
-    gives them stats too; the broadcast join's ``index_in`` cannot match
-    null keys, so their stat columns come back NULL.  Filter or fill null
-    keys upstream if that distinction matters.
+    Null keys form their own group, as in SQL ``PARTITION BY``: a row
+    whose key holds nulls gets the stats of its group, not NULL.
 
     Guard: the stats table must fit a broadcast (``broadcast_limit``
     rows); past that, use ``bucketed_join`` of :func:`groupby_agg` output
     explicitly.
     """
     import ray
-
-    from .join import broadcast_join
 
     stats = groupby_agg(ds, keys, aggs, batch_size=batch_size)
     tables = [t for t in ray.get(stats.to_arrow_refs()) if t.num_rows]
@@ -1174,5 +1232,11 @@ def group_stats(ds, keys: list[str], aggs: list[tuple],
         cols = {k: pa.nulls(0, in_types[k]) for k in keys}
         cols.update({o: pa.nulls(0, pa.float64()) for o in out_names})
         stats_t = pa.table(cols)
-    return broadcast_join(ds, stats_t, on=keys if len(keys) > 1 else keys[0],
-                          how="left")
+    return ds.map_batches(
+        _StatsStitch,
+        fn_constructor_kwargs=dict(stats_ref=ray.put(stats_t), keys=keys),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=batch_size,
+        concurrency=(1, 8),
+    )

@@ -67,9 +67,22 @@ def _sorted_segments(t: pa.Table, key: str, order_by: list[str],
     ``sorted_order_lanes`` (one ``(values, is_null)`` pair per order
     column, re-gathered into sorted row order) is only materialized when
     ``need_order_cols`` -- just the rank family reads it; everyone else
-    skips the O(n) gathers."""
+    skips the O(n) gathers.
+
+    A column of a type :func:`_key_lanes` keeps as Python objects
+    (decimal, dictionary, null-typed) cannot hold nulls: ``np.lexsort``
+    would compare None with its values.  Such a column raises a
+    ``ValueError`` naming it and its type."""
     kf, kn = _key_lanes(t.column(key))
     order_lanes = [_key_lanes(t.column(c)) for c in order_by]
+    for c, (vf, vn) in zip([key, *order_by], [(kf, kn), *order_lanes]):
+        typ = t.schema.field(c).type
+        if vn.any() and vf.dtype == object and not (
+                pa.types.is_string(typ) or pa.types.is_large_string(typ)):
+            raise ValueError(
+                f"window: column {c!r} of type {typ} holds nulls; nulls of "
+                "this type cannot be sorted -- cast it to a numeric or "
+                "string type, or fill its nulls, first")
     sort_cols = [lane for vf, vn in reversed(order_lanes)
                  for lane in (vf, vn)] + [kf, kn]
     order = np.lexsort(tuple(sort_cols))

@@ -117,3 +117,34 @@ def test_aggregate_family_matches_duckdb(case):
         SELECT rid, k, SUM(iv) OVER w AS gs, AVG(iv) OVER w AS ga
         FROM t WINDOW w AS (PARTITION BY k)""")
     _cmp(got, exp, ["rid"], ["gs", "ga"])
+
+
+def test_group_stats_null_keys_match_duckdb():
+    """Null keys form their own PARTITION BY group: one key (int and
+    string) and two keys whose nulls fall in either column or both."""
+    rng = np.random.default_rng(23)
+    n = 300
+    t = pd.DataFrame({
+        "rid": np.arange(n, dtype=np.int64),
+        "k": pd.array(rng.integers(0, 4, n)).astype("Int64"),
+        "s": rng.choice(["a", "b", "c"], n).astype(object),
+        "k2": pd.array(rng.integers(0, 2, n)).astype("Int64"),
+        "iv": pd.array(rng.integers(-20, 20, n)).astype("Int64"),
+    })
+    t.loc[rng.random(n) < 0.2, "k"] = pd.NA
+    t.loc[rng.random(n) < 0.2, "s"] = None
+    t.loc[rng.random(n) < 0.3, "k2"] = pd.NA
+    t.loc[rng.random(n) < 0.1, "iv"] = pd.NA
+    assert t["k"].isna().any() and t["s"].isna().any()
+
+    for keys in (["k"], ["s"], ["k", "k2"], ["s", "k2"]):
+        got = group_stats(_blocks(t, 4), keys,
+                          [("iv", "sum", "gs"), ("iv", "count", "gc"),
+                           ("iv", "mean", "ga"), ("rid", "count_star", "gn")]
+                          ).to_pandas()
+        exp = _duck(t, f"""
+            SELECT rid, SUM(iv) OVER w AS gs, COUNT(iv) OVER w AS gc,
+                   AVG(iv) OVER w AS ga, COUNT(*) OVER w AS gn
+            FROM t WINDOW w AS (PARTITION BY {", ".join(keys)})""")
+        _cmp(got, exp, ["rid"], ["gs", "gc", "ga", "gn"])
+        assert not got["gn"].isna().any(), keys

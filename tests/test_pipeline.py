@@ -634,3 +634,108 @@ def test_compact_sink_skip_path_gcs_leaked_files(sf_path, tmp_path):
     # and once clean, re-running GCs nothing
     report2 = compact_sink(raw, target_rows_per_file=10_000_000)
     assert report2[base]["gc_removed"] == 0
+
+
+# -- the read plan (pipelines.flagship._read_input) ----------------------------
+
+def _write_parts(table, out_dir, n_files):
+    """``table`` cut into ``n_files`` parquet files under ``out_dir``."""
+    os.makedirs(out_dir)
+    step = -(-table.num_rows // n_files)
+    for i in range(n_files):
+        pq.write_table(table.slice(i * step, step),
+                       os.path.join(out_dir, f"part-{i:05d}.parquet"))
+    return out_dir
+
+
+def _operators(stats: str) -> list[tuple[str, int, int]]:
+    """``(name, tasks, blocks)`` per operator line of ``Dataset.stats()``."""
+    import re
+
+    return [(m.group(1), int(m.group(2)), int(m.group(3))) for m in re.finditer(
+        r"^Operator \d+ (\S+): (\d+) tasks executed, (\d+) blocks produced",
+        stats, re.M)]
+
+
+def test_read_plan_fuses_one_task_per_file(tmp_path):
+    """With at least one file per CPU, read -> parse -> enrich is one fused
+    operator: no SplitBlocks, one task and one block per file."""
+    from fluent_plugin_geoip_ray.pipelines.flagship import _read_input, build_enriched
+    from fluent_plugin_geoip_ray.sources.transcripts import build_transcripts_table
+    from fluent_plugin_geoip_ray.stages.exchange import _cluster_cpus
+
+    n = _cluster_cpus() + 2
+    src = _write_parts(build_transcripts_table(0.001), str(tmp_path / "in"), n)
+    ds = build_enriched(_read_input(src)).materialize()
+    ops = _operators(ds.stats())
+    assert len(ops) == 1, ops
+    name, tasks, blocks = ops[0]
+    assert name.startswith("ReadParquet->MapBatches(") and "SplitBlocks" not in name
+    assert (tasks, blocks, ds.num_blocks()) == (n, n, n)
+
+
+def test_read_plan_many_small_files_stay_within_ray_default(tmp_path):
+    """40 ten-row files: no more read tasks than Ray's own plan (2 x CPUs
+    here: every file is far below ``target_min_block_size``)."""
+    import ray.data as rd
+
+    from fluent_plugin_geoip_ray.pipelines.flagship import _read_input
+    from fluent_plugin_geoip_ray.stages.exchange import _cluster_cpus
+
+    src = _write_parts(pa.table({"x": pa.array(range(400), pa.int64())}),
+                       str(tmp_path / "in"), 40)
+    ours = _operators(_read_input(src).materialize().stats())
+    ray_default = _operators(rd.read_parquet(src).materialize().stats())
+    assert ours == ray_default
+    assert len(ours) == 1 and ours[0][1] <= 2 * _cluster_cpus()
+
+
+def test_read_plan_fewer_files_than_cpus_keeps_ray_split(tmp_path):
+    from fluent_plugin_geoip_ray.pipelines.flagship import _read_input
+    from fluent_plugin_geoip_ray.stages.exchange import _cluster_cpus
+
+    if _cluster_cpus() < 2:
+        pytest.skip("needs a cluster of at least 2 CPUs")
+    src = _write_parts(pa.table({"x": pa.array(range(400), pa.int64())}),
+                       str(tmp_path / "in"), 1)
+    ds = _read_input(src).materialize()
+    (name, tasks, blocks), = _operators(ds.stats())
+    assert "SplitBlocks" in name and tasks == 1 and blocks > 1
+
+
+def test_flagship_read_plan_parity_with_ray_default(sf_path, tmp_path, monkeypatch):
+    """Referee: run_flagship through ``_read_input`` and through Ray's
+    default plan (plain ``read_parquet``) gives equal stats, the same
+    multiset of rows in every route's sink, and the same merged
+    ``agg_partials``; only the number of sink files differs."""
+    import ray.data as rd
+
+    from fluent_plugin_geoip_ray.pipelines import flagship
+    from fluent_plugin_geoip_ray.pipelines.flagship import read_aggregates
+
+    def canon(stats):
+        return stats.sort_by([("route", "ascending"), ("kind", "ascending"),
+                              ("key", "ascending")])
+
+    def sink_rows(out, name):
+        t = read_sink(out, name)
+        return t.sort_by([(c, "ascending") for c in ("conv_id", "turn_idx", "ts")])
+
+    fused_dir, plain_dir = str(tmp_path / "fused"), str(tmp_path / "plain")
+    fused = run_flagship(sf_path, out_dir=fused_dir)
+    monkeypatch.setattr(flagship, "_read_input",
+                        lambda paths, **kw: rd.read_parquet(paths, **kw))
+    plain = run_flagship(sf_path, out_dir=plain_dir)
+
+    assert canon(fused).equals(canon(plain))
+    src = pq.read_table(sf_path)
+    assert len(src.group_by(["conv_id", "turn_idx"]).aggregate([])) == src.num_rows
+    for name in ("raw", "enriched"):
+        assert sink_rows(fused_dir, name).equals(sink_rows(plain_dir, name)), name
+    assert canon(read_aggregates(os.path.join(fused_dir, "agg_partials"))).equals(
+        canon(read_aggregates(os.path.join(plain_dir, "agg_partials"))))
+
+    def n_files(out):
+        return len(glob.glob(os.path.join(out, "*", "part=*", "*.parquet")))
+
+    assert n_files(fused_dir) < n_files(plain_dir)

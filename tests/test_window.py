@@ -1,8 +1,12 @@
 """Window operator tests vs pandas ground truth."""
 
+import decimal
+import re
+
 import numpy as np
 import pytest
 import pyarrow as pa
+import pyarrow.compute as pc
 import pandas as pd
 import ray.data as rd
 
@@ -934,3 +938,39 @@ def test_ewma_by_matches_reference_loop():
 
     with pytest.raises(ValueError, match="alpha"):
         ewma_by(rd.from_pandas(df), "k", ["id"], "v", alpha=0.0)
+
+
+@pytest.mark.parametrize("order_col", [
+    pa.array([decimal.Decimal("1.5"), None, decimal.Decimal("0.5")]),
+    pa.array(["b", None, "a"]).dictionary_encode(),
+    pa.nulls(3),
+], ids=["decimal", "dictionary", "null"])
+def test_sorted_segments_object_lane_nulls_raise(order_col):
+    """Nulls in an order column that sorts as Python objects raise a
+    ValueError naming the column and its type (not a TypeError from
+    comparing None inside np.lexsort)."""
+    from fluent_plugin_geoip_ray.stages.window import _sorted_segments
+
+    t = pa.table({"k": pa.array([1, 1, 2]), "o": order_col})
+    with pytest.raises(ValueError, match=r"column 'o' of type "
+                       + re.escape(str(order_col.type)) + " holds nulls"):
+        _sorted_segments(t, "k", ["o"])
+    # the same columns without nulls still sort
+    valid = pc.drop_null(order_col)
+    if len(valid):
+        t = pa.table({"k": pa.array([1] * len(valid)), "o": valid})
+        assert _sorted_segments(t, "k", ["o"])[0].num_rows == len(valid)
+
+
+def test_lag_lead_decimal_order_nulls_raise_through_exchange():
+    from fluent_plugin_geoip_ray.stages.window import lag_lead_by
+
+    t = pa.table({
+        "k": pa.array([1, 1, 1, 2], pa.int64()),
+        "o": pa.array([decimal.Decimal("2"), None, decimal.Decimal("1"),
+                       decimal.Decimal("3")], pa.decimal128(5, 0)),
+        "v": pa.array([10, 20, 30, 40], pa.int64()),
+    })
+    with pytest.raises(ValueError, match=r"column 'o' of type decimal128\(5, 0\)"):
+        lag_lead_by(rd.from_arrow(t), "k", ["o"],
+                    {"v": ("lag", "prev_v")}).materialize()
