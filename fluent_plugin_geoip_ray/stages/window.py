@@ -31,9 +31,13 @@ def _key_lanes(col: pa.Array | pa.ChunkedArray):
     hashing, sorting and matching; see its docstring for the per-type
     contract).  The null lane sorts nulls last, keeps each null key
     row its own segment (the documented null-key caveat) and makes null
-    order values peers of each other."""
+    order values peers of each other.  A null-typed column (Ray types a
+    block column that holds only nulls as ``null``) takes an int64 lane
+    of zeros, every row null."""
     from .exchange import key_lanes
 
+    if pa.types.is_null(col.type):
+        return np.zeros(len(col), dtype=np.int64), np.ones(len(col), dtype=bool)
     return key_lanes(col)
 
 
@@ -70,9 +74,9 @@ def _sorted_segments(t: pa.Table, key: str, order_by: list[str],
     skips the O(n) gathers.
 
     A column of a type :func:`_key_lanes` keeps as Python objects
-    (decimal, dictionary, null-typed) cannot hold nulls: ``np.lexsort``
-    would compare None with its values.  Such a column raises a
-    ``ValueError`` naming it and its type."""
+    (decimal, dictionary) cannot hold nulls: ``np.lexsort`` would compare
+    None with its values.  Such a column raises a ``ValueError`` naming
+    it and its type."""
     kf, kn = _key_lanes(t.column(key))
     order_lanes = [_key_lanes(t.column(c)) for c in order_by]
     for c, (vf, vn) in zip([key, *order_by], [(kf, kn), *order_lanes]):

@@ -943,8 +943,7 @@ def test_ewma_by_matches_reference_loop():
 @pytest.mark.parametrize("order_col", [
     pa.array([decimal.Decimal("1.5"), None, decimal.Decimal("0.5")]),
     pa.array(["b", None, "a"]).dictionary_encode(),
-    pa.nulls(3),
-], ids=["decimal", "dictionary", "null"])
+], ids=["decimal", "dictionary"])
 def test_sorted_segments_object_lane_nulls_raise(order_col):
     """Nulls in an order column that sorts as Python objects raise a
     ValueError naming the column and its type (not a TypeError from
@@ -955,11 +954,28 @@ def test_sorted_segments_object_lane_nulls_raise(order_col):
     with pytest.raises(ValueError, match=r"column 'o' of type "
                        + re.escape(str(order_col.type)) + " holds nulls"):
         _sorted_segments(t, "k", ["o"])
-    # the same columns without nulls still sort
+    # the same column without nulls still sorts
     valid = pc.drop_null(order_col)
-    if len(valid):
-        t = pa.table({"k": pa.array([1] * len(valid)), "o": valid})
-        assert _sorted_segments(t, "k", ["o"])[0].num_rows == len(valid)
+    t = pa.table({"k": pa.array([1] * len(valid)), "o": valid})
+    assert _sorted_segments(t, "k", ["o"])[0].num_rows == len(valid)
+
+
+def test_sorted_segments_null_typed_columns_sort_as_nulls():
+    """Ray types a block column holding only nulls as ``null``: such an
+    order column sorts as all-null peers (it used to raise TypeError in
+    np.lexsort once a bucket held two rows), and a null-typed key makes
+    every row its own segment, like any null key."""
+    from fluent_plugin_geoip_ray.stages.window import _sorted_segments
+
+    t = pa.table({"k": pa.array([2, 1, 2, 1]), "o": pa.nulls(4),
+                  "v": pa.array([0, 1, 2, 3])})
+    out, lanes, _g, starts, *_ = _sorted_segments(t, "k", ["o"],
+                                                  need_order_cols=True)
+    assert out.column("v").to_pylist() == [1, 3, 0, 2]  # stable within k
+    assert starts.tolist() == [True, False, True, False]
+    assert lanes[0][1].all()
+    t = pa.table({"k": pa.nulls(3), "o": pa.array([3, 1, 2])})
+    assert _sorted_segments(t, "k", ["o"])[3].tolist() == [True] * 3
 
 
 def test_lag_lead_decimal_order_nulls_raise_through_exchange():
