@@ -35,6 +35,7 @@ from ..lineage import (
     plan_partitions,
     write_manifest,
 )
+from ..sources.transcripts import read_input
 from ..stages.enrich import enrich_dataset
 from ..stages.parse import parse_dataset
 from ..stages.route import RouteSpec
@@ -110,44 +111,6 @@ def canonical_routes(out_dir: str | None) -> list[RouteSpec]:
     ]
 
 
-def _read_input(paths, **read_kwargs):
-    """The package's one read of transcript parquet into Ray (lazy).
-
-    With ``n`` input files and ``C`` cluster CPUs, read one file per task
-    whenever the files already give every CPU a task: ``override_num_blocks
-    = min(n, P)`` when ``n >= C``, where ``P`` is the read parallelism Ray
-    would pick itself.  Ray sizes ``P`` for a big cluster (at least
-    ``read_op_min_num_blocks`` blocks of at least ``target_min_block_size``)
-    and splits each read task's output to reach it; a read with a split
-    does not fuse with the map stages after it, so parse -> enrich ->
-    fan-out would run as a second operator fed through the object store.
-    With ``n < C`` Ray's split buys parallelism across CPUs and is kept.
-
-    ``input_files()`` and ``size_bytes()`` of a lazy read do not execute it.
-    An explicit ``override_num_blocks`` in ``read_kwargs`` wins."""
-    import ray.data as rd
-    from ray.data import DataContext
-
-    from ..stages.exchange import _cluster_cpus
-
-    ds = rd.read_parquet(paths, **read_kwargs)
-    if "override_num_blocks" in read_kwargs:
-        return ds
-    n, cpus = len(ds.input_files()), _cluster_cpus()
-    if n < cpus:
-        return ds
-    # Ray's autodetected read parallelism, from the public DataContext fields
-    ctx, mem = DataContext.get_current(), ds.size_bytes()
-    fewest, most = 1, ctx.read_op_min_num_blocks
-    if mem is not None and ctx.target_max_block_size is not None:
-        fewest = max(1, int(mem / ctx.target_max_block_size))
-        most = min(most, max(1, int(mem / ctx.target_min_block_size)))
-    p = max(most, fewest, 2 * cpus)
-    if n >= p:  # Ray reads p tasks of several files each, unsplit
-        return ds
-    return rd.read_parquet(paths, override_num_blocks=n, **read_kwargs)
-
-
 def build_enriched(
     ds,
     record_spec: RecordSpec | None = None,
@@ -156,10 +119,10 @@ def build_enriched(
     """parse + enrich stages attached to a Dataset (lazy).
 
     Enrich runs over whole blocks, zero-copy, with no rebatch buffers.
-    Over a :func:`_read_input` read of at least one file per CPU, the
-    read, parse, enrich and any map stages after them fuse into one
-    operator: one task and one block per input file (larger files are
-    cut at ``target_max_block_size``)."""
+    Over a ``sources.transcripts.read_input`` read, the read, parse,
+    enrich and any map stages after them fuse into one operator: one
+    task and one block per input file (larger files are cut at
+    ``target_max_block_size``) up to Ray's own read parallelism."""
     spec = compile_record_spec(record_spec or canonical_record_spec())
     # extract only the parse fields this spec's lookup keys consume (each is
     # an RE2 pass over text); other lookup keys are pre-existing columns
@@ -404,10 +367,10 @@ def run_flagship(
     constant-size kinds (rows, country_code); without it everything merges
     onto the driver (small inputs).
 
-    The input is read by :func:`_read_input`: with at least one file per
-    cluster CPU, read -> parse -> enrich -> fan-out is one fused operator
-    of one task per file."""
-    ds = _read_input(input_path)
+    The input is read by ``sources.transcripts.read_input``: read ->
+    parse -> enrich -> fan-out is one fused operator of one task per
+    input file (up to Ray's own read parallelism)."""
+    ds = read_input(input_path)
     routes = routes if routes is not None else canonical_routes(out_dir)
     enriched = build_enriched(ds, record_spec=record_spec,
                               backend_spec=backend_spec)
@@ -477,7 +440,7 @@ def run_partitioned(
             continue
         clean_partition_outputs(out_dir, sinks, part.pid)
         t0 = time.perf_counter()
-        ds = _read_input(list(part.files))
+        ds = read_input(list(part.files))
         enriched = build_enriched(ds, record_spec=record_spec,
                                   backend_spec=backend_spec)
         if stages:

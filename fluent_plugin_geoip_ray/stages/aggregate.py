@@ -1127,66 +1127,19 @@ def distinct_rows(ds, cols: list[str] | None = None, num_buckets: int = 32,
     return hash_exchange_by(partials, keys, local, num_buckets)
 
 
-class _StatsStitch:
-    """``map_batches`` callable of :func:`group_stats`: every row gets the
-    stats row of its key tuple (NULL stats if the tuple has none).
-
-    Unlike an equi-join, a null key matches the null group.  Each key
-    column maps to its position among the stats' distinct values of that
-    column (``index_in(skip_nulls=False)``: null finds the null entry);
-    the per-column codes fold, column by column, into the rank of the
-    tuple among the stats' tuples (mixed radix, re-densified after each
-    column so the code stays below ``rows x distinct values``).  Stats
-    rows are distinct tuples, so the final rank picks one row."""
-
-    def __init__(self, stats_ref, keys: list[str]):
-        import numpy as np
-        import ray
-
-        stats = _canon_keys(ray.get(stats_ref), keys)
-        self.keys = keys
-        self.values = [pc.unique(stats.column(k)) for k in keys]
-        self.ranks = []  # per column: sorted folded codes of the stats
-        code, _ = self._fold(stats)
-        self.row_of = np.empty(stats.num_rows, dtype=np.int64)
-        self.row_of[code] = np.arange(stats.num_rows)
-        self.stat_cols = [(n, stats.column(n).combine_chunks())
-                          for n in stats.column_names if n not in keys]
-
-    def _fold(self, t: pa.Table):
-        """``(rank, missing)`` per row of ``t``: ``missing`` where the key
-        tuple is not among the stats'.  The first call (on the stats)
-        records each column's sorted codes; later calls look them up."""
-        import numpy as np
-
-        code = np.zeros(t.num_rows, dtype=np.int64)
-        missing = np.zeros(t.num_rows, dtype=bool)
-        for j, k in enumerate(self.keys):
-            c = pc.index_in(t.column(k), value_set=self.values[j],
-                            skip_nulls=False)
-            missing |= np.asarray(pc.is_null(c))
-            code = code * len(self.values[j]) + np.asarray(
-                pc.fill_null(c, 0), dtype=np.int64)
-            if len(self.ranks) == j:
-                ranked, code = np.unique(code, return_inverse=True)
-                self.ranks.append(ranked)
-            else:
-                ranked = self.ranks[j]
-                pos = np.minimum(np.searchsorted(ranked, code),
-                                 max(len(ranked) - 1, 0))
-                if len(ranked):
-                    missing |= ranked[pos] != code
-                code = pos
-        return code, missing
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        code, missing = self._fold(_canon_keys(batch.select(self.keys),
-                                               self.keys))
-        idx = pa.array(self.row_of[code] if len(self.row_of) else code,
-                       mask=missing)
-        for name, col in self.stat_cols:
-            batch = batch.append_column(name, col.take(idx))
-        return batch
+def _with_join_keys(t: pa.Table, fills: dict) -> pa.Table:
+    """``t`` plus the join key of :func:`group_stats`: per key ``k`` a
+    null flag ``__null_k`` and, unless ``fills[k]`` is None, ``__key_k``
+    (``k`` with its nulls filled by ``fills[k]``).  Joined on these, a
+    null key matches the null group, which an equi-join on ``k`` never
+    does."""
+    for k, fill in fills.items():
+        col = t.column(k)
+        t = t.append_column(f"__null_{k}", pc.is_null(col))
+        if fill is not None:
+            t = t.append_column(f"__key_{k}",
+                                pc.fill_null(col.cast(fill.type), fill))
+    return t
 
 
 def group_stats(ds, keys: list[str], aggs: list[tuple],
@@ -1197,20 +1150,24 @@ def group_stats(ds, keys: list[str], aggs: list[tuple],
 
     Composition, not a new shuffle: the stats table is one partial+final
     :func:`groupby_agg` (shuffle volume O(keys x blocks)), broadcast ONCE
-    via ``ray.put``, and stitched onto the stream with ``index_in`` +
-    ``take`` (:class:`_StatsStitch`) -- the big side never moves.
+    via ``ray.put``, and stitched onto the stream with
+    :func:`join.broadcast_join` -- the big side never moves.
     ``aggs`` as in :func:`groupby_agg` ((col, fn, out) with fn in
     {sum, count, count_star, min, max, mean}; mean = exact sum/count, one
     IEEE division, so int sources compare bit-exact vs SQL).
 
     Null keys form their own group, as in SQL ``PARTITION BY``: a row
-    whose key holds nulls gets the stats of its group, not NULL.
+    whose key holds nulls gets the stats of its group, not NULL (the
+    join runs on a null flag and a null-filled copy of each key, see
+    :func:`_with_join_keys`).
 
     Guard: the stats table must fit a broadcast (``broadcast_limit``
     rows); past that, use ``bucketed_join`` of :func:`groupby_agg` output
     explicitly.
     """
     import ray
+
+    from .join import broadcast_join
 
     stats = groupby_agg(ds, keys, aggs, batch_size=batch_size)
     tables = [t for t in ray.get(stats.to_arrow_refs()) if t.num_rows]
@@ -1232,11 +1189,16 @@ def group_stats(ds, keys: list[str], aggs: list[tuple],
         cols = {k: pa.nulls(0, in_types[k]) for k in keys}
         cols.update({o: pa.nulls(0, pa.float64()) for o in out_names})
         stats_t = pa.table(cols)
-    return ds.map_batches(
-        _StatsStitch,
-        fn_constructor_kwargs=dict(stats_ref=ray.put(stats_t), keys=keys),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=(1, 8),
-    )
+    # the stats hold every key tuple of ``ds``: a key with no valid value
+    # there is all null in ``ds`` too, and its null flag alone matches it
+    fills = {}
+    for k in keys:
+        valid = pc.drop_null(stats_t.column(k))
+        fills[k] = valid[0] if len(valid) else None
+    right = _with_join_keys(stats_t, fills).drop_columns(keys)
+    on = [c for c in right.column_names if c not in out_names]
+    left = ds.map_batches(_with_join_keys, fn_kwargs=dict(fills=fills),
+                          batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=batch_size)
+    return broadcast_join(left, right, on=on, how="left",
+                          batch_size=batch_size).drop_columns(on)

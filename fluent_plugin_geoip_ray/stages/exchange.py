@@ -155,8 +155,10 @@ def stable_bucket_ids(table: pa.Table, keys: list[str],
     return (h % num_buckets).astype(np.int32)
 
 
-def _cluster_cpus() -> int:
-    """CPUs of the Ray cluster: the most reduce tasks one exchange runs."""
+def cluster_cpus() -> int:
+    """CPUs of the Ray cluster: the most reduce tasks one exchange runs
+    (and the ``2 * C`` floor of Ray's read parallelism that
+    ``sources.transcripts.read_input`` follows)."""
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
@@ -276,7 +278,7 @@ def hash_exchange(ds, num_buckets: int, reduce_fn, bucket_col: str = "__bucket")
     (join sides, dedup routes)."""
     import ray.data as rd
 
-    groups = min(num_buckets, _cluster_cpus())
+    groups = min(num_buckets, cluster_cpus())
     split = _split.options(num_returns=groups)
     # Launch a split task per block AS the upstream produces it
     # (iter_internal_ref_bundles streams refs with backpressure) -- the

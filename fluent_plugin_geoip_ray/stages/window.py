@@ -73,15 +73,17 @@ def _sorted_segments(t: pa.Table, key: str, order_by: list[str],
     ``need_order_cols`` -- just the rank family reads it; everyone else
     skips the O(n) gathers.
 
-    A column of a type :func:`_key_lanes` keeps as Python objects
-    (decimal, dictionary) cannot hold nulls: ``np.lexsort`` would compare
-    None with its values.  Such a column raises a ``ValueError`` naming
-    it and its type."""
+    A non-string column that :func:`_key_lanes` keeps as Python objects
+    (decimal, dictionary, binary, large and fixed-size binary, list,
+    struct, map) cannot hold nulls in a bucket of two or more rows:
+    ``np.lexsort`` would compare None with its values.  Such a column
+    raises a ``ValueError`` naming it and its type; a 1-row bucket
+    compares nothing and sorts as before."""
     kf, kn = _key_lanes(t.column(key))
     order_lanes = [_key_lanes(t.column(c)) for c in order_by]
     for c, (vf, vn) in zip([key, *order_by], [(kf, kn), *order_lanes]):
         typ = t.schema.field(c).type
-        if vn.any() and vf.dtype == object and not (
+        if t.num_rows > 1 and vn.any() and vf.dtype == object and not (
                 pa.types.is_string(typ) or pa.types.is_large_string(typ)):
             raise ValueError(
                 f"window: column {c!r} of type {typ} holds nulls; nulls of "

@@ -23,7 +23,7 @@ CPUS = (1, 3, 1 << 20)
 
 
 def _force_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(exchange, "_cluster_cpus", lambda: cpus)
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: cpus)
 
 
 def _arrow(ds) -> pa.Table:

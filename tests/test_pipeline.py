@@ -636,7 +636,7 @@ def test_compact_sink_skip_path_gcs_leaked_files(sf_path, tmp_path):
     assert report2[base]["gc_removed"] == 0
 
 
-# -- the read plan (pipelines.flagship._read_input) ----------------------------
+# -- the read plan (sources.transcripts.read_input) ----------------------------
 
 def _write_parts(table, out_dir, n_files):
     """``table`` cut into ``n_files`` parquet files under ``out_dir``."""
@@ -660,13 +660,16 @@ def _operators(stats: str) -> list[tuple[str, int, int]]:
 def test_read_plan_fuses_one_task_per_file(tmp_path):
     """With at least one file per CPU, read -> parse -> enrich is one fused
     operator: no SplitBlocks, one task and one block per file."""
-    from fluent_plugin_geoip_ray.pipelines.flagship import _read_input, build_enriched
-    from fluent_plugin_geoip_ray.sources.transcripts import build_transcripts_table
-    from fluent_plugin_geoip_ray.stages.exchange import _cluster_cpus
+    from fluent_plugin_geoip_ray.pipelines.flagship import build_enriched
+    from fluent_plugin_geoip_ray.sources.transcripts import (
+        build_transcripts_table,
+        read_input,
+    )
+    from fluent_plugin_geoip_ray.stages.exchange import cluster_cpus
 
-    n = _cluster_cpus() + 2
+    n = cluster_cpus() + 2
     src = _write_parts(build_transcripts_table(0.001), str(tmp_path / "in"), n)
-    ds = build_enriched(_read_input(src)).materialize()
+    ds = build_enriched(read_input(src)).materialize()
     ops = _operators(ds.stats())
     assert len(ops) == 1, ops
     name, tasks, blocks = ops[0]
@@ -679,32 +682,73 @@ def test_read_plan_many_small_files_stay_within_ray_default(tmp_path):
     here: every file is far below ``target_min_block_size``)."""
     import ray.data as rd
 
-    from fluent_plugin_geoip_ray.pipelines.flagship import _read_input
-    from fluent_plugin_geoip_ray.stages.exchange import _cluster_cpus
+    from fluent_plugin_geoip_ray.sources.transcripts import read_input
+    from fluent_plugin_geoip_ray.stages.exchange import cluster_cpus
 
     src = _write_parts(pa.table({"x": pa.array(range(400), pa.int64())}),
                        str(tmp_path / "in"), 40)
-    ours = _operators(_read_input(src).materialize().stats())
+    ours = _operators(read_input(src).materialize().stats())
     ray_default = _operators(rd.read_parquet(src).materialize().stats())
     assert ours == ray_default
-    assert len(ours) == 1 and ours[0][1] <= 2 * _cluster_cpus()
+    assert len(ours) == 1 and ours[0][1] <= 2 * cluster_cpus()
 
 
-def test_read_plan_fewer_files_than_cpus_keeps_ray_split(tmp_path):
-    from fluent_plugin_geoip_ray.pipelines.flagship import _read_input
-    from fluent_plugin_geoip_ray.stages.exchange import _cluster_cpus
+def test_read_plan_multi_mib_input_tracks_ray_parallelism(tmp_path):
+    """A ~24 MiB input, where Ray's read parallelism P comes from
+    ``mem / target_min_block_size`` rather than from 2 x CPUs: Ray's own
+    plan splits each of the n read tasks by ceil(P / n), which pins
+    ``_ray_read_parallelism`` to Ray's rule; read_input reads n unsplit
+    blocks instead."""
+    import math
 
-    if _cluster_cpus() < 2:
+    import numpy as np
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from fluent_plugin_geoip_ray.sources.transcripts import (
+        _ray_read_parallelism,
+        read_input,
+    )
+    from fluent_plugin_geoip_ray.stages.exchange import cluster_cpus
+
+    rng = np.random.default_rng(5)
+    cols = {c: rng.integers(0, 1 << 62, 1 << 20) for c in ("a", "b", "c")}
+    cpus = cluster_cpus()
+    n = cpus + 1
+    src = _write_parts(pa.table(cols), str(tmp_path / "in"), n)
+    lazy = rd.read_parquet(src)
+    p = _ray_read_parallelism(lazy, cpus)
+    assert p == int(lazy.size_bytes() / DataContext.get_current().target_min_block_size)
+    assert p > max(2 * cpus, n)
+
+    (name, tasks, blocks), = _operators(lazy.materialize().stats())
+    assert name == f"ReadParquet->SplitBlocks({math.ceil(p / n)})"
+    assert tasks == n
+    (name, tasks, blocks), = _operators(read_input(src).materialize().stats())
+    assert (name, tasks, blocks) == ("ReadParquet", n, n)
+
+
+def test_read_plan_fewer_files_than_cpus_reads_one_task_per_file(tmp_path):
+    """One file on a cluster of several CPUs: Ray's plan splits the read
+    (and runs the maps after it as a second operator); read_input reads
+    one unsplit block."""
+    import ray.data as rd
+
+    from fluent_plugin_geoip_ray.sources.transcripts import read_input
+    from fluent_plugin_geoip_ray.stages.exchange import cluster_cpus
+
+    if cluster_cpus() < 2:
         pytest.skip("needs a cluster of at least 2 CPUs")
     src = _write_parts(pa.table({"x": pa.array(range(400), pa.int64())}),
                        str(tmp_path / "in"), 1)
-    ds = _read_input(src).materialize()
-    (name, tasks, blocks), = _operators(ds.stats())
+    (name, tasks, blocks), = _operators(rd.read_parquet(src).materialize().stats())
     assert "SplitBlocks" in name and tasks == 1 and blocks > 1
+    ds = read_input(src).materialize()
+    assert _operators(ds.stats()) == [("ReadParquet", 1, 1)]
 
 
 def test_flagship_read_plan_parity_with_ray_default(sf_path, tmp_path, monkeypatch):
-    """Referee: run_flagship through ``_read_input`` and through Ray's
+    """Referee: run_flagship through ``read_input`` and through Ray's
     default plan (plain ``read_parquet``) gives equal stats, the same
     multiset of rows in every route's sink, and the same merged
     ``agg_partials``; only the number of sink files differs."""
@@ -723,7 +767,7 @@ def test_flagship_read_plan_parity_with_ray_default(sf_path, tmp_path, monkeypat
 
     fused_dir, plain_dir = str(tmp_path / "fused"), str(tmp_path / "plain")
     fused = run_flagship(sf_path, out_dir=fused_dir)
-    monkeypatch.setattr(flagship, "_read_input",
+    monkeypatch.setattr(flagship, "read_input",
                         lambda paths, **kw: rd.read_parquet(paths, **kw))
     plain = run_flagship(sf_path, out_dir=plain_dir)
 

@@ -943,17 +943,22 @@ def test_ewma_by_matches_reference_loop():
 @pytest.mark.parametrize("order_col", [
     pa.array([decimal.Decimal("1.5"), None, decimal.Decimal("0.5")]),
     pa.array(["b", None, "a"]).dictionary_encode(),
-], ids=["decimal", "dictionary"])
+    pa.array([b"b", None, b"a"], pa.binary()),
+], ids=["decimal", "dictionary", "binary"])
 def test_sorted_segments_object_lane_nulls_raise(order_col):
     """Nulls in an order column that sorts as Python objects raise a
     ValueError naming the column and its type (not a TypeError from
-    comparing None inside np.lexsort)."""
+    comparing None inside np.lexsort); a 1-row bucket compares nothing
+    and still sorts."""
     from fluent_plugin_geoip_ray.stages.window import _sorted_segments
 
     t = pa.table({"k": pa.array([1, 1, 2]), "o": order_col})
     with pytest.raises(ValueError, match=r"column 'o' of type "
                        + re.escape(str(order_col.type)) + " holds nulls"):
         _sorted_segments(t, "k", ["o"])
+    one = t.slice(1, 1)
+    assert one.column("o").null_count == 1
+    assert _sorted_segments(one, "k", ["o"])[0].num_rows == 1
     # the same column without nulls still sorts
     valid = pc.drop_null(order_col)
     t = pa.table({"k": pa.array([1] * len(valid)), "o": valid})
