@@ -259,7 +259,7 @@ def read_input(paths, **read_kwargs):
     This holds for any ``n``, also for fewer files than CPUs: at 2 and 4
     Ray CPUs on a 4-vCPU host, with even, uneven and single-file inputs
     of up to 2M turns, one task per file took no more wall time than
-    Ray's split and about half its CPU time (ROADMAP direction 1).
+    Ray's split and 33-56% less CPU time (ROADMAP direction 1).
 
     ``input_files()`` and ``size_bytes()`` of a lazy read do not execute it.
     An explicit ``override_num_blocks`` in ``read_kwargs`` wins."""

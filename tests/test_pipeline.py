@@ -728,17 +728,14 @@ def test_read_plan_multi_mib_input_tracks_ray_parallelism(tmp_path):
     assert (name, tasks, blocks) == ("ReadParquet", n, n)
 
 
-def test_read_plan_fewer_files_than_cpus_reads_one_task_per_file(tmp_path):
-    """One file on a cluster of several CPUs: Ray's plan splits the read
-    (and runs the maps after it as a second operator); read_input reads
-    one unsplit block."""
+def test_read_plan_single_file_reads_one_unsplit_block(tmp_path):
+    """One file, so fewer files than CPUs on any cluster of 2 or more:
+    Ray's plan splits the read (P >= 2 x CPUs) and runs the maps after
+    it as a second operator; read_input reads one unsplit block."""
     import ray.data as rd
 
     from fluent_plugin_geoip_ray.sources.transcripts import read_input
-    from fluent_plugin_geoip_ray.stages.exchange import cluster_cpus
 
-    if cluster_cpus() < 2:
-        pytest.skip("needs a cluster of at least 2 CPUs")
     src = _write_parts(pa.table({"x": pa.array(range(400), pa.int64())}),
                        str(tmp_path / "in"), 1)
     (name, tasks, blocks), = _operators(rd.read_parquet(src).materialize().stats())
