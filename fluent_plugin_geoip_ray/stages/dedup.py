@@ -548,10 +548,10 @@ def _lsh_edges_distributed(sketches, exploded, hot, key_col: str, verify,
        O(duplicate memberships), not O(corpus).
     2. pair dedupe: grouped min-bucket per (a, b) (a pair recurs once per
        shared band); the kept bucket attributes re-star failures.
-    3. signature attach: ONE hash exchange keyed by doc id over
-       [sketch rows] U [each pair keyed by a] U [each pair keyed by b];
-       per partition a vectorized searchsorted gathers each endpoint's
-       signature (the sketch table moves once, 512B/doc).
+    3. signature attach: ONE co-group keyed by doc id of the sketch
+       rows, the pairs keyed by a and the pairs keyed by b; per bucket a
+       vectorized searchsorted gathers each endpoint's signature (the
+       sketch table moves once, 512B/doc).
     4. pair-up + verify: a second exchange keyed by hash(a, b) brings the
        two endpoint rows of each pair together; after one lexsort they are
        adjacent and ``verify`` runs on the stacked matrices.
@@ -586,77 +586,26 @@ def _lsh_edges_distributed(sketches, exploded, hot, key_col: str, verify,
     pairs = groupby_agg(stars, ["a", "b"], [("bucket", "min", "bucket")])
 
     # ---- exchange 1: attach each endpoint's signature --------------------
-    def edge_rows(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            return pa.table({
-                "__jk": t.column("a" if side == 0 else "b").cast(pa.int64()),
-                "a": t.column("a").cast(pa.int64()),
-                "b": t.column("b").cast(pa.int64()),
-                "bucket": t.column("bucket").cast(pa.int64()),
-                "__role": pa.array(np.full(n, side + 1, np.int8)),
-                "sig": pa.nulls(n, type=sig_type),
-            })
-
-        return fn
-
-    def sketch_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "__jk": t.column(key_col).cast(pa.int64()),
-            "a": pa.nulls(n, pa.int64()),
-            "b": pa.nulls(n, pa.int64()),
-            "bucket": pa.nulls(n, pa.int64()),
-            "__role": pa.array(np.zeros(n, np.int8)),
-            "sig": t.column("sig"),
-        })
-
-    unioned = (
-        pairs.map_batches(edge_rows(0), batch_format="pyarrow", zero_copy_batch=True)
-        .union(pairs.map_batches(edge_rows(1), batch_format="pyarrow",
-                                 zero_copy_batch=True))
-        .union(sketches.map_batches(sketch_rows, batch_format="pyarrow",
-                                    zero_copy_batch=True))
-    )
-
-    def hash_col(t: pa.Table, col: str) -> pa.Table:
-        return t.append_column("__xb", pa.array(
-            _hash_bucket(_np_col(t, col), num_buckets)))
-
-    keyed = unioned.map_batches(lambda t: hash_col(t, "__jk"),
-                                batch_format="pyarrow", zero_copy_batch=True)
-
-    def attach(g: pa.Table) -> pa.Table:
-        role = g.column("__role").to_numpy(zero_copy_only=False)
-        empty = pa.table({
-            "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-            "bucket": pa.array([], pa.int64()),
-            "__side": pa.array([], pa.int8()),
-            "sig": pa.nulls(0, type=sig_type),
-        })
-        if not (role != 0).any():
-            return empty
-        sk = g.filter(pa.array(role == 0))
-        ed = g.filter(pa.array(role != 0))
-        skk = sk.column("__jk").to_numpy(zero_copy_only=False)
+    def attach(sk: pa.Table, by_a: pa.Table, by_b: pa.Table) -> pa.Table:
+        """Every pair once per endpoint in this bucket (``end`` 0 = a,
+        1 = b), with that endpoint's signature."""
+        skk = _np_col(sk, key_col)
         order = np.argsort(skk)
-        pos = np.searchsorted(
-            skk[order], ed.column("__jk").to_numpy(zero_copy_only=False)
-        )
-        sig_col = sk.column("sig")
-        if isinstance(sig_col, pa.ChunkedArray):
-            sig_col = sig_col.combine_chunks()
-        erole = ed.column("__role").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "a": ed.column("a"), "b": ed.column("b"),
-            "bucket": ed.column("bucket"),
-            "__side": pa.array((erole - 1).astype(np.int8)),
-            "sig": sig_col.take(pa.array(order[pos])),
-        })
+        out = [pa.table({
+            "a": e.column("a"), "b": e.column("b"),
+            "bucket": e.column("bucket"),
+            "end": pa.array(np.full(e.num_rows, end, np.int8)),
+            "sig": sk.column("sig").take(pa.array(
+                order[np.searchsorted(skk[order], _np_col(e, col))])),
+        }) for end, (e, col) in enumerate(((by_a, "a"), (by_b, "b")))
+            if e.num_rows]          # a pair side without rows may have no columns
+        return pa.concat_tables(out) if out else pa.table({})
 
-    from .exchange import hash_exchange
+    from .exchange import cogroup_by, hash_exchange
 
-    attached = hash_exchange(keyed, num_buckets, attach, bucket_col="__xb")
+    attached = cogroup_by(
+        [(sketches, [key_col]), (pairs, ["a"]), (pairs, ["b"])], attach,
+        num_buckets)
 
     # ---- exchange 2: bring both endpoints of a pair together + verify ----
     def pair_key(t: pa.Table) -> pa.Table:
@@ -669,18 +618,18 @@ def _lsh_edges_distributed(sketches, exploded, hot, key_col: str, verify,
         a = g.column("a").to_numpy(zero_copy_only=False)
         b = g.column("b").to_numpy(zero_copy_only=False)
         bkt = g.column("bucket").to_numpy(zero_copy_only=False)
-        side = g.column("__side").to_numpy(zero_copy_only=False)
+        end = g.column("end").to_numpy(zero_copy_only=False)
         sig = _fixed_list_to_matrix(g.column("sig"))
-        order = np.lexsort((side, b, a))
+        order = np.lexsort((end, b, a))
         a, b, bkt, sig = a[order], b[order], bkt[order], sig[order]
-        # each (a, b) pair has exactly two rows (side 0 then 1): keys are
+        # each (a, b) pair has exactly two rows (end 0 then 1): keys are
         # unique in the sketch table, pairs were deduped upstream
         sa, sb = sig[0::2], sig[1::2]
         ok = verify(sa, sb)
         return pa.table({
             "a": pa.array(a[0::2]), "b": pa.array(b[0::2]),
             "bucket": pa.array(bkt[0::2]), "ok": pa.array(ok),
-            # member (side-1) signature rides along for the re-star pass
+            # member (end-1) signature rides along for the re-star pass
             "sig": _matrix_to_fixed_list(sb, sb.shape[1],
                                          dtype=sb.dtype).cast(sig_type),
         })
@@ -729,8 +678,8 @@ def _lsh_edges_distributed(sketches, exploded, hot, key_col: str, verify,
                          "b": pa.array(np.asarray(out_b, np.int64))})
 
     extra = hash_exchange(
-        failed.map_batches(lambda t: hash_col(t, "bucket"),
-                           batch_format="pyarrow", zero_copy_batch=True),
+        _mb(failed, lambda t: t.append_column("__xb", pa.array(
+            _hash_bucket(_np_col(t, "bucket"), num_buckets)))),
         num_buckets, restar, bucket_col="__xb")
     return verified.union(extra)
 
@@ -889,8 +838,8 @@ def _drop_losers(ds, losers, key_col: str):
 
 
 def _drop_losers_ds(ds, losers_ds, key_col: str, num_buckets: int = 32):
-    """Distributed anti-join drop: hash-bucket both the corpus and the loser
-    table on ``key_col`` and keep rows with no loser match -- no broadcast,
+    """Distributed anti-join drop: co-group the corpus on ``key_col`` with
+    the loser table on ``node`` and keep rows with no loser match -- no broadcast,
     no driver state, full rows move exactly once (the
     ``_dedup_exact_semijoin`` shape; VERDICT r2 item #2).
 
@@ -898,50 +847,17 @@ def _drop_losers_ds(ds, losers_ds, key_col: str, num_buckets: int = 32):
     an Acero join: corpus payload columns of any type (list<float>
     embeddings, structs, binaries) ride through untouched -- Acero's hash
     join rejects list-typed non-key fields."""
-    schema = ds.schema().base_schema
-    out_cols = list(schema.names)
-    key_type = schema.field(key_col).type
+    from .exchange import cogroup_by
 
-    def bucket_ids(keys: pa.ChunkedArray | pa.Array) -> pa.Array:
-        return pa.array(_hash_bucket(
-            keys.cast(pa.int64()).to_numpy(zero_copy_only=False), num_buckets))
+    def anti_filter(rows: pa.Table, losers: pa.Table) -> pa.Table:
+        if not losers.num_rows:     # may have no columns: nothing to drop
+            return rows
+        keep = ~np.isin(_np_col(rows, key_col),
+                        np.unique(_np_col(losers, "node")))
+        return rows.filter(pa.array(keep))
 
-    def corpus_side(t: pa.Table) -> pa.Table:
-        t = t.select(out_cols)
-        return t.append_column("__side", pa.array(
-            np.zeros(t.num_rows, np.int8)
-        )).append_column("__bucket", bucket_ids(t.column(key_col)))
-
-    def loser_side(t: pa.Table) -> pa.Table:
-        keys = t.column("node").cast(key_type)
-        cols = {
-            c: (keys if c == key_col else pa.nulls(len(keys), schema.field(c).type))
-            for c in out_cols
-        }
-        out = pa.table(cols)
-        return out.append_column("__side", pa.array(
-            np.ones(out.num_rows, np.int8)
-        )).append_column("__bucket", bucket_ids(keys))
-
-    both = ds.map_batches(
-        corpus_side, batch_format="pyarrow", zero_copy_batch=True
-    ).union(losers_ds.map_batches(
-        loser_side, batch_format="pyarrow", zero_copy_batch=True
-    ))
-
-    def anti_filter(g: pa.Table) -> pa.Table:
-        side = g.column("__side").to_numpy(zero_copy_only=False)
-        rows = g.filter(pa.array(side == 0))
-        lose = np.unique(
-            g.column(key_col).to_numpy(zero_copy_only=False)[side == 1]
-        )
-        keys = rows.column(key_col).to_numpy(zero_copy_only=False)
-        keep = ~np.isin(keys, lose) if len(lose) else np.ones(len(keys), bool)
-        return rows.filter(pa.array(keep)).select(out_cols)
-
-    from .exchange import hash_exchange
-
-    return hash_exchange(both, num_buckets, anti_filter)
+    return cogroup_by([(ds, [key_col]), (losers_ds, ["node"])], anti_filter,
+                      num_buckets)
 
 
 def _drop_keys(ds, losers_ds, key_col: str, broadcast_limit: int):
@@ -1256,7 +1172,7 @@ def _set_similarity_join(sides, threshold: float, num_buckets: int,
     import ray.data as rd
 
     from .aggregate import groupby_agg
-    from .exchange import hash_exchange
+    from .exchange import cogroup_by, hash_exchange
 
     cross = len(sides) == 2
     e64, ef64 = np.empty(0, np.int64), np.empty(0, np.float64)
@@ -1471,65 +1387,39 @@ def _set_similarity_join(sides, threshold: float, num_buckets: int,
         return rd.from_arrow(judge(e64, e64, ef64, ef64, ef64))
 
     # ---- meta hops: attach (sz, heavy list) of each endpoint ------------
-    def hop_rows(k, o, c, sza, hva, kind: int) -> pa.Table:
-        return pa.table({
-            "k": pa.array(k), "o": pa.array(o), "c": pa.array(c),
-            "sza": pa.array(sza), "hva": hva,
-            "kind": pa.array(np.full(len(k), kind, np.int8)),
-            "__xb": pa.array(_hash_bucket(k, num_buckets)),
-        })
+    def metas_of(side: int):
+        return _mb(mixed2, lambda t: t.filter(pa.array(
+            (_np_col(t, "tag") == 1) & (_np_col(t, "side") == side)
+        )).select(["key", "sz", "hv"]))
 
-    def cand_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return hop_rows(_np_col(t, "a"), _np_col(t, "b"),
-                        _np_col(t, "c").astype(np.int64),
-                        np.zeros(n, np.int64), no_lists(n), 0)
-
-    def meta_rows(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            m = t.filter(pa.array((_np_col(t, "tag") == 1)
-                                  & (_np_col(t, "side") == side)))
-            z = np.zeros(m.num_rows, np.int64)
-            return hop_rows(_np_col(m, "key"), z, z,
-                            _np_col(m, "sz").astype(np.int64),
-                            m.column("hv"), 1)
-
-        return fn
-
-    def lookup(t: pa.Table):
-        """Hop bucket -> (candidate rows, index of each one's key-``k``
-        meta, metas' sz, metas' heavy lists)."""
-        kind = _np_col(t, "kind")
-        metas = t.filter(pa.array(kind == 1))
-        cands_t = t.filter(pa.array(kind == 0))
-        mk = _np_col(metas, "k")
+    def lookup(cands_t: pa.Table, metas: pa.Table, k: str):
+        """Hop bucket -> (the candidates whose key ``k`` has a meta, each
+        one's meta sz, each one's meta heavy list)."""
+        mk = _np_col(metas, "key")
         mo = np.argsort(mk)
         mk = mk[mo]
-        ck = _np_col(cands_t, "k")
+        ck = _np_col(cands_t, k)
         idx = np.minimum(np.searchsorted(mk, ck), max(len(mk) - 1, 0))
         ok = mk[idx] == ck if len(mk) else np.zeros(len(ck), bool)
-        return (cands_t.filter(pa.array(ok)), idx[ok],
-                _np_col(metas, "sza")[mo],
-                metas.column("hva").combine_chunks().take(pa.array(mo)))
+        at = pa.array(mo[idx[ok]])
+        return (cands_t.filter(pa.array(ok)), _np_col(metas, "sz")[mo[idx[ok]]],
+                metas.column("hv").take(at))
 
-    def attach_a(t: pa.Table) -> pa.Table:
-        cands_t, idx, msz, mhv = lookup(t)
-        if not len(idx):
-            return hop_rows(e64, e64, e64, e64, no_lists(0), 0)
-        return hop_rows(_np_col(cands_t, "o"), _np_col(cands_t, "k"),
-                        _np_col(cands_t, "c"), msz[idx],
-                        mhv.take(pa.array(idx)), 0)
+    def attach_a(cands_t: pa.Table, metas: pa.Table) -> pa.Table:
+        cands_t, sza, hva = lookup(cands_t, metas, "a")
+        return cands_t.append_column("sza", pa.array(sza, pa.int64())) \
+            .append_column("hva", hva)
 
-    def attach_b_and_judge(t: pa.Table) -> pa.Table:
-        cands_t, idx, msz, mhv = lookup(t)
-        if not len(idx):
+    def attach_b_and_judge(cands_t: pa.Table, metas: pa.Table) -> pa.Table:
+        cands_t, szb, hvb = lookup(cands_t, metas, "b")
+        n = cands_t.num_rows
+        if not n:
             return judge(e64, e64, ef64, ef64, ef64)
-        n = len(idx)
         # exact heavy-gram intersection, fully vectorized: grams are
         # unique within a doc's list, so after lexsort by (pair, gram)
         # every adjacent duplicate is one shared heavy gram
         av, ao = _list_col_parts(cands_t.column("hva"))
-        bv, bo = _list_col_parts(mhv.take(pa.array(idx)))
+        bv, bo = _list_col_parts(hvb)
         pid = np.r_[np.repeat(np.arange(n), np.diff(ao)),
                     np.repeat(np.arange(n), np.diff(bo))]
         gm = np.r_[av, bv]
@@ -1538,16 +1428,14 @@ def _set_similarity_join(sides, threshold: float, num_buckets: int,
         eq = (ps[1:] == ps[:-1]) & (gs[1:] == gs[:-1])
         c = _np_col(cands_t, "c").astype(np.float64) + np.bincount(
             ps[1:][eq], minlength=n)
-        return judge(_np_col(cands_t, "o"), _np_col(cands_t, "k"), c,
+        return judge(_np_col(cands_t, "a"), _np_col(cands_t, "b"), c,
                      _np_col(cands_t, "sza").astype(np.float64),
-                     msz[idx].astype(np.float64))
+                     szb.astype(np.float64))
 
-    hop1 = hash_exchange(
-        _mb(cands, cand_rows).union(_mb(mixed2, meta_rows(0))),
-        num_buckets, attach_a, bucket_col="__xb")
-    return hash_exchange(hop1.union(_mb(mixed2, meta_rows(len(sides) - 1))),
-                         num_buckets, attach_b_and_judge,
-                         bucket_col="__xb").materialize()
+    hop1 = cogroup_by([(cands, ["a"]), (metas_of(0), ["key"])], attach_a,
+                      num_buckets)
+    return cogroup_by([(hop1, ["b"]), (metas_of(len(sides) - 1), ["key"])],
+                      attach_b_and_judge, num_buckets).materialize()
 
 
 def dedup_ngram(ds, key_col: str = "doc_id", text_col: str = "text",
@@ -1738,70 +1626,33 @@ def _hot_bloom(hot, col: str):
 
 
 def _confirm_hot(cands, hot, col: str, payload: list[str], num_buckets: int):
-    """Exact check of Bloom near-hits: ONE exchange on the hash ``col``
-    brings every candidate row (``payload`` columns, then ``col``; all
+    """Exact check of Bloom near-hits: ONE co-group on the hash ``col``
+    brings every candidate row (``payload`` columns and ``col``; all
     int64) next to the hot hashes of its bucket.  Returns the ``payload``
     of the candidates whose hash really is hot."""
-    from .exchange import hash_exchange
+    from .exchange import cogroup_by
 
-    def hot_rows(t: pa.Table) -> pa.Table:
-        cols = {c: pa.nulls(t.num_rows, pa.int64()) for c in payload}
-        cols[col] = t.column(col)
-        return pa.table(cols)
+    def confirm(c: pa.Table, h: pa.Table) -> pa.Table:
+        if not c.num_rows:     # may have no columns (no candidate at all)
+            return pa.table({p: pa.array([], pa.int64()) for p in payload})
+        hit = _in_sorted(np.unique(_np_col(h, col)), _np_col(c, col))
+        return c.filter(pa.array(hit)).select(payload)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__xb", pa.array(
-            _hash_bucket(_np_col(t, col), num_buckets)))
-
-    def confirm(g: pa.Table) -> pa.Table:
-        is_hot = pc.is_null(g.column(payload[0])).to_numpy(
-            zero_copy_only=False)
-        h = _np_col(g, col)
-        hit = _in_sorted(np.unique(h[is_hot]), h[~is_hot])
-        return g.filter(pa.array(~is_hot)).filter(pa.array(hit)).select(
-            payload)
-
-    return hash_exchange(_mb(cands.union(_mb(hot, hot_rows)), add_bucket),
-                         num_buckets, confirm, bucket_col="__xb")
+    return cogroup_by([(cands, [col]), (hot, [col])], confirm, num_buckets)
 
 
 def _rebuild_by_key(ds, removals, key_col: str, num_buckets: int, rebuild):
     """Co-locate confirmed ``(key, pos)`` removals with their docs in ONE
-    exchange on the doc key, then ``rebuild(docs, keys, positions)`` each
+    co-group on the doc key, then ``rebuild(docs, keys, positions)`` each
     bucket's docs."""
-    from .exchange import hash_exchange
+    from .exchange import cogroup_by
 
-    schema = ds.schema().base_schema
-    out_cols = list(schema.names)
+    def rebuild_bucket(docs: pa.Table, rem: pa.Table) -> pa.Table:
+        return rebuild(docs, rem.column("key").cast(pa.int64()).to_numpy(
+            zero_copy_only=False), _np_col(rem, "pos"))
 
-    def tag(t: pa.Table, keys: np.ndarray, pos, side: int) -> pa.Table:
-        return t.append_column("__pos", pos).append_column(
-            "__side", pa.array(np.full(t.num_rows, side, np.int8))
-        ).append_column("__bucket", pa.array(_hash_bucket(keys, num_buckets)))
-
-    def corpus_side(t: pa.Table) -> pa.Table:
-        t = t.select(out_cols)
-        return tag(t, t.column(key_col).cast(pa.int64()).to_numpy(
-            zero_copy_only=False), pa.nulls(t.num_rows, pa.int64()), 0)
-
-    def removal_side(t: pa.Table) -> pa.Table:
-        cols = {
-            c: (t.column("key").cast(schema.field(c).type) if c == key_col
-                else pa.nulls(t.num_rows, schema.field(c).type))
-            for c in out_cols
-        }
-        return tag(pa.table(cols), _np_col(t, "key"), t.column("pos"), 1)
-
-    def rebuild_bucket(g: pa.Table) -> pa.Table:
-        side = _np_col(g, "__side")
-        rem = g.filter(pa.array(side == 1))
-        return rebuild(g.filter(pa.array(side == 0)).select(out_cols),
-                       rem.column(key_col).cast(pa.int64()).to_numpy(
-                           zero_copy_only=False), _np_col(rem, "__pos"))
-
-    return hash_exchange(
-        _mb(ds, corpus_side).union(_mb(removals, removal_side)),
-        num_buckets, rebuild_bucket)
+    return cogroup_by([(ds, [key_col]), (removals, ["key"])], rebuild_bucket,
+                      num_buckets)
 
 
 def eval_gram_hashes(eval_ds, text_col: str = "text", n: int = 8):

@@ -28,6 +28,15 @@ overhead is O(blocks x G + buckets).  The reduce output is a
 stages stream as usual; read in order, its blocks hold the buckets in
 bucket order.
 
+Two-input operators (joins, anti-filters, dedup's attach and rebuild
+hops) use the same split and reduce tasks through :func:`cogroup_by`:
+each input is bucketed over its own keys and split on its own, keeping
+its own schema, and one reduce task per group receives every input's
+shards of that group.  For each bucket where any input has rows, the
+per-bucket function gets one table per input -- a 0-row table with that
+input's schema where the input has no rows there.  No union schema, no
+null padding, no side column: every row moves with its own columns only.
+
 Scale notes (100 TB): reduce tasks = min(num_buckets, CPUs) and a group's
 output is one block, so one group's rows must fit the reduce worker's
 heap (more CPUs shrink a group; more buckets do not).  Keep
@@ -148,7 +157,12 @@ def stable_bucket_ids(table: pa.Table, keys: list[str],
     combined with a distinct odd multiplier per column (``2j + 1``):
     plain XOR cancels when two key columns hold equal values.  Column 0's
     multiplier is 1, so single-key ids are ``stable_hash(col) % B``.  The
-    one routing function every exchange producer shares."""
+    routing function of every keyed exchange (:func:`hash_exchange_by`,
+    :func:`cogroup_by`).  On an integer column it equals dedup's
+    ``_hash_bucket`` of the same values bit for bit; that helper stays
+    for dedup's one-input routes whose bucket is not a key column (pair
+    keys, re-star buckets, gram prefixes) and for the file names of
+    ``build_gram_df_index``."""
     h = stable_hash(table.column(keys[0]))
     for j, k in enumerate(keys[1:], 1):
         h = h ^ stable_hash(table.column(k)) * np.uint64(2 * j + 1)
@@ -194,25 +208,40 @@ def _split(block, num_buckets: int, groups: int, bucket_col: str):
 
 
 @ray.remote(num_returns=2)
-def _reduce(fn, lo: int, hi: int, bucket_col: str, *shards):
-    """Buckets ``[lo, hi)`` of one group -> ``(report, block)``: ``fn``
-    runs once per non-empty bucket, in bucket order, on that bucket's
-    rows in shard order; the block concatenates its outputs.  ``report``
-    is an int64 ``(k, 2)`` array of the ``(rows, bytes)`` of each ``fn``
-    call's input (k == 0: the group emits no block)."""
-    shards = [s for s in shards if s.num_rows]
-    cuts = [np.searchsorted(s.column(bucket_col).to_numpy(),
-                            np.arange(lo, hi + 1)) for s in shards]
+def _reduce(fn, lo: int, hi: int, bucket_col: str, counts, *shards):
+    """Buckets ``[lo, hi)`` of one group -> ``(report, block)``.  The
+    shards are ``len(counts)`` inputs' shards in a row, ``counts[i]`` of
+    input ``i``.  ``fn`` runs once per bucket where any input has rows,
+    in bucket order, with one table per input: that bucket's rows of the
+    input in shard order, or a 0-row table with the input's schema (taken
+    from any of its shards that carries ``bucket_col``).  The block
+    concatenates its outputs.  ``report`` is an int64 ``(k, 2)`` array of
+    the ``(rows, bytes)`` of each ``fn`` call's inputs (k == 0: the group
+    emits no block)."""
+    sides, at = [], 0
+    for n in counts:
+        typed = [s for s in shards[at:at + n] if bucket_col in s.column_names]
+        at += n
+        full = [s for s in typed if s.num_rows]
+        cuts = [np.searchsorted(s.column(bucket_col).to_numpy(),
+                                np.arange(lo, hi + 1)) for s in full]
+        empty = typed[0].slice(0, 0).drop_columns([bucket_col]) if typed \
+            else pa.table({})
+        sides.append((full, cuts, empty))
     report, outs = [], []
     for j in range(hi - lo):
-        pieces = [s.slice(c[j], c[j + 1] - c[j])
-                  for s, c in zip(shards, cuts) if c[j + 1] > c[j]]
-        if not pieces:      # per-bucket fns never see 0-row input
+        tables = []
+        for full, cuts, empty in sides:
+            pieces = [s.slice(c[j], c[j + 1] - c[j])
+                      for s, c in zip(full, cuts) if c[j + 1] > c[j]]
+            tables.append(pa.concat_tables(pieces, promote_options="default")
+                          .drop_columns([bucket_col]).combine_chunks()
+                          if pieces else empty)
+        rows = sum(t.num_rows for t in tables)
+        if not rows:        # per-bucket fns never see an all-empty bucket
             continue
-        t = pa.concat_tables(pieces, promote_options="default") \
-            .drop_columns([bucket_col]).combine_chunks()
-        report.append((t.num_rows, t.nbytes))
-        outs.append(fn(t))
+        report.append((rows, sum(t.nbytes for t in tables)))
+        outs.append(fn(*tables))
     report = np.array(report, dtype=np.int64).reshape(-1, 2)
     if not outs:
         return report, pa.table({})
@@ -251,16 +280,95 @@ def _append_bucket(t: pa.Table, keys: list[str], num_buckets: int) -> pa.Table:
         "__bucket", pa.array(stable_bucket_ids(t, keys, num_buckets)))
 
 
+def _bucketed(ds, keys: list[str], num_buckets: int):
+    return ds.map_batches(
+        _append_bucket, fn_kwargs={"keys": keys, "num_buckets": num_buckets},
+        batch_format="pyarrow", zero_copy_batch=True)
+
+
 def hash_exchange_by(ds, keys: list[str], reduce_fn, num_buckets: int = 32):
     """Co-locate the rows of ``ds`` that share ``keys`` and apply
     ``reduce_fn`` to each bucket's table: the map side appends
     ``__bucket = stable_bucket_ids(t, keys, num_buckets)``, then
-    :func:`hash_exchange` runs.  The one keyed route for exchanges whose
-    bucket is a pure function of key columns."""
-    bucketed = ds.map_batches(
-        _append_bucket, fn_kwargs={"keys": keys, "num_buckets": num_buckets},
-        batch_format="pyarrow", zero_copy_batch=True)
-    return hash_exchange(bucketed, num_buckets, reduce_fn)
+    :func:`hash_exchange` runs.  The one keyed route for one-input
+    exchanges whose bucket is a pure function of key columns."""
+    return hash_exchange(_bucketed(ds, keys, num_buckets), num_buckets,
+                         reduce_fn)
+
+
+def cogroup_by(sides, reduce_fn, num_buckets: int = 32):
+    """Keyed co-group of several inputs: ``sides`` is a list of ``(ds,
+    keys)``, and ``reduce_fn(*tables)`` runs once per bucket where any
+    side has rows, with that bucket's rows of each side (the rows whose
+    ``keys`` values route there, in shard order).  Each side is bucketed
+    by :func:`stable_bucket_ids` over its own keys and keeps its own
+    schema; a side with no rows in a bucket arrives as a 0-row table with
+    that side's schema.  For a side with no rows at all, that schema is
+    ``ds.schema()`` (0 columns when Ray cannot tell it: a 0-row block
+    skips every map UDF upstream).  Keys are equal across sides when
+    their values are: any integer widths, one float width or one string
+    type per key.  Same exchange, report and retry contract as
+    :func:`hash_exchange`; returns a MaterializedDataset."""
+    groups = min(num_buckets, cluster_cpus())
+    per_side, blocks = [], 0
+    for ds, keys in sides:
+        shards, n_blocks, rows = _split_all(_bucketed(ds, keys, num_buckets),
+                                            num_buckets, groups, "__bucket")
+        if rows == 0:     # no shard carries this side's schema: send one
+            schema = ds.schema()
+            empty = pa.schema(zip(schema.names, schema.types)).empty_table() \
+                if schema is not None else pa.table({})
+            empty_ref = ray.put(empty.append_column(
+                "__bucket", pa.array([], pa.int32())))
+            shards = [g + [empty_ref] for g in shards]
+        per_side.append(shards)
+        blocks += n_blocks
+    return _reduce_all(per_side, num_buckets, groups, reduce_fn, "__bucket",
+                       blocks)
+
+
+def _split_all(ds, num_buckets: int, groups: int, bucket_col: str):
+    """Launch a split task per block of ``ds`` AS the upstream produces it
+    (``iter_internal_ref_bundles`` streams refs with backpressure) -- the
+    map side of the exchange then overlaps the upstream's straggler tail
+    instead of waiting behind a full-execution barrier (measured at
+    sf0.1: count_by final 1.10 s -> ~0.75 s).  Returns ``(shards, blocks,
+    rows)``: the shard refs of each group, the input block count, and
+    its row count (None when a block's count is unknown)."""
+    split = _split.options(num_returns=groups)
+    refs, rows = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for r in bundle.block_refs:
+            s = split.remote(r, num_buckets, groups, bucket_col)
+            refs.append(s if groups > 1 else [s])
+        n = bundle.num_rows()
+        rows = None if rows is None or n is None else rows + n
+    return [[s[g] for s in refs] for g in range(groups)], len(refs), rows
+
+
+def _reduce_all(per_side, num_buckets: int, groups: int, reduce_fn,
+                bucket_col: str, blocks: int):
+    """One reduce task per group over every side's shards of that group,
+    the exchange report, and the output dataset."""
+    import ray.data as rd
+
+    counts = [len(shards[0]) for shards in per_side]
+    report_refs, out_refs = [], []
+    for g in range(groups):
+        r, o = _reduce.remote(reduce_fn, _first_bucket(g, num_buckets, groups),
+                              _first_bucket(g + 1, num_buckets, groups),
+                              bucket_col, counts,
+                              *[ref for shards in per_side for ref in shards[g]])
+        report_refs.append(r)
+        out_refs.append(o)
+    reports = ray.get(report_refs)       # tiny arrays; reduces already ran
+    _log_report(np.concatenate(reports), num_buckets, groups, blocks)
+    kept = [o for r, o in zip(reports, out_refs) if len(r)]
+    if not kept:
+        # fully-empty input: one empty block (matches the sort-groupby
+        # path, where map_groups never ran either)
+        return rd.from_arrow_refs([out_refs[0]])
+    return rd.from_arrow_refs(kept)
 
 
 def hash_exchange(ds, num_buckets: int, reduce_fn, bucket_col: str = "__bucket"):
@@ -270,40 +378,17 @@ def hash_exchange(ds, num_buckets: int, reduce_fn, bucket_col: str = "__bucket")
     dropped).  Returns a MaterializedDataset with one block per non-empty
     group of contiguous buckets -- ``min(num_buckets, cluster CPUs)``
     groups -- holding its buckets' outputs in bucket order.  A failed
-    reduce task is retried by Ray and re-runs every bucket of its group,
-    so ``reduce_fn`` must be a pure function of its table.  See module
-    docstring for the why and the partitioning contract.  Exchanges
-    keyed by columns go through :func:`hash_exchange_by`; call this
-    directly only when the bucket column is computed some other way
-    (join sides, dedup routes)."""
-    import ray.data as rd
-
+    split or reduce task is retried by Ray (a reduce re-runs every bucket
+    of its group), so ``reduce_fn`` must be a pure function of its table.
+    See module docstring for the why and the partitioning contract.
+    One-input exchanges keyed by columns go through
+    :func:`hash_exchange_by`, several inputs through :func:`cogroup_by`;
+    call this directly only when the bucket column is computed some other
+    way (dedup's ``_hash_bucket`` routes: pair keys, re-star buckets,
+    gram prefixes)."""
     groups = min(num_buckets, cluster_cpus())
-    split = _split.options(num_returns=groups)
-    # Launch a split task per block AS the upstream produces it
-    # (iter_internal_ref_bundles streams refs with backpressure) -- the
-    # map side of the exchange then overlaps the upstream's straggler tail
-    # instead of waiting behind a full-execution barrier (to_arrow_refs).
-    # Measured at sf0.1: count_by final 1.10 s -> ~0.75 s; identical refs.
-    shard_refs = []
-    for bundle in ds.iter_internal_ref_bundles():
-        shard_refs.extend(split.remote(r, num_buckets, groups, bucket_col)
-                          for r in bundle.block_refs)
-    if not shard_refs:
+    shards, blocks, _ = _split_all(ds, num_buckets, groups, bucket_col)
+    if not blocks:
         return ds
-    per_group = [shard_refs] if groups == 1 else list(zip(*shard_refs))
-    report_refs, out_refs = [], []
-    for g, parts in enumerate(per_group):
-        r, o = _reduce.remote(reduce_fn, _first_bucket(g, num_buckets, groups),
-                              _first_bucket(g + 1, num_buckets, groups),
-                              bucket_col, *parts)
-        report_refs.append(r)
-        out_refs.append(o)
-    reports = ray.get(report_refs)       # tiny arrays; reduces already ran
-    _log_report(np.concatenate(reports), num_buckets, groups, len(shard_refs))
-    kept = [o for r, o in zip(reports, out_refs) if len(r)]
-    if not kept:
-        # fully-empty input: one empty block (matches the sort-groupby
-        # path, where map_groups never ran either)
-        return rd.from_arrow_refs([out_refs[0]])
-    return rd.from_arrow_refs(kept)
+    return _reduce_all([shards], num_buckets, groups, reduce_fn, bucket_col,
+                       blocks)

@@ -3,15 +3,17 @@
 The only join in the reference is the geo lookup itself -- a broadcast
 prefix/range join against the mmdb trie (SURVEY §2.3).  For relational
 pipelines the same broadcast principle generalizes: ship the SMALL side once
-(``ray.put``), hash-join per batch with pandas' C merge -- zero shuffle.
-Large-large joins take the explicit bucketed path (hash-partition both sides
-by ``hash(key) % B`` with a groupby, join matching buckets in ``map_groups``);
-``bucketed_join_hint`` documents the partitioning assumption.
+(``ray.put``), hash-join each batch against it -- zero shuffle.
+Large-large joins co-group both sides by key through
+:func:`~fluent_plugin_geoip_ray.stages.exchange.cogroup_by` and join each
+bucket's two tables; each function documents its partitioning assumption.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+
+from .exchange import canon_float, cogroup_by, key_lanes
 
 
 class BroadcastJoin:
@@ -35,8 +37,6 @@ class BroadcastJoin:
             right = right.rename_columns(
                 [c if c in keys else right_prefix + c for c in right.column_names]
             )
-        from .exchange import canon_float
-
         for k in keys:        # SQL equality: -0.0 and +0.0 are one key
             right = right.set_column(right.column_names.index(k), k,
                                      canon_float(right.column(k)))
@@ -57,8 +57,6 @@ class BroadcastJoin:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-
-        from .exchange import canon_float
 
         if self._key_arr is not None:
             idx = pc.index_in(canon_float(batch.column(self.keys[0])),
@@ -104,130 +102,70 @@ def bucketed_join(left_ds, right_ds, on, num_buckets: int = 32,
                   right_cols: list | None = None):
     """Explicit partitioned hash join for two LARGE sides.
 
-    The portable Ray Data pattern (no native join dependency): add
-    ``bucket = hash(key) % B`` to both sides, union them with a side marker,
-    ``groupby("bucket")`` (ONE all-to-all over both inputs), and hash-join
-    each bucket pairwise inside ``map_groups`` with pandas' C merge.
+    Both sides co-group on ``on`` through one
+    :func:`~fluent_plugin_geoip_ray.stages.exchange.cogroup_by` exchange,
+    and each bucket's left and right tables meet in one Arrow (Acero) hash
+    join.  ``how`` is inner, left or full: full outer is bucket-safe
+    because both sides are partitioned by key, so every unmatched row is
+    padded inside its own bucket exactly once.
 
     ``on`` may be a single column name or a LIST of names (composite
-    equi-join key; bucket hash = xor of per-column hashes, the
-    ``groupby_agg`` convention, so composite joins co-bucket with
-    composite aggregates).
+    equi-join key; the bucket id combines the per-column hashes with
+    distinct odd multipliers, as ``stable_bucket_ids`` does for
+    ``groupby_agg``, so composite joins co-bucket with composite
+    aggregates).  Output: the keys, the other left columns, then the
+    right non-key columns.
 
-    Partitioning assumptions (document per use): key hashes spread uniformly
-    across ``num_buckets`` (pandas hash_array is uniform); one bucket of
-    left+right must fit in a worker's heap -- size ``num_buckets`` to
-    max(|L|,|R|) / target_bucket_rows, and salt a hot key into sub-buckets
-    upstream if a single key dominates.
+    Partitioning assumptions (document per use): key hashes spread
+    uniformly across ``num_buckets``; one bucket of left+right must fit
+    in a worker's heap -- size ``num_buckets`` to max(|L|,|R|) /
+    target_bucket_rows, and salt a hot key into sub-buckets upstream if a
+    single key dominates.
     """
-    import pandas as pd
-
     on_keys = [on] if isinstance(on, str) else list(on)
-
-    def keep(ds, cols):
-        return ds.select_columns(cols) if cols else ds
-
-    left_ds = keep(left_ds, left_cols)
-    right_ds = keep(right_ds, right_cols)
-
-    # union needs one schema: pad each side with the other's columns (nulls)
+    if left_cols:
+        left_ds = left_ds.select_columns(left_cols)
+    if right_cols:
+        right_ds = right_ds.select_columns(right_cols)
     lschema, rschema = left_ds.schema(), right_ds.schema()
     _require_arrow_types(lschema, "bucketed_join(left)")
     _require_arrow_types(rschema, "bucketed_join(right)")
-    lnames = list(lschema.names)
-    rnames = [c for c in rschema.names if c not in on_keys]
-    overlap = (set(lnames) - set(on_keys)) & set(rnames)
+    lnames = on_keys + [c for c in lschema.names if c not in on_keys]
+    rnames = on_keys + [c for c in rschema.names if c not in on_keys]
+    overlap = set(lnames[len(on_keys):]) & set(rnames[len(on_keys):])
     if overlap:
         raise ValueError(f"bucketed_join column collision: {sorted(overlap)}")
-    types = {
-        **dict(zip(lschema.names, lschema.types)),
-        **dict(zip(rschema.names, rschema.types)),
-    }
-    all_names = lnames + rnames
-
-    def add_bucket(side):
-        def fn(batch: pa.Table) -> pa.Table:
-            import numpy as np
-
-            from .exchange import stable_bucket_ids
-
-            b = stable_bucket_ids(batch, on_keys, num_buckets)
-            cols = {}
-            for name in all_names:
-                if name in batch.column_names:
-                    cols[name] = (_canon_float(batch.column(name))
-                                  if name in on_keys else batch.column(name))
-                else:
-                    cols[name] = pa.nulls(batch.num_rows, type=types[name])
-            cols["__bucket"] = pa.array(b)
-            cols["__side"] = pa.array(np.full(batch.num_rows, side, dtype=np.int8))
-            return pa.table(cols)
-
-        return fn
-
-    both = left_ds.map_batches(
-        add_bucket(0), batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        right_ds.map_batches(add_bucket(1), batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    # full outer is bucket-safe: the hash exchange partitions BOTH sides
-    # by key, so every unmatched row pads inside its own bucket exactly
-    # once
     arrow_how = {"inner": "inner", "left": "left outer",
                  "full": "full outer"}[how]
 
-    def join_bucket(g: pa.Table) -> pa.Table:
-        # Arrow-native (Acero hash join): typed null padding survives -- no
-        # pandas int64 -> float64 degradation on padded columns.
-        import pyarrow.compute as pc
+    def canon_keys(t: pa.Table, names: list) -> pa.Table:
+        t = t.select(names)
+        for i, k in enumerate(on_keys):      # SQL equality: -0.0 == +0.0
+            t = t.set_column(i, k, canon_float(t.column(i)))
+        return t
 
-        side = g.column("__side")
-        lf = g.filter(pc.equal(side, 0)).select(
-            on_keys + [c for c in lnames if c not in on_keys]
-        )
-        rt = g.filter(pc.equal(side, 1)).select(on_keys + rnames)
-        return lf.join(rt, keys=on_keys, join_type=arrow_how)
+    def join_bucket(left: pa.Table, right: pa.Table) -> pa.Table:
+        return canon_keys(left, lnames).join(
+            canon_keys(right, rnames), keys=on_keys, join_type=arrow_how)
 
-    from .exchange import hash_exchange
-
-    return hash_exchange(both, num_buckets, join_bucket)
-
-
-def _canon_float(col):
-    """-0.0 -> +0.0 on float join keys (exchange.canon_float): SQL
-    equality treats them as one key, the Arrow join/is_in kernels hash
-    bit patterns."""
-    from .exchange import canon_float
-
-    return canon_float(col)
+    return cogroup_by([(left_ds, on_keys), (right_ds, on_keys)], join_bucket,
+                      num_buckets)
 
 
 def _require_arrow_types(schema, where: str):
     """Fail fast when Ray cannot derive Arrow types (pandas extension
     dtypes like Int64 ingest as pandas blocks whose schema reports
-    ``None`` types): the bucketed joins pad and cast against these
-    types, and a None only surfaces later as an opaque worker
-    TypeError.  Ingest via pyarrow (``rd.from_arrow`` /
-    ``read_parquet``) or plain numpy dtypes instead."""
+    ``None`` types): the bucketed joins cast against these types and
+    hand them to buckets where a side has no rows, and a None only
+    surfaces later as an opaque worker TypeError.  Ingest via pyarrow
+    (``rd.from_arrow`` / ``read_parquet``) or plain numpy dtypes
+    instead."""
     for name, t in zip(schema.names, schema.types):
         if t is None:
             raise ValueError(
                 f"{where}: column {name!r} has no Arrow type (pandas "
                 "extension dtype input?); ingest via pyarrow or numpy "
                 "dtypes")
-
-
-def _asof_key_lanes(col):
-    """Join-key column -> ``(filled_values, is_null)`` numpy pair for
-    MATCHING (not hashing) -- delegates to :func:`exchange.key_lanes`.
-    Null keys sort last and are rejected by the matcher's null-lane
-    check (SQL: NULL joins nothing); values never materialize nulls, so
-    neither INT64_MIN-from-NaN keys nor object-lane NaN comparator
-    poison can occur."""
-    from .exchange import key_lanes
-
-    return key_lanes(col)
 
 
 def _asof_match(u, un, t, mb, mn, mt):
@@ -295,7 +233,7 @@ def asof_join(ds, right, on: str, by: str, right_cols: dict,
     sign = -1 if direction == "forward" else 1
     if not isinstance(right, pa.Table):
         right = pa.Table.from_pandas(right, preserve_index=False)
-    rb, rn = _asof_key_lanes(right.column(by))
+    rb, rn = key_lanes(right.column(by))
     rt = right.column(on).cast(pa.int64()).to_numpy(
         zero_copy_only=False) * sign
     rorder = np.lexsort((rt, rb, rn))
@@ -308,7 +246,7 @@ def asof_join(ds, right, on: str, by: str, right_cols: dict,
 
     def fn(batch: pa.Table) -> pa.Table:
         mb, mn, mt, vals = ray.get(state)
-        u, un = _asof_key_lanes(batch.column(by))
+        u, un = key_lanes(batch.column(by))
         t = batch.column(on).cast(pa.int64()).to_numpy(
             zero_copy_only=False) * sign
         idx_arr = _asof_match(u, un, t, mb, mn, mt)
@@ -343,8 +281,6 @@ def asof_join_big(left_ds, right_ds, on: str, by: str, right_cols: dict,
     :func:`asof_join`).  Output = every left column + the mapped columns.
     """
     import numpy as np
-    import pandas as pd
-    import pyarrow.compute as pc
 
     if direction not in ("backward", "forward"):
         raise ValueError(f"direction must be backward|forward, got "
@@ -353,70 +289,31 @@ def asof_join_big(left_ds, right_ds, on: str, by: str, right_cols: dict,
     lschema, rschema = left_ds.schema(), right_ds.schema()
     _require_arrow_types(lschema, "asof_join_big(left)")
     _require_arrow_types(rschema, "asof_join_big(right)")
-    lnames = list(lschema.names)
-    rtypes = dict(zip(rschema.names, rschema.types))
-    out_names = list(right_cols.values())
-    overlap = set(lnames) & set(out_names)
+    overlap = set(lschema.names) & set(right_cols.values())
     if overlap:
         raise ValueError(f"asof_join_big column collision: {sorted(overlap)}")
-    types = dict(zip(lschema.names, lschema.types))
-    types.update({out: rtypes[src] for src, out in right_cols.items()})
-    all_names = lnames + out_names
+    ltypes = dict(zip(lschema.names, lschema.types))
 
-    def add_bucket(side):
-        def fn(batch: pa.Table) -> pa.Table:
-            from .exchange import stable_bucket_ids
-
-            b = stable_bucket_ids(batch, [by], num_buckets)
-            cols = {}
-            for name in all_names:
-                if side == 1 and name in out_names:
-                    src = [s for s, o in right_cols.items() if o == name][0]
-                    cols[name] = batch.column(src).cast(types[name])
-                elif side == 1 and name in (on, by):
-                    cols[name] = batch.column(name).cast(types[name])
-                elif side == 0 and name in batch.column_names:
-                    cols[name] = batch.column(name)
-                else:
-                    cols[name] = pa.nulls(batch.num_rows, type=types[name])
-            cols["__bucket"] = pa.array(b)
-            cols["__side"] = pa.array(np.full(batch.num_rows, side, dtype=np.int8))
-            return pa.table(cols)
-
-        return fn
-
-    both = left_ds.map_batches(
-        add_bucket(0), batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        right_ds.map_batches(add_bucket(1), batch_format="pyarrow",
-                             zero_copy_batch=True)
-    )
-
-    def match_bucket(g: pa.Table) -> pa.Table:
-        side = g.column("__side")
-        probes = g.filter(pc.equal(side, 0)).select(lnames)
-        markers = g.filter(pc.equal(side, 1))
-        mb, mn = _asof_key_lanes(markers.column(by))
-        mt = markers.column(on).cast(pa.int64()).to_numpy(
+    def match_bucket(probes: pa.Table, markers: pa.Table) -> pa.Table:
+        # marker keys and times take the probes' types, so the time
+        # lanes compare in one unit
+        mb, mn = key_lanes(markers.column(by).cast(ltypes[by]))
+        mt = markers.column(on).cast(ltypes[on]).cast(pa.int64()).to_numpy(
             zero_copy_only=False) * sign
         morder = np.lexsort((mt, mb, mn))
         mb, mn, mt = mb[morder], mn[morder], mt[morder]
-        mvals = {
-            out: markers.column(out).take(pa.array(morder))
-            for out in out_names
-        }
-        u, un = _asof_key_lanes(probes.column(by))
+        u, un = key_lanes(probes.column(by))
         t = probes.column(on).cast(pa.int64()).to_numpy(
             zero_copy_only=False) * sign
         idx_arr = _asof_match(u, un, t, mb, mn, mt)
         out = probes
-        for name, col in mvals.items():
-            out = out.append_column(name, col.take(idx_arr))
+        for src, name in right_cols.items():
+            out = out.append_column(name, markers.column(src).take(
+                pa.array(morder)).take(idx_arr))
         return out
 
-    from .exchange import hash_exchange
-
-    return hash_exchange(both, num_buckets, match_bucket)
+    return cogroup_by([(left_ds, [by]), (right_ds, [by])], match_bucket,
+                      num_buckets)
 
 
 def range_join(ds, intervals, value_col: str, out_cols: dict,
@@ -469,11 +366,11 @@ def semi_join_filter(ds, key_col: str, keys, anti: bool = False,
     import pyarrow.compute as pc
     import ray
 
-    keys_ref = ray.put(_canon_float(pa.array(sorted(keys))))
+    keys_ref = ray.put(canon_float(pa.array(sorted(keys))))
 
     def fn(batch: pa.Table) -> pa.Table:
         vs = ray.get(keys_ref)
-        mask = pc.is_in(_canon_float(batch.column(key_col)), value_set=vs)
+        mask = pc.is_in(canon_float(batch.column(key_col)), value_set=vs)
         if anti:
             mask = pc.invert(mask)
         return batch.filter(pc.fill_null(mask, anti))
@@ -508,67 +405,25 @@ def range_join_big(left_ds, intervals_ds, value_col: str, by: str,
     ``out_cols`` maps interval column -> output name.
     """
     import numpy as np
-    import pandas as pd
     import pyarrow.compute as pc
 
     lschema, rschema = left_ds.schema(), intervals_ds.schema()
     _require_arrow_types(lschema, "range_join_big(left)")
     _require_arrow_types(rschema, "range_join_big(intervals)")
-    lnames = list(lschema.names)
-    rtypes = dict(zip(rschema.names, rschema.types))
-    out_names = list(out_cols.values())
-    overlap = set(lnames) & set(out_names)
+    overlap = set(lschema.names) & set(out_cols.values())
     if overlap:
         raise ValueError(f"range_join_big column collision: {sorted(overlap)}")
-    types = dict(zip(lschema.names, lschema.types))
-    types.update({out: rtypes[src] for src, out in out_cols.items()})
-    all_names = lnames + out_names + ["__lo", "__hi"]
-    types["__lo"] = pa.int64()
-    types["__hi"] = pa.int64()
+    by_type = dict(zip(lschema.names, lschema.types))[by]
 
-    def add_bucket(side):
-        def fn(batch: pa.Table) -> pa.Table:
-            from .exchange import stable_bucket_ids
-
-            b = stable_bucket_ids(batch, [by], num_buckets)
-            cols = {}
-            for name in all_names:
-                if side == 1 and name in out_names:
-                    src = [s for s, o in out_cols.items() if o == name][0]
-                    cols[name] = batch.column(src).cast(types[name])
-                elif side == 1 and name == "__lo":
-                    cols[name] = batch.column(lo_col).cast(pa.int64())
-                elif side == 1 and name == "__hi":
-                    cols[name] = batch.column(hi_col).cast(pa.int64())
-                elif side == 1 and name == by:
-                    cols[name] = batch.column(by).cast(types[name])
-                elif side == 0 and name in batch.column_names:
-                    cols[name] = batch.column(name)
-                else:
-                    cols[name] = pa.nulls(batch.num_rows, type=types[name])
-            cols["__bucket"] = pa.array(b)
-            cols["__side"] = pa.array(np.full(batch.num_rows, side, dtype=np.int8))
-            return pa.table(cols)
-
-        return fn
-
-    both = left_ds.map_batches(
-        add_bucket(0), batch_format="pyarrow", zero_copy_batch=True
-    ).union(intervals_ds.map_batches(add_bucket(1), batch_format="pyarrow",
-                                     zero_copy_batch=True))
-
-    def match_bucket(g: pa.Table) -> pa.Table:
-        side = g.column("__side")
-        probes = g.filter(pc.equal(side, 0)).select(lnames)
-        markers = g.filter(pc.equal(side, 1))
-        mb, mn = _asof_key_lanes(markers.column(by))
-        mlo = markers.column("__lo").to_numpy(zero_copy_only=False)
-        mhi = markers.column("__hi").to_numpy(zero_copy_only=False)
+    def match_bucket(probes: pa.Table, markers: pa.Table) -> pa.Table:
+        mb, mn = key_lanes(markers.column(by).cast(by_type))
+        mlo = markers.column(lo_col).cast(pa.int64()).to_numpy(
+            zero_copy_only=False)
+        mhi = markers.column(hi_col).cast(pa.int64()).to_numpy(
+            zero_copy_only=False)
         morder = np.lexsort((mlo, mb, mn))
         mb, mn, mlo, mhi = mb[morder], mn[morder], mlo[morder], mhi[morder]
-        mvals = {out: markers.column(out).take(pa.array(morder))
-                 for out in out_names}
-        u, un = _asof_key_lanes(probes.column(by))
+        u, un = key_lanes(probes.column(by))
         v = probes.column(value_col).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
         idx_arr = _asof_match(u, un, v, mb, mn, mlo)
@@ -582,13 +437,13 @@ def range_join_big(left_ds, intervals_ds, value_col: str, by: str,
         final = pc.if_else(pa.array(inside),
                            pa.array(safe), pa.scalar(None, pa.int64()))
         out = probes
-        for name, col in mvals.items():
-            out = out.append_column(name, col.take(final))
+        for src, name in out_cols.items():
+            out = out.append_column(name, markers.column(src).take(
+                pa.array(morder)).take(final))
         return out
 
-    from .exchange import hash_exchange
-
-    return hash_exchange(both, num_buckets, match_bucket)
+    return cogroup_by([(left_ds, [by]), (intervals_ds, [by])], match_bucket,
+                      num_buckets)
 
 
 def anti_join_big(left_ds, right_ds, on, right_on: str | None = None,
@@ -634,66 +489,30 @@ def semi_join_big(left_ds, right_ds, on, right_on: str | None = None,
 
 def _exists_join_big(left_ds, right_ds, on, right_on: str | None,
                      num_buckets: int, anti: bool):
-    import numpy as np
-    import pandas as pd
     import pyarrow.compute as pc
 
-    from .exchange import hash_exchange
-
     rk = right_on or on
-    lschema = left_ds.schema()
-    lnames = list(lschema.names)
-    if "__rkey" in lnames:
+    if "__rkey" in left_ds.schema().names:
         raise ValueError("anti/semi_join_big: left side may not carry __rkey")
-    ltypes = dict(zip(lschema.names, lschema.types))
-    ktype = dict(zip(right_ds.schema().names,
-                     right_ds.schema().types))[rk]
 
-    def bucket_of(col: pa.Array | pa.ChunkedArray):
-        # TYPE-STABLE key hash (exchange.stable_hash): both sides share
-        # this path, so buckets align whenever the key TYPES match (the
-        # equi-join contract); null left keys survive regardless of
-        # bucket, null right keys are dropped before this.
-        from .exchange import stable_hash
+    def right_keys(t: pa.Table) -> pa.Table:
+        # NULL right keys match nothing -> drop; per-batch dedupe so a hot
+        # key ships one row per block
+        return pa.table({"__rkey": pc.unique(
+            pc.drop_null(t.column(rk).combine_chunks()))})
 
-        return (stable_hash(col) % num_buckets).astype(np.int32)
-
-    def add_left(t: pa.Table) -> pa.Table:
-        cols = {c: t.column(c) for c in lnames}
-        cols["__rkey"] = pa.nulls(t.num_rows, type=ktype)
-        cols["__bucket"] = pa.array(bucket_of(t.column(on)))
-        cols["__side"] = pa.array(np.zeros(t.num_rows, dtype=np.int8))
-        return pa.table(cols)
-
-    def add_right(t: pa.Table) -> pa.Table:
-        # keys only; NULL right keys match nothing -> drop; per-batch
-        # dedupe so a hot key ships one row per block
-        keys = pc.unique(pc.drop_null(t.column(rk).combine_chunks()
-                         if isinstance(t.column(rk), pa.ChunkedArray)
-                         else t.column(rk)))
-        cols = {c: pa.nulls(len(keys), type=ltypes[c]) for c in lnames}
-        cols["__rkey"] = keys
-        cols["__bucket"] = pa.array(bucket_of(keys))
-        cols["__side"] = pa.array(np.ones(len(keys), dtype=np.int8))
-        return pa.table(cols)
-
-    both = left_ds.map_batches(
-        add_left, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        right_ds.select_columns([rk]).map_batches(
-            add_right, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    def exists_bucket(g: pa.Table) -> pa.Table:
-        side = g.column("__side")
-        lf = g.filter(pc.equal(side, 0)).select(lnames)
-        keys = pc.unique(_canon_float(
-            g.filter(pc.equal(side, 1)).column("__rkey").combine_chunks()))
-        if len(keys) == 0:
-            return lf if anti else lf.slice(0, 0)
-        mask = pc.is_in(_canon_float(lf.column(on)), value_set=keys)
+    def exists_bucket(left: pa.Table, right: pa.Table) -> pa.Table:
+        # either side may be a 0-column table when Ray cannot tell the
+        # schema of a side without rows
+        if not (left.num_rows and right.num_rows):
+            return left if anti else left.slice(0, 0)
+        keys = pc.unique(canon_float(right.column("__rkey")))
+        mask = pc.is_in(canon_float(left.column(on)), value_set=keys)
         if anti:                       # NULL left key -> no match -> keep
-            return lf.filter(pc.fill_null(pc.invert(mask), True))
-        return lf.filter(pc.fill_null(mask, False))
+            return left.filter(pc.fill_null(pc.invert(mask), True))
+        return left.filter(pc.fill_null(mask, False))
 
-    return hash_exchange(both, num_buckets, exists_bucket)
+    right = right_ds.select_columns([rk]).map_batches(
+        right_keys, batch_format="pyarrow", zero_copy_batch=True)
+    return cogroup_by([(left_ds, [on]), (right, ["__rkey"])], exists_bucket,
+                      num_buckets)

@@ -59,18 +59,15 @@ class MaxmindBackend:
 
     The production analog of ``GeoIP2::Database.new(path)``
     (``filter_geoip.rb:215``): one reader per actor, opened in ``__init__``.
-    Uses the public ``maxminddb`` package when installed; otherwise the
-    bundled pure-Python reader (:mod:`.mmdb`, written from the public
-    MaxMind DB format spec) -- same ``get()`` contract either way, so the
-    mmdb execution path runs for real in this sandbox.
+    Always the bundled reader (:mod:`.mmdb`, written from the public
+    MaxMind DB format spec), whose ``get_many`` is the one batched trie
+    descent; ``lookup`` is its single-address form.
     """
 
     def __init__(self, mmdb_path: str):
-        try:
-            import maxminddb
-        except ImportError:
-            from . import mmdb as maxminddb
-        self._reader = maxminddb.open_database(mmdb_path)
+        from .mmdb import open_database
+
+        self._reader = open_database(mmdb_path)
 
     def lookup(self, address: str) -> Optional[dict]:
         try:
@@ -81,10 +78,7 @@ class MaxmindBackend:
             return None
 
     def lookup_many(self, addresses: list[str]) -> list[Optional[dict]]:
-        get_many = getattr(self._reader, "get_many", None)
-        if get_many is None:  # the maxminddb package reads one address at a time
-            return [self.lookup(a) for a in addresses]
-        return get_many(addresses)  # batched trie descent; invalid -> miss
+        return self._reader.get_many(addresses)  # batched; invalid -> miss
 
 
 class LegacyDatBackend:

@@ -3,8 +3,8 @@
 Implements the PUBLIC MaxMind DB file format specification
 (https://maxmind.github.io/MaxMind-DB/ -- binary search tree of IP bits +
 16-byte separator + typed data section + metadata map after the
-``\\xab\\xcd\\xefMaxMind.com`` marker).  The ``maxminddb`` wheel is absent
-in this sandbox, so this module provides:
+``\\xab\\xcd\\xefMaxMind.com`` marker).  ``MaxmindBackend`` always reads
+through this module, which provides:
 
 * :class:`MMDBReader` -- a spec-complete-enough reader (record sizes
   24/28/32, v4 and v6 trees, all scalar types, maps, arrays and pointers)

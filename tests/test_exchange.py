@@ -218,3 +218,166 @@ def test_exchange_retry_after_worker_killed_in_reduce_fn(monkeypatch,
                                   die_once))
     assert os.path.exists(marker)
     assert faulty.equals(clean)
+
+
+def test_exchange_retry_after_worker_killed_in_split(monkeypatch, tmp_path):
+    """A worker dies inside a split task on its first call; Ray retries
+    the split task and the output equals the fault-free output row for
+    row."""
+    t = _bucketed_table(n=2000, num_buckets=8)
+    marker = str(tmp_path / "killed")
+
+    @ray.remote
+    def split_dies_once(*args):
+        from fluent_plugin_geoip_ray.stages import exchange as ex
+
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return ex._split._function(*args)
+        os._exit(1)
+
+    _force_cpus(monkeypatch, 3)
+    clean = _arrow(hash_exchange(rd.from_arrow(t).repartition(7), 8,
+                                 lambda g: g))
+    monkeypatch.setattr(exchange, "_split", split_dies_once)
+    faulty = _arrow(hash_exchange(rd.from_arrow(t).repartition(7), 8,
+                                  lambda g: g))
+    assert os.path.exists(marker)
+    assert faulty.equals(clean)
+
+
+def test_hash_bucket_equals_stable_bucket_ids():
+    """dedup's ``_hash_bucket`` routes integer values exactly as
+    ``stable_bucket_ids`` routes the same values as a key column, so the
+    one-input ``__xb`` routes and the keyed co-groups agree."""
+    from fluent_plugin_geoip_ray.stages.dedup import _hash_bucket
+
+    i64 = np.iinfo(np.int64)
+    v = np.r_[np.random.default_rng(11).integers(i64.min, i64.max, 50_000),
+              [0, 1, -1, i64.min, i64.max, i64.min + 1]].astype(np.int64)
+    for nb in (1, 7, 32, 64):
+        for col in (v, v.astype(np.int32)):
+            got = exchange.stable_bucket_ids(pa.table({"k": col}), ["k"], nb)
+            assert np.array_equal(_hash_bucket(col, nb), got), (nb, col.dtype)
+
+
+# ---- co-group: several inputs, each bucketed over its own keys ----------
+
+def _cogroup_inputs(n=3000, nb=8, seed=5):
+    """Left keyed by ``k`` (int64) in every bucket but 3, right keyed by
+    ``rk`` (int32) in buckets 0-3 only: bucket 3 holds right rows only
+    and buckets 4-7 left rows only."""
+    rng = np.random.default_rng(seed)
+    keys = np.arange(400)
+    b = exchange.stable_bucket_ids(pa.table({"k": keys}), ["k"], nb)
+    left = pa.table({"k": pa.array(rng.choice(keys[b != 3], n), pa.int64()),
+                     "v": pa.array(np.arange(n), pa.int64()),
+                     "s": pa.array([f"s{i % 7}" for i in range(n)])})
+    right = pa.table({"rk": pa.array(rng.choice(keys[b <= 3], n // 2),
+                                     pa.int32()),
+                      "w": pa.array(rng.random(n // 2), pa.float64())})
+    return left, right
+
+
+def _cogroup_probe(lschema, rschema, nb):
+    """A co-group fn that checks each side's schema and that all its rows
+    share one bucket, and returns (bucket, left v's, right w's)."""
+    def probe(left: pa.Table, right: pa.Table) -> pa.Table:
+        from fluent_plugin_geoip_ray.stages.exchange import stable_bucket_ids
+
+        assert left.schema.equals(lschema), left.schema
+        assert right.schema.equals(rschema), right.schema
+        b = np.unique(np.r_[stable_bucket_ids(left, ["k"], nb),
+                            stable_bucket_ids(right, ["rk"], nb)])
+        assert len(b) == 1, b
+        return pa.table({
+            "b": pa.array(b, pa.int32()),
+            "v": pa.array([left.column("v").to_pylist()],
+                          pa.list_(pa.int64())),
+            "w": pa.array([right.column("w").to_pylist()],
+                          pa.list_(pa.float64()))})
+
+    return probe
+
+
+def _cogroup_expected(left, right, nb):
+    """One row per bucket where either side has rows, in bucket order:
+    the bucket's left v's and right w's in input order."""
+    lb = exchange.stable_bucket_ids(left, ["k"], nb)
+    rb = exchange.stable_bucket_ids(right, ["rk"], nb)
+    rows = []
+    for j in range(nb):
+        v = left.column("v").filter(pa.array(lb == j)).to_pylist()
+        w = right.column("w").filter(pa.array(rb == j)).to_pylist()
+        if v or w:
+            rows.append({"b": j, "v": v, "w": w})
+    return rows
+
+
+def test_cogroup_hands_each_call_one_bucket_of_every_side(monkeypatch):
+    """Every call gets exactly its bucket's rows of both sides in shard
+    (input) order; a side without rows in the bucket arrives as a 0-row
+    table with that side's schema -- also when the side has no rows at
+    all, and with 0-row pre-map blocks mixed into either side.  The
+    output is the same for every group count."""
+    nb = 8
+    left, right = _cogroup_inputs(nb=nb)
+    probe = _cogroup_probe(left.schema, right.schema, nb)
+    stray = rd.from_arrow(pa.table({"other": pa.array([], pa.string())}))
+    for cpus in CPUS:
+        _force_cpus(monkeypatch, cpus)
+        out = exchange.cogroup_by(
+            [(rd.from_arrow(left).repartition(7).union(stray), ["k"]),
+             (stray.union(rd.from_arrow(right).repartition(3)), ["rk"])],
+            probe, nb)
+        got = _arrow(out).to_pylist()
+        assert got == _cogroup_expected(left, right, nb), cpus
+        assert {r["b"] for r in got} == set(range(nb)), cpus
+
+        no_right = right.slice(0, 0)
+        out = exchange.cogroup_by(
+            [(rd.from_arrow(left).repartition(7), ["k"]),
+             (rd.from_arrow(no_right), ["rk"])], probe, nb)
+        assert _arrow(out).to_pylist() == \
+            _cogroup_expected(left, no_right, nb), cpus
+
+
+def test_cogroup_report_counts_both_sides(monkeypatch, caplog):
+    """One DEBUG line per co-group whose rows and bytes sum both sides."""
+    nb = 8
+    left, right = _cogroup_inputs(nb=nb)
+    _force_cpus(monkeypatch, 3)
+    with caplog.at_level(logging.DEBUG, logger=exchange.__name__):
+        exchange.cogroup_by([(rd.from_arrow(left), ["k"]),
+                             (rd.from_arrow(right), ["rk"])],
+                            lambda lt, rt: lt, nb)
+    buckets, nonempty, groups, rows, nbytes = _report_line(caplog)[:5]
+    assert (buckets, nonempty, groups) == (nb, nb, 3)
+    assert rows == left.num_rows + right.num_rows
+    assert nbytes == left.nbytes + right.nbytes
+
+
+def test_cogroup_retry_after_worker_killed_in_reduce_fn(monkeypatch,
+                                                        tmp_path):
+    """The kill-in-reduce retry test for a co-group: the retried reduce
+    task re-runs every bucket of its group with both sides' shards."""
+    nb = 8
+    left, right = _cogroup_inputs(nb=nb)
+    probe = _cogroup_probe(left.schema, right.schema, nb)
+    marker = str(tmp_path / "killed")
+
+    def die_once(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return probe(lt, rt)
+        os._exit(1)
+
+    _force_cpus(monkeypatch, 3)
+    sides = [(rd.from_arrow(left).repartition(5), ["k"]),
+             (rd.from_arrow(right).repartition(3), ["rk"])]
+    clean = _arrow(exchange.cogroup_by(sides, probe, nb))
+    faulty = _arrow(exchange.cogroup_by(sides, die_once, nb))
+    assert os.path.exists(marker)
+    assert faulty.equals(clean)
