@@ -309,11 +309,18 @@ def cogroup_by(sides, reduce_fn, num_buckets: int = 32):
     their values are: any integer widths, one float width or one string
     type per key.  Same exchange, report and retry contract as
     :func:`hash_exchange`; returns a MaterializedDataset."""
+    from concurrent.futures import ThreadPoolExecutor
+
     groups = min(num_buckets, cluster_cpus())
+    # one thread per side, so the sides' upstreams execute concurrently
+    # (one after the other, bucketed_join and the big as-of join at sf0.1
+    # took 0.4-0.9 s longer each on 4 Ray CPUs)
+    with ThreadPoolExecutor(len(sides)) as pool:
+        splits = list(pool.map(lambda side: _split_all(
+            _bucketed(side[0], side[1], num_buckets), num_buckets, groups,
+            "__bucket"), sides))
     per_side, blocks = [], 0
-    for ds, keys in sides:
-        shards, n_blocks, rows = _split_all(_bucketed(ds, keys, num_buckets),
-                                            num_buckets, groups, "__bucket")
+    for (ds, _), (shards, n_blocks, rows) in zip(sides, splits):
         if rows == 0:     # no shard carries this side's schema: send one
             schema = ds.schema()
             empty = pa.schema(zip(schema.names, schema.types)).empty_table() \
