@@ -305,10 +305,11 @@ def cogroup_by(sides, reduce_fn, num_buckets: int = 32):
     schema; a side with no rows in a bucket arrives as a 0-row table with
     that side's schema.  For a side with no rows at all, that schema is
     ``ds.schema()`` (0 columns when Ray cannot tell it: a 0-row block
-    skips every map UDF upstream).  Keys are equal across sides when
-    their values are: any integer widths, one float width or one string
-    type per key.  Same exchange, report and retry contract as
-    :func:`hash_exchange`; returns a MaterializedDataset."""
+    skips every map UDF upstream).  Equal key values route alike on every
+    side when the sides' key columns are all integers (any width), all
+    floats or all strings (the lanes of :func:`key_lanes`).  Same
+    exchange, report and retry contract as :func:`hash_exchange`; returns
+    a MaterializedDataset."""
     from concurrent.futures import ThreadPoolExecutor
 
     groups = min(num_buckets, cluster_cpus())

@@ -458,9 +458,9 @@ def anti_join_big(left_ds, right_ds, on, right_on: str | None = None,
     SURVIVES); NULL right keys match nothing.
 
     Scale shape: only the right side's KEY column moves (projected before
-    the exchange); both sides hash-bucket on the key through ONE
-    :func:`~fluent_plugin_geoip_ray.stages.exchange.hash_exchange`, and
-    each bucket runs one vectorized ``np.isin`` anti-filter (the same
+    the exchange); both sides co-group on the key through ONE
+    :func:`~fluent_plugin_geoip_ray.stages.exchange.cogroup_by`, and
+    each bucket runs one vectorized ``is_in`` filter (the same
     per-bucket step as dedup's ``_drop_losers_ds``).  Left rows move at
     most once; right duplicates collapse per-batch before moving
     (``pc.unique``), so a hot right key costs one row per block.
