@@ -65,6 +65,15 @@ def _mb(ds, fn, **kwargs):
                           **kwargs)
 
 
+def _int_keyed(ds, col: str):
+    """``ds`` plus ``__k``, its ``col`` cast to int64, for a co-group side
+    keyed by the doc key: the doc key may have any integer-castable type
+    (5, 5.0, "5"), and only its int64 cast routes like the int64 ids it
+    meets (losers, removals, pair endpoints)."""
+    return _mb(ds, lambda t: t.append_column(
+        "__k", t.column(col).cast(pa.int64())))
+
+
 def _in_sorted(sorted_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Vectorized membership of ``x`` in the sorted array ``sorted_vals``."""
     if not len(sorted_vals):
@@ -589,7 +598,7 @@ def _lsh_edges_distributed(sketches, exploded, hot, key_col: str, verify,
     def attach(sk: pa.Table, by_a: pa.Table, by_b: pa.Table) -> pa.Table:
         """Every pair once per endpoint in this bucket (``end`` 0 = a,
         1 = b), with that endpoint's signature."""
-        skk = _np_col(sk, key_col)
+        skk = _np_col(sk, "__k")
         order = np.argsort(skk)
         out = [pa.table({
             "a": e.column("a"), "b": e.column("b"),
@@ -604,7 +613,8 @@ def _lsh_edges_distributed(sketches, exploded, hot, key_col: str, verify,
     from .exchange import cogroup_by, hash_exchange
 
     attached = cogroup_by(
-        [(sketches, [key_col]), (pairs, ["a"]), (pairs, ["b"])], attach,
+        [(_int_keyed(sketches.select_columns([key_col, "sig"]), key_col),
+          ["__k"]), (pairs, ["a"]), (pairs, ["b"])], attach,
         num_buckets)
 
     # ---- exchange 2: bring both endpoints of a pair together + verify ----
@@ -850,14 +860,13 @@ def _drop_losers_ds(ds, losers_ds, key_col: str, num_buckets: int = 32):
     from .exchange import cogroup_by
 
     def anti_filter(rows: pa.Table, losers: pa.Table) -> pa.Table:
-        if not losers.num_rows:     # may have no columns: nothing to drop
-            return rows
-        keep = ~np.isin(_np_col(rows, key_col),
-                        np.unique(_np_col(losers, "node")))
-        return rows.filter(pa.array(keep))
+        if losers.num_rows:     # else it may have no columns: nothing to drop
+            rows = rows.filter(pa.array(~np.isin(
+                _np_col(rows, "__k"), np.unique(_np_col(losers, "node")))))
+        return rows.drop_columns(["__k"])
 
-    return cogroup_by([(ds, [key_col]), (losers_ds, ["node"])], anti_filter,
-                      num_buckets)
+    return cogroup_by([(_int_keyed(ds, key_col), ["__k"]),
+                       (losers_ds, ["node"])], anti_filter, num_buckets)
 
 
 def _drop_keys(ds, losers_ds, key_col: str, broadcast_limit: int):
@@ -1648,11 +1657,11 @@ def _rebuild_by_key(ds, removals, key_col: str, num_buckets: int, rebuild):
     from .exchange import cogroup_by
 
     def rebuild_bucket(docs: pa.Table, rem: pa.Table) -> pa.Table:
-        return rebuild(docs, rem.column("key").cast(pa.int64()).to_numpy(
-            zero_copy_only=False), _np_col(rem, "pos"))
+        return rebuild(docs.drop_columns(["__k"]), _np_col(rem, "key"),
+                       _np_col(rem, "pos"))
 
-    return cogroup_by([(ds, [key_col]), (removals, ["key"])], rebuild_bucket,
-                      num_buckets)
+    return cogroup_by([(_int_keyed(ds, key_col), ["__k"]),
+                       (removals, ["key"])], rebuild_bucket, num_buckets)
 
 
 def eval_gram_hashes(eval_ds, text_col: str = "text", n: int = 8):

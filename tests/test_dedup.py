@@ -225,6 +225,26 @@ def test_neardup_distributed_path_matches_driver(fn, kw):
     assert dist == ref
 
 
+@pytest.mark.parametrize("fn,kw,key_type", [
+    ("dedup_minhash", {"jaccard_threshold": 0.5}, pa.float64()),
+    ("dedup_simhash", {"max_hamming": 8}, pa.string()),
+])
+def test_neardup_distributed_path_integer_castable_keys(fn, kw, key_type):
+    """The signature attach and the bucketed anti-join meet int64 pair
+    endpoints and losers: a float or digit-string doc key must route like
+    its int64 value, and the survivors keep the key's own type."""
+    import fluent_plugin_geoip_ray.stages.dedup as dd
+
+    t = make_dup_corpus()
+    f = getattr(dd, fn)
+    limits = {"hot_bucket_limit": 0, "edge_driver_limit": 0}
+    ref = sorted(f(rd.from_arrow(t), **limits, **kw).to_pandas()["doc_id"])
+    keyed = t.set_column(0, "doc_id", t.column("doc_id").cast(key_type))
+    out = f(rd.from_arrow(keyed), **limits, **kw).materialize()
+    assert out.schema().base_schema.field("doc_id").type == key_type
+    assert sorted(int(float(k)) for k in out.to_pandas()["doc_id"]) == ref
+
+
 def test_neardup_distributed_no_duplicates_corpus():
     """Distributed path on an all-unique corpus: nothing dropped, and the
     empty hot-bucket/edge tables flow through without error."""
@@ -634,6 +654,32 @@ def test_dedup_lines_matches_bruteforce(limit):
     for did, (text, removed) in ref.items():
         assert out.loc[did, "text"] == text, did
         assert out.loc[did, "lines_removed"] == removed, did
+
+
+@pytest.mark.parametrize("key_type", [pa.float64(), pa.string()])
+def test_bucketed_line_and_span_rebuild_integer_castable_keys(key_type):
+    """Above ``hot_broadcast_limit`` the confirmed removals (int64 keys)
+    co-group with their docs: a float or digit-string doc key must route
+    like its int64 value, and come back in its own type."""
+    from fluent_plugin_geoip_ray.stages.dedup import dedup_lines, dedup_spans
+
+    lines, spans = _make_line_docs(), _make_span_docs()
+    for fn, docs, kw, count_col, ref in (
+        (dedup_lines, lines, {"min_docs": 5}, "lines_removed",
+         _lines_bruteforce(lines, min_docs=5)),
+        (dedup_spans, spans, {"window": 5, "min_count": 2}, "tokens_removed",
+         _spans_bruteforce(spans, n=5, min_count=2)),
+    ):
+        t = pa.table({
+            "doc_id": pa.array([d for d, _ in docs]).cast(key_type),
+            "text": pa.array([x for _, x in docs])})
+        out = fn(rd.from_arrow(t).repartition(4), hot_broadcast_limit=0,
+                 num_buckets=4, **kw).materialize()
+        assert out.schema().base_schema.field("doc_id").type == key_type
+        df = out.to_pandas()
+        got = {int(float(k)): (x, n) for k, x, n in
+               zip(df["doc_id"], df["text"], df[count_col])}
+        assert got == ref, fn.__name__
 
 
 def test_dedup_lines_no_hot_is_identity():
