@@ -492,13 +492,11 @@ def _exists_join_big(left_ds, right_ds, on, right_on: str | None,
     import pyarrow.compute as pc
 
     rk = right_on or on
-    if "__rkey" in left_ds.schema().names:
-        raise ValueError("anti/semi_join_big: left side may not carry __rkey")
 
     def right_keys(t: pa.Table) -> pa.Table:
         # NULL right keys match nothing -> drop; per-batch dedupe so a hot
         # key ships one row per block
-        return pa.table({"__rkey": pc.unique(
+        return pa.table({rk: pc.unique(
             pc.drop_null(t.column(rk).combine_chunks()))})
 
     def exists_bucket(left: pa.Table, right: pa.Table) -> pa.Table:
@@ -506,7 +504,7 @@ def _exists_join_big(left_ds, right_ds, on, right_on: str | None,
         # schema of a side without rows
         if not (left.num_rows and right.num_rows):
             return left if anti else left.slice(0, 0)
-        keys = pc.unique(canon_float(right.column("__rkey")))
+        keys = pc.unique(canon_float(right.column(rk)))
         mask = pc.is_in(canon_float(left.column(on)), value_set=keys)
         if anti:                       # NULL left key -> no match -> keep
             return left.filter(pc.fill_null(pc.invert(mask), True))
@@ -514,5 +512,5 @@ def _exists_join_big(left_ds, right_ds, on, right_on: str | None,
 
     right = right_ds.select_columns([rk]).map_batches(
         right_keys, batch_format="pyarrow", zero_copy_batch=True)
-    return cogroup_by([(left_ds, [on]), (right, ["__rkey"])], exists_bucket,
+    return cogroup_by([(left_ds, [on]), (right, [rk])], exists_bucket,
                       num_buckets)

@@ -6,17 +6,24 @@ each opened ONCE per worker process in ``configure``.  Here a backend is a
 :class:`GeoBackend` opened once per Ray actor (in the enrich stage's
 ``__init__``), the direct analog of "DB loaded once per Fluentd worker".
 
-Backends return the nested GeoIP2-style document for an IP/host string, or
-``None`` for a miss -- exactly the contract ``geolocate`` consumes
-(``filter_geoip.rb:167-185``).  ``lookup_many`` answers a whole batch of
-addresses in one call (the enrich stage's path); ``lookup`` stays the
-single-address API.  Callers treat documents as read-only: a backend may
-return the same object for two addresses.
+``lookup`` returns the nested GeoIP2-style document for an IP/host string,
+or ``None`` for a miss -- exactly the contract ``geolocate`` consumes
+(``filter_geoip.rb:167-185``); it is the single-address API (``dump``).
+The enrich stage asks for a whole batch in one ``lookup_paths(addresses,
+paths)`` call and gets columns back, not documents: ``found`` (whether each
+address has a record) and, per geo path, ``templates.dig`` of each record
+along it as a lookup column (see ``templates.value_column``).  The dict and
+``.dat`` backends dig their documents, which is the reference semantics;
+the ``.mmdb`` backend decodes only those paths, vectorized over the batch.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Protocol
+
+import numpy as np
+
+from ..templates import dig, value_column
 
 
 class GeoBackend(Protocol):
@@ -24,9 +31,16 @@ class GeoBackend(Protocol):
         """Nested geo document for *address*, or None on miss."""
         ...
 
-    def lookup_many(self, addresses: list[str]) -> list[Optional[dict]]:
-        """``lookup`` of each address, in order."""
+    def lookup_paths(self, addresses: list[str], paths) -> tuple[np.ndarray, list]:
+        """``(found, columns)``: whether each address has a record, and per
+        path of ``paths`` the value ``dig`` finds along it (null on a miss)."""
         ...
+
+
+def dig_paths(docs: list, paths) -> tuple[np.ndarray, list]:
+    """``lookup_paths`` over documents (None for a miss)."""
+    found = np.array([d is not None for d in docs], dtype=bool)
+    return found, [value_column([dig(d, path) for d in docs]) for path in paths]
 
 
 class DictBackend:
@@ -49,9 +63,9 @@ class DictBackend:
     def lookup(self, address: str) -> Optional[dict]:
         return self._docs.get(address)
 
-    def lookup_many(self, addresses: list[str]) -> list[Optional[dict]]:
+    def lookup_paths(self, addresses: list[str], paths) -> tuple[np.ndarray, list]:
         get = self._docs.get
-        return [get(a) for a in addresses]
+        return dig_paths([get(a) for a in addresses], paths)
 
 
 class MaxmindBackend:
@@ -60,8 +74,9 @@ class MaxmindBackend:
     The production analog of ``GeoIP2::Database.new(path)``
     (``filter_geoip.rb:215``): one reader per actor, opened in ``__init__``.
     Always the bundled reader (:mod:`.mmdb`, written from the public
-    MaxMind DB format spec), whose ``get_many`` is the one batched trie
-    descent; ``lookup`` is its single-address form.
+    MaxMind DB format spec): ``lookup_paths`` is its ``get_paths`` (one
+    batched trie descent, then one path-projected walk of the hit records);
+    ``lookup`` decodes one whole document.
     """
 
     def __init__(self, mmdb_path: str):
@@ -77,8 +92,8 @@ class MaxmindBackend:
             # lib returns nil for unresolvable input (test_filter_geoip.rb:189-210)
             return None
 
-    def lookup_many(self, addresses: list[str]) -> list[Optional[dict]]:
-        return self._reader.get_many(addresses)  # batched; invalid -> miss
+    def lookup_paths(self, addresses: list[str], paths) -> tuple[np.ndarray, list]:
+        return self._reader.get_paths(addresses, paths)  # invalid -> miss
 
 
 class LegacyDatBackend:
@@ -97,8 +112,8 @@ class LegacyDatBackend:
     def lookup(self, address: str) -> Optional[dict]:
         return self._reader.record_by_addr(address)
 
-    def lookup_many(self, addresses: list[str]) -> list[Optional[dict]]:
-        return [self.lookup(a) for a in addresses]
+    def lookup_paths(self, addresses: list[str], paths) -> tuple[np.ndarray, list]:
+        return dig_paths([self.lookup(a) for a in addresses], paths)
 
 
 def make_backend(spec: dict) -> GeoBackend:

@@ -11,13 +11,20 @@ through this module, which provides:
   that duck-types the ``maxminddb.Reader.get`` contract consumed by
   :class:`..state.backends.MaxmindBackend` (the analog of the reference's
   ``GeoIP2::Database#lookup``, ``lib/fluent/plugin/filter_geoip.rb:215``).
-  Lookups are batched: ``get_many(ips)`` parses strict dotted quads with
-  one vectorized regex/split (anything else through ``ipaddress``), then
-  descends the tree -- viewed at open as a ``(node_count, 2)`` record array
-  -- with one numpy gather per bit level over the addresses still inside
-  it (32 levels from the cached IPv4 start node, 128 for IPv6), stopping
-  early on data pointers and misses; each hit's data record is then
-  decoded.  ``get(ip)`` is ``get_many([ip])[0]`` after validation.
+  Lookups are batched: both ``get_many(ips)`` and ``get_paths(ips,
+  paths)`` parse strict dotted quads with one vectorized regex/split
+  (anything else through ``ipaddress``), then descend the tree -- viewed
+  at open as a ``(node_count, 2)`` record array -- with one numpy gather
+  per bit level over the addresses still inside it (32 levels from the
+  cached IPv4 start node, 128 for IPv6), stopping early on data pointers
+  and misses.  ``get_many`` then decodes each hit's whole record with the
+  scalar decoder (``get(ip)`` is ``get_many([ip])[0]`` after validation;
+  ``dump`` and the tests use them).  ``get_paths``, the enrich path,
+  decodes only the values on the given paths: it walks every hit record in
+  lockstep, one token per record per numpy step, following pointers,
+  matching map keys as raw bytes against a trie of the paths, and returns
+  one column per path (utf8 as an Arrow string array gathered from the
+  file buffer, numbers and bools as typed arrays).
 * :func:`write_mmdb` -- a deterministic writer used to build fixture
   databases: exact hosts and CIDR networks with longest-prefix semantics,
   record size 24/28/32, an IPv6 tree with IPv4 at the conventional
@@ -38,6 +45,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..templates import column_values, value_column
+
 METADATA_MARKER = b"\xab\xcd\xefMaxMind.com"
 
 # data-section type numbers (spec "Output Data Section")
@@ -54,6 +63,19 @@ _T_UINT128 = 10
 _T_ARRAY = 11
 _T_BOOL = 14
 _T_FLOAT = 15
+
+# per type number: the payload is ``size`` bytes long / has a fixed length /
+# the type may appear in the data section (pointers, maps and arrays have no
+# payload of their own; bool keeps its value in the size bits)
+_SIZED = np.zeros(17, bool)
+_SIZED[[_T_UTF8, _T_BYTES, _T_UINT16, _T_UINT32, _T_INT32, _T_UINT64, _T_UINT128]] = True
+_FIXED = np.zeros(17, np.int64)
+_FIXED[[_T_DOUBLE, _T_FLOAT]] = 8, 4
+# the first n bytes of a big-endian 8-byte word, n = 0..8
+_HEAD_MASK = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
+_VALID = np.zeros(17, bool)
+_VALID[[_T_POINTER, _T_UTF8, _T_DOUBLE, _T_BYTES, _T_UINT16, _T_UINT32, _T_MAP,
+        _T_INT32, _T_UINT64, _T_UINT128, _T_ARRAY, _T_BOOL, _T_FLOAT]] = True
 
 # a dotted quad exactly as ``ipaddress`` accepts it: four ASCII-digit
 # octets, each <= 255 and without a leading zero
@@ -255,9 +277,77 @@ def write_mmdb(docs: dict[str, dict], path: str,
 # reader
 # --------------------------------------------------------------------------
 
+class _PathTrie:
+    """``paths`` (tuples of str keys and int indexes) compiled for
+    :meth:`MMDBReader.get_paths`.
+
+    Node 0 stands above the record: its one child, index 0, is the record
+    itself, so the walk can treat a record as item 0 of a one-item array.
+    ``str_child[node, key id]`` and ``int_child[node, index]`` are a node's
+    children (-1: none); ``slot[node]`` is the leaf slot of a node that ends
+    a path (-1: none), and ``path_slot[j]`` the slot of ``paths[j]``."""
+
+    def __init__(self, paths: tuple):
+        self.paths = paths
+        full = [(0,) + path for path in paths]
+        node_of: dict[tuple, int] = {(): 0, (0,): 1}
+        edges = [(0, 0, 1)]  # (parent, segment, child)
+        for path in full:
+            for depth in range(2, len(path) + 1):
+                if path[:depth] not in node_of:
+                    node_of[path[:depth]] = len(node_of)
+                    edges.append((node_of[path[:depth - 1]], path[depth - 1],
+                                  node_of[path[:depth]]))
+        n = len(node_of)
+        keys = sorted({seg.encode() for _, seg, _ in edges if isinstance(seg, str)})
+        # keys as zero-padded big-endian 8-byte words
+        self.width = max(1, -(-max(map(len, keys), default=0) // 8))
+        padded = np.zeros((len(keys), 8 * self.width), np.uint8)
+        for i, key in enumerate(keys):
+            padded[i, :len(key)] = np.frombuffer(key, np.uint8)
+        self.key_words = padded.view(">u8").astype(np.uint64)
+        self.key_len = np.array([len(key) for key in keys], dtype=np.int64)
+        ints = [seg for _, seg, _ in edges if isinstance(seg, int)]
+        self.str_child = np.full((n, len(keys)), -1, np.int64)
+        self.int_child = np.full((n, max(ints) + 1), -1, np.int64)
+        for parent, seg, child in edges:
+            if isinstance(seg, str):
+                self.str_child[parent, keys.index(seg.encode())] = child
+            elif seg >= 0:  # a negative index is never in range (as in dig)
+                self.int_child[parent, seg] = child
+        self.has_str = (self.str_child >= 0).any(axis=1)
+        self.has_int = (self.int_child >= 0).any(axis=1)
+        ends = list(dict.fromkeys(node_of[path] for path in full))
+        self.slot = np.full(n, -1, np.int64)
+        self.slot[ends] = np.arange(len(ends))
+        self.leaf_count = len(ends)
+        self.path_slot = [ends.index(node_of[path]) for path in full]
+        # frames: the one-item array above the record, one per container on
+        # a path, and one skipped container
+        self.depth = max(map(len, full), default=1) + 1
+
+    def match_keys(self, be64: np.ndarray, at: np.ndarray, size: np.ndarray,
+                   kind: np.ndarray) -> np.ndarray:
+        """Key id of each map key (utf8 of ``size`` bytes at ``at``; ``be64``
+        reads 8 big-endian bytes at any offset), -1 when it is no key of the
+        trie: same length, same zero-padded words."""
+        last = len(be64) - 1  # data keys lie far from the end of the file
+        words = [be64[np.minimum(at + 8 * i, last)] & _HEAD_MASK[np.clip(size - 8 * i, 0, 8)]
+                 for i in range(self.width)]
+        kid = np.full(len(at), -1, np.int64)
+        utf8 = kind == _T_UTF8
+        for j, n in enumerate(self.key_len.tolist()):
+            hit = utf8 & (size == n)
+            for word, key_word in zip(words[:-(-n // 8)], self.key_words[j]):
+                hit &= word == key_word
+            kid[hit] = j
+        return kid
+
+
 class MMDBReader:
     """Reader: ``get(ip)`` / ``get_many(ips)`` -> doc | None
-    (maxminddb-compatible for the lookup contract the enrich backend needs)."""
+    (maxminddb-compatible), and ``get_paths(ips, paths)`` -> columns (the
+    enrich backend's batch contract)."""
 
     def __init__(self, path: str):
         with open(path, "rb") as f:
@@ -272,6 +362,11 @@ class MMDBReader:
         self._tree_size = self.node_count * self.record_size * 2 // 8
         self._data_start = self._tree_size + 16
         self._tree = self._tree_records().reshape(-1)  # node * 2 + bit -> record
+        self._bytes = np.frombuffer(self._buf, dtype=np.uint8)
+        # 8 big-endian bytes read at any offset (an unaligned view, no copy)
+        self._be64 = np.ndarray((max(len(self._buf) - 7, 0),), dtype=">u8",
+                                buffer=self._buf, strides=(1,))
+        self._trie: _PathTrie | None = None  # the paths of the last get_paths
         self._v4_start = self._descend_zeros(96 if self.ip_version == 6 else 0)
 
     # -- search tree -------------------------------------------------------
@@ -352,9 +447,10 @@ class MMDBReader:
         return [(v, np.concatenate(pos[v]), np.concatenate(raw[v]))
                 for v in (4, 6) if pos[v]]
 
-    def get_many(self, addresses: list) -> list:
-        """Document (or None) per address string; invalid strings miss."""
-        out = [None] * len(addresses)
+    def _records(self, addresses: list) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, data offsets)`` of the addresses that have a data
+        record; invalid strings and IPv6 addresses in an IPv4 tree miss."""
+        pos_l, off_l = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for version, pos, packed in self._parse(addresses):
             if version == 4:
                 recs = self._descend(self._v4_start, packed)
@@ -363,10 +459,261 @@ class MMDBReader:
             else:
                 continue  # IPv6 address, IPv4-only tree
             hit = recs > self.node_count
-            base = self._tree_size - self.node_count
-            for i, rec in zip(pos[hit].tolist(), recs[hit].tolist()):
-                out[i] = self._decode(base + rec)[0]
+            pos_l.append(pos[hit])
+            off_l.append(recs[hit] + (self._tree_size - self.node_count))
+        return np.concatenate(pos_l), np.concatenate(off_l)
+
+    def get_many(self, addresses: list) -> list:
+        """Document (or None) per address string; invalid strings miss."""
+        out = [None] * len(addresses)
+        pos, offsets = self._records(addresses)
+        for i, off in zip(pos.tolist(), offsets.tolist()):
+            out[i] = self._decode(off)[0]
         return out
+
+    def get_paths(self, addresses: list, paths) -> tuple[np.ndarray, list]:
+        """``(found, columns)`` for the address strings: ``found[i]`` is
+        whether address i has a record, and ``columns[j]`` holds
+        ``templates.dig(record, paths[j])`` per address (null where it
+        misses).  A column is a ``pa.Array`` when its values share one kind
+        (utf8 -> string, double/float -> float64, uint16/32/64 and int32 ->
+        int64, bool -> bool), else an object ndarray; map, array, bytes and
+        uint128 leaves are decoded one by one with the scalar decoder.
+
+        The hit records are walked in lockstep, one token per record per
+        step, and only the values on ``paths`` are decoded."""
+        paths = tuple(map(tuple, paths))
+        if self._trie is None or self._trie.paths != paths:
+            self._trie = _PathTrie(paths)
+        trie = self._trie
+        k = len(addresses)
+        pos, offsets = self._records(addresses)
+        found = np.zeros(k, dtype=bool)
+        found[pos] = True
+        starts = np.zeros(k, dtype=np.int64)
+        starts[pos] = offsets
+        leaves = self._walk(starts, pos, trie)
+        slots = [self._leaf_column(*(a[:, j] for a in leaves))
+                 for j in range(trie.leaf_count)]
+        return found, [slots[j] for j in trie.path_slot]
+
+    # -- path-projected lockstep walk --------------------------------------
+
+    def _token(self, p: np.ndarray):
+        """``(type, size, payload offset)`` of the field at each offset of
+        ``p``; for a pointer, ``size`` is its target and ``payload`` the
+        offset just after it."""
+        b = self._bytes
+        c = b[p].astype(np.int64)
+        t = c >> 5
+        ext = t == 0
+        t[ext] = b[p[ext] + 1] + 7
+        head = p + 1 + ext
+        size = c & 0x1F
+        payload = head.copy()
+
+        def after(q, nbytes):  # the ``nbytes`` bytes at q, big-endian
+            return (self._be64[q] >> np.uint64(64 - 8 * nbytes)).astype(np.int64)
+
+        esc = (size >= 29) & (t != _T_POINTER)
+        if esc.any():
+            h, s = head[esc], size[esc]
+            size[esc] = np.select([s == 29, s == 30], [29 + after(h, 1), 285 + after(h, 2)],
+                                  65_821 + after(h, 3))
+            payload[esc] = h + (s - 28)
+        ptr = t == _T_POINTER
+        if ptr.any():
+            q, cp = p[ptr], c[ptr]
+            ss, vv = (cp >> 3) & 0x3, cp & 0x7
+            size[ptr] = self._data_start + np.select(
+                [ss == 0, ss == 1, ss == 2],
+                [(vv << 8) | after(q + 1, 1),
+                 ((vv << 16) | after(q + 1, 2)) + 2048,
+                 ((vv << 24) | after(q + 1, 3)) + 526_336],
+                after(q + 1, 4))
+            payload[ptr] = q + 2 + ss
+        bad = ~_VALID[np.minimum(t, 16)]
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"unsupported mmdb type {int(t[i])} at {int(p[i])}")
+        return t, size, payload
+
+    def _walk(self, starts: np.ndarray, active: np.ndarray, trie: _PathTrie):
+        """Leaves on ``trie``'s paths of the records at ``starts[active]``:
+        ``(type, size, payload, field)`` arrays of shape (k, leaf slots),
+        type 0 where a record has no value on the path.
+
+        Each step reads one token, or leaves one finished container, of
+        every record still walking.  A record keeps a stack of containers
+        (flat arrays, ``record * depth + level``): per frame the trie node
+        (-1 for a skipped container, which counts the values left to skip
+        and absorbs nested inline containers), the items left (2 per map
+        entry), the array index or the child node its last key matched, and
+        where to return when the container was reached through a pointer.
+        Skipped pointers are not followed."""
+        k, cap, slots = len(starts), trie.depth, trie.leaf_count
+        kind = np.zeros((k, slots), np.int64)
+        size = np.zeros((k, slots), np.int64)
+        payload = np.zeros((k, slots), np.int64)
+        field = np.zeros((k, slots), np.int64)
+        pos = starts.copy()
+        depth = np.zeros(k, np.int64)
+        f_node = np.zeros(k * cap, np.int64)   # level 0: the one-item array
+        f_rem = np.zeros(k * cap, np.int64)
+        f_rem[::cap] = 1
+        f_idx = np.zeros(k * cap, np.int64)
+        f_ret = np.full(k * cap, -1, np.int64)
+        f_arr = np.zeros(k * cap, bool)
+        f_arr[::cap] = True
+        int_child, width = trie.int_child.ravel(), trie.int_child.shape[1]
+
+        def push(r, fi, node, items, ret, arr):
+            depth[r] += 1
+            fi = fi + 1
+            f_node[fi], f_rem[fi], f_ret[fi], f_arr[fi] = node, items, ret, arr
+            f_idx[fi] = np.where(arr, 0, -1)  # a map's key has matched nothing yet
+
+        def consume(fi):
+            f_rem[fi] -= 1
+            f_idx[fi] += f_arr[fi]
+
+        act = np.asarray(active, np.int64) if slots else np.zeros(0, np.int64)
+        while len(act):
+            fi = act * cap + depth[act]
+            popping = f_rem[fi] == 0
+            r = act
+            if popping.any():
+                pr, pf = act[popping], fi[popping]
+                back = f_ret[pf]
+                pos[pr] = np.where(back >= 0, back, pos[pr])
+                depth[pr] -= 1
+                consume(pf[pf % cap > 0] - 1)  # level 0 left: the record is done
+                r, fi = act[~popping], fi[~popping]
+            act = act[depth[act] >= 0]
+            if not len(r):
+                continue
+            p = pos[r]
+            node, arr, idx = f_node[fi], f_arr[fi], f_idx[fi]
+            is_key = ~arr & (node >= 0) & (f_rem[fi] % 2 == 0)
+            # the trie node of a value: an array's child at the index, a map
+            # value's matched child, -1 inside a skipped container
+            in_range = idx < width
+            at_index = int_child[np.maximum(node, 0) * width + np.minimum(idx, width - 1)]
+            want = np.where(arr, np.where(in_range, at_index, -1), idx)
+            t, s, pl = self._token(p)
+            # keys and wanted values are read through their pointers
+            via = (is_key | (want >= 0)) & (t == _T_POINTER)
+            at, after = p, np.full(len(r), -1, np.int64)
+            if via.any():
+                after = np.where(via, pl, -1)
+                at = np.where(via, s, p)
+                t2, s2, pl2 = self._token(s[via])
+                if (t2 == _T_POINTER).any():
+                    raise ValueError("mmdb pointer to a pointer")
+                t[via], s[via], pl[via] = t2, s2, pl2
+            # end of a scalar's payload, or of a skipped pointer
+            end = pl + np.where(_SIZED[t], s, _FIXED[t])
+
+            if is_key.any():
+                kf = fi[is_key]
+                kid = trie.match_keys(self._be64, pl[is_key], s[is_key], t[is_key])
+                f_idx[kf] = np.where(
+                    kid >= 0, trie.str_child[node[is_key], np.maximum(kid, 0)], -1)
+                f_rem[kf] -= 1
+                pos[r[is_key]] = np.where(via[is_key], after[is_key], end[is_key])
+
+            val = ~is_key
+            slot = np.where(want >= 0, trie.slot[want], -1)
+            leaf = val & (slot >= 0)
+            if leaf.any():
+                lr, ls = r[leaf], slot[leaf]
+                kind[lr, ls], size[lr, ls] = t[leaf], s[leaf]
+                payload[lr, ls], field[lr, ls] = pl[leaf], at[leaf]
+            is_map, is_arr = t == _T_MAP, t == _T_ARRAY
+            items = np.where(is_map, 2 * s, s)
+            descend = val & (want >= 0) & (
+                (is_map & trie.has_str[want]) | (is_arr & trie.has_int[want]))
+            if descend.any():
+                pos[r[descend]] = pl[descend]
+                push(r[descend], fi[descend], want[descend], items[descend],
+                     after[descend], is_arr[descend])
+            inline = val & (is_map | is_arr) & ~descend & ~via
+            skipping = node < 0
+            absorb = inline & skipping
+            if absorb.any():  # a skipped container absorbs the items of one inside it
+                f_rem[fi[absorb]] += items[absorb] - 1
+                pos[r[absorb]] = pl[absorb]
+            nested = inline & ~skipping
+            if nested.any():
+                pos[r[nested]] = pl[nested]
+                push(r[nested], fi[nested], -1, items[nested], -1, False)
+            flat = val & ~descend & ~inline
+            if flat.any():
+                pos[r[flat]] = np.where(via[flat], after[flat], end[flat])
+                consume(fi[flat])
+        return kind, size, payload, field
+
+    def _leaf_column(self, kind, size, payload, field):
+        """One leaf slot's values as a column (see :meth:`get_paths`)."""
+        b = self._bytes
+        k = len(kind)
+        first = b[np.minimum(payload, len(b) - 1)]
+        # integers past int64 (uint64 >= 2**63) are left to the scalar decoder
+        wide = (size > 8) | ((size == 8) & (first >= 0x80) & (kind != _T_INT32))
+        groups = {
+            "str": kind == _T_UTF8,
+            "float": (kind == _T_DOUBLE) | (kind == _T_FLOAT),
+            "int": np.isin(kind, (_T_UINT16, _T_UINT32, _T_INT32, _T_UINT64)) & ~wide,
+            "bool": kind == _T_BOOL,
+        }
+        groups["other"] = (kind != 0) & ~np.logical_or.reduce(list(groups.values()))
+        parts = []
+        for name, mask in groups.items():
+            if not mask.any():
+                continue
+            rows = np.flatnonzero(mask)
+            s, pl = size[rows], payload[rows]
+            if name == "str":
+                offsets = np.zeros(len(rows) + 1, np.int64)
+                np.cumsum(s, out=offsets[1:])
+                idx = np.repeat(pl - offsets[:-1], s) + np.arange(offsets[-1])
+                vals = pa.StringArray.from_buffers(
+                    len(rows), pa.py_buffer(offsets.astype(np.int32)),
+                    pa.py_buffer(b[idx].tobytes()))
+                try:
+                    vals.validate(full=True)
+                except pa.ArrowInvalid as e:
+                    raise ValueError(f"mmdb utf8 field is not valid UTF-8: {e}") from None
+            elif name == "float":  # IEEE bits: 8 bytes, or the first 4 of float
+                bits = self._be64[pl].astype(np.uint64)
+                dbl = kind[rows] == _T_DOUBLE
+                vals = pa.array(np.where(dbl, bits.view(np.float64),
+                                         (bits >> 32).astype(np.uint32).view(np.float32)))
+            elif name == "int":  # the first ``size`` bytes, big-endian
+                word = self._be64[pl].astype(np.uint64)
+                v = np.where(s > 0, word >> np.minimum(64 - 8 * s, 63).astype(np.uint64), 0)
+                v = v.astype(np.int64)
+                # int32 is signed over its stored bytes, as the scalar decoder reads it
+                neg = (kind[rows] == _T_INT32) & (s > 0) & (s < 8) & (first[rows] >= 0x80)
+                v[neg] -= np.int64(1) << (8 * s[neg])
+                vals = pa.array(v)
+            elif name == "bool":
+                vals = pa.array(s != 0)
+            else:
+                vals = [self._decode(int(f))[0] for f in field[rows]]
+            parts.append((rows, vals))
+        if not parts:
+            return pa.nulls(k)
+        if len(parts) == 1 and isinstance(parts[0][1], pa.Array):
+            rows, vals = parts[0]
+            at = np.full(k, -1, np.int64)
+            at[rows] = np.arange(len(rows))
+            return vals.take(pa.array(at, mask=at < 0))
+        out = [None] * k
+        for rows, vals in parts:
+            for i, v in zip(rows.tolist(), column_values(vals)):
+                out[i] = v
+        return value_column(out)
 
     def get(self, ip: str):
         addr = ipaddress.ip_address(ip)  # ValueError on garbage (caller gates)

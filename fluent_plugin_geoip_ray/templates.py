@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .config import (
     CompiledRecordSpec,
@@ -70,57 +71,131 @@ def _to_s(value) -> str:
     return str(value)
 
 
-class PlaceholderColumns:
-    """Placeholder arrays over ``n`` joint codes, built lazily from
-    unique-level values.
+# A lookup column holds one geo path's values over records (what a backend's
+# ``lookup_paths`` returns): a ``pa.Array`` when the non-null values share
+# one kind, else an object ndarray (mixed kinds, maps, lists, ints past
+# int64).
 
-    ``unique_values[key]`` is the list of dug values per unique lookup value
-    (already 0.0-coalesced for lat/lon on found docs); ``codes`` maps joint
-    code -> unique index per lookup key.
+_VALUE_TYPES = {str: pa.string(), float: pa.float64(), int: pa.int64(), bool: pa.bool_()}
+
+
+def value_column(values: list):
+    """Python values as a lookup column (str -> string, float -> float64,
+    int -> int64, bool -> bool; all None -> null type)."""
+    kinds = {type(v) for v in values if v is not None}
+    if not kinds:
+        return pa.nulls(len(values))
+    if len(kinds) == 1 and (kind := kinds.pop()) in _VALUE_TYPES:
+        try:
+            return pa.array(values, type=_VALUE_TYPES[kind])
+        except OverflowError:  # an int past int64
+            pass
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def column_values(col) -> list:
+    """The Python values of a lookup column (None for null)."""
+    return col.to_pylist() if isinstance(col, pa.Array) else list(col)
+
+
+def take_column(col, rows: np.ndarray):
+    """``col`` at ``rows``."""
+    return col.take(rows) if isinstance(col, pa.Array) else col[rows]
+
+
+def concat_columns(a, b):
+    """Two lookup columns, one after the other."""
+    if isinstance(a, pa.Array) and isinstance(b, pa.Array):
+        if a.type == pa.null():
+            a = a.cast(b.type)
+        elif b.type == pa.null():
+            b = b.cast(a.type)
+        if a.type == b.type:
+            return pa.concat_arrays([a, b])
+    return value_column(column_values(a) + column_values(b))
+
+
+class PlaceholderColumns:
+    """Placeholder values over ``n`` joint codes.
+
+    ``values[key]`` holds placeholder ``key``'s value per joint code (lat/lon
+    already 0.0-coalesced on found records) as a lookup column: a
+    ``pa.Array``, or an object ndarray for values of mixed or nested kinds
+    (see :func:`value_column`).
     """
 
-    def __init__(
-        self,
-        n: int,
-        placeholders: list[Placeholder],
-        unique_values: dict[str, list],
-        codes: dict[str, np.ndarray],
-    ):
+    def __init__(self, n: int, placeholders: list[Placeholder], values: dict):
         self.n = n
         self._ph = {p.key: p for p in placeholders}
-        self._uvals = unique_values
-        self._codes = codes
+        self._values = values
         self._typed: dict[str, pa.Array] = {}
         self._strs: dict[str, pa.Array] = {}
 
-    def _gather(self, key: str, vals: list) -> np.ndarray:
-        ph = self._ph[key]
-        out = np.asarray(vals + [None], dtype=object)
-        return out[self._codes[ph.record_key]]
+    def is_null(self, key: str) -> np.ndarray:
+        """Whether each value is nil (the skip gate's test)."""
+        col = self._values[key]
+        if isinstance(col, pa.Array):
+            return col.is_null().to_numpy(zero_copy_only=False)
+        return np.fromiter((v is None for v in col), dtype=bool, count=len(col))
 
     def typed_array(self, key: str) -> pa.Array:
+        """The values as the placeholder's declared dtype; NaN is null.
+        Raises ValueError when a value does not fit the dtype."""
         if key not in self._typed:
             ph = self._ph[key]
-            rows = self._gather(key, self._uvals[key])
-            self._typed[key] = pa.array(rows, type=arrow_type(ph.dtype), from_pandas=True)
+            col, want = self._values[key], arrow_type(ph.dtype)
+            if isinstance(col, pa.Array) and col.type in (want, pa.null()):
+                arr = col.cast(want)
+                if pa.types.is_floating(want):
+                    arr = pc.if_else(pc.is_nan(arr), pa.scalar(None, want), arr)
+            else:
+                arr = _typed(ph, column_values(col), want)
+            self._typed[key] = arr
         return self._typed[key]
 
     def string_array(self, key: str) -> pa.Array:
-        """Placeholder values stringified at unique level (for interpolation).
+        """Placeholder values stringified (for interpolation).
         nil -> "" (gsub hash semantics, filter_geoip.rb:133-134)."""
         if key not in self._strs:
-            svals = [_to_s(v) for v in self._uvals[key]]
-            rows = self._gather(key, svals)
-            rows = np.where(rows == None, "", rows)  # noqa: E711
-            self._strs[key] = pa.array(rows, type=pa.string())
+            self._strs[key] = pc.fill_null(self.string_array_nullsafe(key), "")
         return self._strs[key]
 
     def string_array_nullsafe(self, key: str) -> pa.Array:
         """Like string_array but nil stays null (for the mixed-type JSON
         array schema closure, where JSON null must survive as list null)."""
-        svals = [None if v is None else _to_s(v) for v in self._uvals[key]]
-        rows = self._gather(key, svals)
-        return pa.array(rows, type=pa.string(), from_pandas=True)
+        col = self._values[key]
+        if isinstance(col, pa.Array):
+            if col.type in (pa.string(), pa.null()):
+                return col.cast(pa.string())
+            # format the non-null values only
+            valid = col.is_valid()
+            vals = col.filter(valid).to_numpy(zero_copy_only=False).tolist()
+            valid = valid.to_numpy(zero_copy_only=False)
+            at = np.where(valid, np.cumsum(valid) - 1, -1)
+            strs = pa.array([_to_s(v) for v in vals], type=pa.string())
+            return strs.take(pa.array(at, mask=~valid))
+        svals = [None if v is None else _to_s(v) for v in col]
+        return pa.array(svals, type=pa.string())
+
+
+def _typed(ph: Placeholder, values: list, want: pa.DataType) -> pa.Array:
+    try:
+        return pa.array(values, type=want, from_pandas=True)
+    except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError) as err:
+        bad = next((v for v in values if not _fits(v, want)), None)
+        raise ValueError(
+            f"placeholder {ph.key}: a value of type {type(bad).__name__} does not "
+            f"fit its dtype {ph.dtype!r}; declare the type with "
+            f"placeholder_types={{{ph.key!r}: ...}} or interpolate it in a string template"
+        ) from err
+
+
+def _fits(value, want: pa.DataType) -> bool:
+    try:
+        pa.array([value], type=want, from_pandas=True)
+    except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError):
+        return False
+    return True
 
 
 def _const_array(value, n: int) -> pa.Array:
@@ -179,8 +254,6 @@ def _eval_skeleton(node: tuple, cols: PlaceholderColumns) -> pa.Array:
 
 
 def evaluate_plan(plan, cols: PlaceholderColumns) -> pa.Array:
-    import pyarrow.compute as pc
-
     if isinstance(plan, PassthroughPlan):
         return cols.typed_array(plan.placeholder)
     if isinstance(plan, StringTemplatePlan):

@@ -3,11 +3,18 @@
 the GeoIP2 goldens) onto Arrow batches.  No Ray needed: GeoEnrich is a plain
 callable over pyarrow Tables."""
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from fluent_plugin_geoip_ray.config import RecordSpec, compile_record_spec
-from fluent_plugin_geoip_ray.stages.enrich import GeoEnrich
+from fluent_plugin_geoip_ray.functions.accessor import resolve_accessor
+from fluent_plugin_geoip_ray.pipelines.flagship import canonical_record_spec, heavy_record_spec
+from fluent_plugin_geoip_ray.stages.enrich import ENRICHED_COL, GeoEnrich
+from fluent_plugin_geoip_ray.state.fixture import fixture_geo_docs
+from fluent_plugin_geoip_ray.state.mmdb import write_mmdb
+from fluent_plugin_geoip_ray.templates import _to_s, arrow_type, dig, evaluate_plan
 
 
 def enrich(record, ips, lookup_keys=("ip",), **spec_kw):
@@ -185,7 +192,7 @@ def test_ip_dedup_cache_across_batches():
     spec = RecordSpec(lookup_keys=["ip"], record={"city": CITY})
     stage = GeoEnrich(compile_record_spec(spec))
     stage(pa.table({"ip": ["66.102.3.80"] * 10}))
-    assert stage._doc_cache["66.102.3.80"] is not None
+    assert stage._found[stage._rows["66.102.3.80"]]
     out = stage(pa.table({"ip": ["66.102.3.80", "8.8.8.8"]})).to_pylist()
     assert out[0]["city"] == "Mountain View"
 
@@ -259,3 +266,214 @@ def test_empty_record_directive_passthrough():
     assert out.column_names == ["ip", "message", "geoip_enriched"]
     assert out.select(["ip", "message"]).equals(batch)
     assert out["geoip_enriched"].to_pylist() == [False, False]
+
+
+# -- referee: the document path --------------------------------------------------
+
+class _DocColumns:
+    """Placeholder arrays gathered from per-unique Python values (the
+    object path ``templates.evaluate_plan`` ran over before lookups became
+    columns)."""
+
+    def __init__(self, n, placeholders, unique_values, codes):
+        self.n = n
+        self._ph = {p.key: p for p in placeholders}
+        self._uvals = unique_values
+        self._codes = codes
+
+    def _gather(self, key, vals):
+        out = np.asarray(vals + [None], dtype=object)
+        return out[self._codes[self._ph[key].record_key]]
+
+    def typed_array(self, key):
+        rows = self._gather(key, self._uvals[key])
+        return pa.array(rows, type=arrow_type(self._ph[key].dtype), from_pandas=True)
+
+    def string_array(self, key):
+        rows = self._gather(key, [_to_s(v) for v in self._uvals[key]])
+        return pa.array(np.where(rows == None, "", rows), type=pa.string())  # noqa: E711
+
+    def string_array_nullsafe(self, key):
+        svals = [None if v is None else _to_s(v) for v in self._uvals[key]]
+        return pa.array(self._gather(key, svals), type=pa.string(), from_pandas=True)
+
+
+class DocumentEnrich(GeoEnrich):
+    """The document path, kept as the columnar stage's referee: one
+    ``lookup`` per unique value, a document cache, ``dig`` per placeholder
+    and object gathers.  Its skip gate tests the dug values for nil."""
+
+    def __init__(self, spec, backend_spec=None):
+        super().__init__(spec, backend_spec=backend_spec)
+        self._doc_cache = {}
+
+    def _docs(self, batch, key):
+        n = batch.num_rows
+        col = resolve_accessor(batch, key) if key in self._live_keys else None
+        if col is None:
+            return np.zeros(n, dtype=np.int64), [None]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        enc = pc.dictionary_encode(col.cast(pa.string()))
+        uniques = enc.dictionary.to_pylist()
+        codes = pc.fill_null(enc.indices, len(uniques)).to_numpy(zero_copy_only=False)
+        for v in uniques:
+            if v not in self._doc_cache:
+                self._doc_cache[v] = None if v == "" else self.backend.lookup(v)
+        return codes.astype(np.int64), [self._doc_cache[v] for v in uniques] + [None]
+
+    def __call__(self, batch):
+        spec = self.spec
+        record_keys = dict.fromkeys(
+            [p.record_key for p in spec.placeholders] + list(spec.lookup_keys))
+        joint, m, key_codes, docs = np.zeros(batch.num_rows, dtype=np.int64), 1, {}, {}
+        for key in record_keys:
+            codes, docs[key] = self._docs(batch, key)
+            radix = len(docs[key])
+            if key_codes:
+                uniq, joint = np.unique(joint * radix + codes, return_inverse=True)
+            else:
+                uniq, joint = np.arange(radix, dtype=np.int64), codes
+            for k in key_codes:
+                key_codes[k] = key_codes[k][uniq // radix]
+            key_codes[key] = uniq % radix
+            m = len(uniq)
+        unique_values = {}
+        for ph in spec.placeholders:
+            vals = []
+            for doc in docs[ph.record_key]:
+                v = None if doc is None else dig(doc, ph.geoip_path)
+                if doc is not None and ph.is_latlon and v is None:
+                    v = 0.0
+                vals.append(v)
+            unique_values[ph.key] = vals
+        cols = _DocColumns(m, spec.placeholders, unique_values, key_codes)
+        undecided, skip = np.ones(m, dtype=bool), np.ones(m, dtype=bool)
+        for ph in spec.placeholders:
+            found_u = np.asarray([d is not None for d in docs[ph.record_key]], dtype=bool)
+            newly = found_u[key_codes[ph.record_key]] & undecided
+            nil_u = np.asarray([v is None for v in unique_values[ph.key]] + [True])
+            skip[newly] = nil_u[key_codes[ph.record_key]][newly]
+            undecided &= ~newly
+        enriched = pa.array(~skip)
+        rows = pa.array(joint)
+        out = batch
+        for name, plan in spec.plans.items():
+            arr = evaluate_plan(plan, cols)
+            if spec.skip_adding_null_record:
+                arr = pc.if_else(enriched, arr, pa.scalar(None, arr.type))
+            out = out.append_column(name, arr.take(rows))
+        return out.append_column(ENRICHED_COL, enriched.take(rows))
+
+
+def _referee_batches():
+    """Three batches over fixture hits, host tokens, misses, "", None,
+    invalid strings and IPv6; later batches reuse earlier values."""
+    rng = np.random.default_rng(17)
+    pool = list(fixture_geo_docs()) + [
+        "203.0.113.1", "", None, "not-an-ip", "01.2.3.4", "999.1.1.1",
+        "2001:db8::1", "::ffff:66.102.3.80", "host_unknown"]
+    batches = []
+    for n in (40, 25, 60):
+        cols = {name: [pool[i] for i in rng.integers(0, len(pool), n)]
+                for name in ("ip", "ip2", "host")}
+        t = pa.table(cols)
+        batches.append(t.append_column(
+            "src", pa.StructArray.from_arrays([t.column("ip").combine_chunks()], ["ip"])))
+    return batches
+
+
+def _nested_spec(**kw):
+    return RecordSpec(lookup_keys=["$.src.ip"], record={
+        "city": "${city.names.en['$.src.ip']}",
+        "country_code": "${country.iso_code['$.src.ip']}",
+        "region": "${subdivisions.0.names.en['$.src.ip']}",
+        "sub": "[${subdivisions.1.iso_code['$.src.ip']}, ${postal.code['$.src.ip']}]",
+    }, **kw)
+
+
+@pytest.fixture(scope="module")
+def fixture_mmdb(tmp_path_factory):
+    return write_mmdb(fixture_geo_docs(), str(tmp_path_factory.mktemp("enrich") / "fx.mmdb"))
+
+
+@pytest.mark.parametrize("backend", ["dict", "mmdb"])
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("make_spec", [canonical_record_spec, heavy_record_spec, _nested_spec],
+                         ids=["canonical", "heavy", "nested"])
+def test_columnar_enrich_equals_document_referee(backend, skip, make_spec, fixture_mmdb):
+    spec = make_spec()
+    spec.skip_adding_null_record = skip
+    compiled = compile_record_spec(spec)
+    bspec = ({"library": "dict"} if backend == "dict"
+             else {"library": "maxmind", "path": fixture_mmdb})
+    stage, ref = GeoEnrich(compiled, backend_spec=bspec), DocumentEnrich(compiled, bspec)
+    for batch in _referee_batches():
+        got, want = stage(batch), ref(batch)
+        assert got.schema == want.schema
+        assert got.to_pylist() == want.to_pylist()
+    assert any(r[ENRICHED_COL] for r in got.to_pylist())
+
+
+# -- non-string geo values ---------------------------------------------------------
+
+_ID_DOCS = {"1.2.3.4": {"city": {"geoname_id": 5375480, "names": {"en": "X"}}},
+            "1.2.3.5": {"city": {"names": {"en": "Y"}}}}
+
+
+def _id_stage(record, backend, tmp_path, **spec_kw):
+    spec = compile_record_spec(RecordSpec(lookup_keys=["ip"], record=record, **spec_kw))
+    if backend == "dict":
+        return GeoEnrich(spec, backend_spec={"library": "dict", "docs": _ID_DOCS})
+    path = write_mmdb(_ID_DOCS, str(tmp_path / "ids.mmdb"))
+    return GeoEnrich(spec, backend_spec={"library": "maxmind", "path": path})
+
+
+@pytest.mark.parametrize("backend", ["dict", "mmdb"])
+def test_int_value_interpolates_in_string_template(backend, tmp_path):
+    """filter_geoip.rb:133-134 interpolates to_s of any value."""
+    stage = _id_stage({"id": "id=${city.geoname_id['ip']}"}, backend, tmp_path,
+                      skip_adding_null_record=True)
+    rows = stage(pa.table({"ip": ["1.2.3.4", "1.2.3.5", "9.9.9.9"]})).to_pylist()
+    assert [r["id"] for r in rows] == ["id=5375480", None, None]
+    assert [r[ENRICHED_COL] for r in rows] == [True, False, False]
+
+
+@pytest.mark.parametrize("backend", ["dict", "mmdb"])
+@pytest.mark.parametrize("template,kind", [
+    ("${city.geoname_id['ip']}", "int"),
+    ("${city.names['ip']}", "dict"),
+    ('{"id": ${city.geoname_id["ip"]}}', "int"),
+])
+def test_value_outside_declared_dtype_raises_clear_error(backend, template, kind, tmp_path):
+    stage = _id_stage({"out": template}, backend, tmp_path)
+    with pytest.raises(ValueError) as err:
+        stage(pa.table({"ip": ["1.2.3.4", "1.2.3.5"]}))
+    msg = str(err.value)
+    assert "city." in msg and f"value of type {kind} " in msg and "placeholder_types" in msg
+
+
+@pytest.mark.parametrize("backend", ["dict", "mmdb"])
+def test_placeholder_types_declares_int_value(backend, tmp_path):
+    key, quoted = "${city.geoname_id['ip']}", '${city.geoname_id["ip"]}'
+    stage = _id_stage({"id": key, "nest": '{"id": %s}' % quoted}, backend, tmp_path,
+                      placeholder_types={key: "int64", quoted: "int64"})
+    rows = stage(pa.table({"ip": ["1.2.3.4", "1.2.3.5"]})).to_pylist()
+    assert [r["id"] for r in rows] == [5375480, None]
+    assert [r["nest"] for r in rows] == [{"id": 5375480}, {"id": None}]
+
+
+@pytest.mark.parametrize("backend", ["dict", "mmdb"])
+def test_nan_value_is_null_when_typed_but_not_nil(backend, tmp_path):
+    """A NaN coordinate is a value (the gate passes, ``to_s`` is "nan") that
+    a float64 column holds as null, as Arrow's pandas conversion does."""
+    docs = {"1.2.3.4": {"location": {"latitude": float("nan")}}}
+    spec = compile_record_spec(RecordSpec(
+        lookup_keys=["ip"], record={"lat": LAT, "s": f"at {LAT}"},
+        skip_adding_null_record=True))
+    if backend == "dict":
+        bspec = {"library": "dict", "docs": docs}
+    else:
+        bspec = {"library": "maxmind", "path": write_mmdb(docs, str(tmp_path / "nan.mmdb"))}
+    rows = GeoEnrich(spec, backend_spec=bspec)(pa.table({"ip": ["1.2.3.4"]})).to_pylist()
+    assert rows == [{"ip": "1.2.3.4", "lat": None, "s": "at nan", ENRICHED_COL: True}]

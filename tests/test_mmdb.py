@@ -7,13 +7,16 @@ import hashlib
 import ipaddress
 import logging
 import random
+import struct
 
 import pyarrow as pa
 import pytest
 
 from fluent_plugin_geoip_ray.config import RecordSpec, compile_record_spec
 from fluent_plugin_geoip_ray.stages.enrich import GeoEnrich
-from fluent_plugin_geoip_ray.state.backends import MaxmindBackend, make_backend
+from fluent_plugin_geoip_ray.templates import dig
+from fluent_plugin_geoip_ray.state.backends import MaxmindBackend, dig_paths, make_backend
+from fluent_plugin_geoip_ray.state import mmdb
 from fluent_plugin_geoip_ray.state.fixture import GEO_FIXTURE_ROWS, fixture_geo_docs
 from fluent_plugin_geoip_ray.state.mmdb import (
     METADATA_MARKER,
@@ -426,10 +429,10 @@ def test_ipv4_start_node_inside_covering_v6_network(tmp_path):
 # -- enrich over the batched mmdb path ------------------------------------------
 
 class _PerValueMaxmind(MaxmindBackend):
-    """The per-address path: one ``lookup`` per unique value."""
+    """The per-address path: one ``lookup`` per unique value, dug per path."""
 
-    def lookup_many(self, addresses):
-        return [self.lookup(a) for a in addresses]
+    def lookup_paths(self, addresses, paths):
+        return dig_paths([self.lookup(a) for a in addresses], paths)
 
 
 def test_enrich_batched_equals_per_value_lookup(mmdb_path, caplog):
@@ -455,6 +458,243 @@ def test_enrich_batched_equals_per_value_lookup(mmdb_path, caplog):
     assert got == want
     # the v6 hit has no city, so only the v4 hit passes the gate
     assert [r["geoip_enriched"] for r in got[0]] == [v == "66.102.3.80" for v in values]
-    assert stage._doc_cache["2001:4860:4860::8888"]["country"]["iso_code"] == "US"
+    cc = stage._columns[stage._path_col[("country", "iso_code")]]
+    assert cc.to_pylist()[stage._rows["2001:4860:4860::8888"]] == "US"
     empty = [r for r in caplog.records if "is empty string" in r.getMessage()]
     assert len(empty) == 1
+
+
+# -- get_paths: the path-projected walk against dig over get_many ----------------
+
+class _PointerEncoder:
+    """Test-only data-section encoder that emits pointers, as real GeoIP2
+    files do: a map, an array or a string of 3+ bytes (a map key too) that
+    was written before becomes a pointer to its first copy, in the minimal
+    pointer form or, at random, the 4-byte one.  Ints past uint64 are
+    written as uint128 and some floats as float32.  Used in place of
+    ``encode_value`` while ``write_mmdb`` lays out the data section."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.size = 0        # data-section bytes so far
+        self.first = {}      # value key -> offset of its first copy
+        self.outputs = set()  # whole records already written (write_mmdb dedupes them)
+        self.forms = set()   # pointer sizes emitted (the ``SS`` bits)
+
+    def __call__(self, value) -> bytes:
+        out = bytearray()
+        self._emit(value, out)
+        enc = bytes(out)
+        if enc not in self.outputs:
+            self.outputs.add(enc)
+            self.size += len(enc)
+        return enc
+
+    def _pointer(self, ptr: int) -> bytes:
+        if self.rng.random() < 0.25 or ptr >= 526_336 + (1 << 27):
+            ss, head, tail = 3, 0, ptr.to_bytes(4, "big")
+        elif ptr < 2048:
+            ss, head, tail = 0, ptr >> 8, bytes([ptr & 0xFF])
+        elif ptr < 2048 + (1 << 19):
+            v = ptr - 2048
+            ss, head, tail = 1, v >> 16, (v & 0xFFFF).to_bytes(2, "big")
+        else:
+            v = ptr - 526_336
+            ss, head, tail = 2, v >> 24, (v & 0xFFFFFF).to_bytes(3, "big")
+        self.forms.add(ss)
+        return bytes([0x20 | (ss << 3) | head]) + tail
+
+    def _emit(self, value, out: bytearray) -> None:
+        shared = isinstance(value, (dict, list)) or (
+            isinstance(value, str) and len(value.encode()) >= 3)
+        key = repr((type(value).__name__, value)) if shared else None
+        if key in self.first:
+            out += self._pointer(self.first[key])
+            return
+        if shared:
+            self.first[key] = self.size + len(out)
+        if isinstance(value, dict):
+            out += mmdb._ctrl(mmdb._T_MAP, len(value))
+            for k, v in value.items():
+                self._emit(k, out)
+                self._emit(v, out)
+        elif isinstance(value, list):
+            out += mmdb._ctrl(mmdb._T_ARRAY, len(value))
+            for v in value:
+                self._emit(v, out)
+        elif isinstance(value, int) and not isinstance(value, bool) and value >= 1 << 64:
+            raw = value.to_bytes(16, "big").lstrip(b"\x00")
+            out += mmdb._ctrl(mmdb._T_UINT128, len(raw)) + raw
+        elif isinstance(value, float) and struct.unpack(">f", struct.pack(">f", value))[0] == value \
+                and self.rng.random() < 0.5:
+            out += mmdb._ctrl(mmdb._T_FLOAT, 4) + struct.pack(">f", value)
+        else:
+            out += encode_value(value)
+
+
+def _write(docs, path, encoder, **kw):
+    """``write_mmdb``; ``encoder`` "inline" (its own encoder), "pointers"
+    or a function encoding each record of the data section.  The metadata
+    is always written by ``encode_value``."""
+    if encoder == "inline":
+        return write_mmdb(docs, path, **kw)
+    if encoder == "pointers":
+        encoder = _PointerEncoder(seed=len(docs))
+
+    def data_encoder(value):
+        if isinstance(value, dict) and "binary_format_major_version" in value:
+            mmdb.encode_value = encode_value  # restored by the context below
+            return encode_value(value)
+        return encoder(value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mmdb, "encode_value", data_encoder)
+        return write_mmdb(docs, path, **kw)
+
+
+_KEYS = ["a", "b", "en", "en\x00", "names", "iso_code", "k" * 30, "ключ", "geoname_id"]
+
+
+def _random_value(rng, depth=0):
+    r = rng.random()
+    if depth < 3 and r < 0.3:
+        return {rng.choice(_KEYS): _random_value(rng, depth + 1)
+                for _ in range(rng.randrange(5))}
+    if depth < 3 and r < 0.4:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return rng.choice([
+        lambda: "".join(rng.choice("abé€") for _ in range(rng.choice([0, 2, 5, 28, 29, 300]))),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.choice([0.5, -2.25, 1.0, 3.0e-5]),
+        lambda: rng.randrange(1 << 16),
+        lambda: rng.randrange(1 << 16, 1 << 32),
+        lambda: rng.randrange(1 << 32, 1 << 63),
+        lambda: rng.randrange(1 << 63, 1 << 64),
+        lambda: rng.randrange(1 << 64, 1 << 100),
+        lambda: -rng.randrange(1, 1 << 31),
+        lambda: rng.random() < 0.5,
+        lambda: bytes(rng.randrange(256) for _ in range(3)),
+    ])()
+
+
+def _random_docs(rng, n, ip_version):
+    docs = {}
+    for i in range(n):
+        if ip_version == 6 and i % 3 == 0:
+            key = str(ipaddress.IPv6Address(rng.getrandbits(128)))
+        else:
+            key = str(ipaddress.IPv4Address(rng.getrandbits(32)))
+        doc = {rng.choice(_KEYS): _random_value(rng, 1) for _ in range(rng.randrange(1, 6))}
+        if i % 7 == 0:
+            doc["m"] = {k: i for k in ["a", "b"] + [f"w{j}" for j in range(30)]}  # 32 entries
+        docs[key] = doc
+    docs[next(iter(docs))] = docs[list(docs)[-1]]  # two hosts, one record
+    return docs
+
+
+def _paths(rng):
+    fixed = [("a",), ("names", "en"), ("a", 0), ("a", 9), ("b", "a", "en"),
+             ("a", "names", 1), ("m", "w7"), ("m", 0), ("m",), ("en", 0, "a"),
+             ("ключ",), ("k" * 30, "iso_code"), ("geoname_id",), ("nope", "a")]
+    rand = [tuple(rng.choice(_KEYS + [0, 1, 2]) for _ in range(rng.randrange(1, 4)))
+            for _ in range(25)]
+    return list(dict.fromkeys(fixed + rand))
+
+
+def _values(col):
+    return col.to_pylist() if isinstance(col, pa.Array) else list(col)
+
+
+def _assert_paths_match_dig(reader, probes, paths):
+    found, cols = reader.get_paths(probes, paths)
+    docs = reader.get_many(probes)
+    assert found.tolist() == [d is not None for d in docs]
+    assert len(cols) == len(paths)
+    for path, col in zip(paths, cols):
+        assert len(col) == len(probes)
+        assert _values(col) == [dig(d, path) for d in docs], path
+    return docs
+
+
+@pytest.mark.parametrize("encoder", ["inline", "pointers"])
+@pytest.mark.parametrize("ip_version", [4, 6])
+@pytest.mark.parametrize("record_size", [24, 28, 32])
+def test_get_paths_matches_dig_over_get_many(tmp_path, record_size, ip_version, encoder):
+    rng = random.Random(record_size * 10 + ip_version)
+    docs = _random_docs(rng, 150, ip_version)
+    path = _write(docs, str(tmp_path / "r.mmdb"), encoder,
+                  record_size=record_size, ip_version=ip_version)
+    reader = MMDBReader(path)
+    probes = list(docs) + _probe_addresses({}, seed=record_size) + ["", "x", "2001:db8::1"]
+    got = _assert_paths_match_dig(reader, probes, _paths(rng))
+    assert got[:len(docs)] == list(docs.values())
+    # the paths are compiled once and reused; a new path set recompiles
+    assert reader.get_paths(probes[:3], [("a",)])[0].tolist() == [True] * 3
+
+
+def test_pointer_encoder_exercises_every_pointer_form(tmp_path):
+    """Records in key order: random ones, a 0.5 MB string, then records
+    that point past it (the 3-byte form)."""
+    rng = random.Random(3)
+    docs = {f"1.0.0.{i}": {"pair": f"pair {i // 2}", "r": _random_value(rng)}
+            for i in range(10, 99)}
+    docs["2.0.0.1"] = {"blob": "z" * 530_000, "tail": {"en": "after"}}
+    docs.update({f"3.0.0.{i}": {"tail": {"en": "after"}, "n": i} for i in range(1, 9)})
+    enc = _PointerEncoder(seed=3)
+    reader = MMDBReader(_write(docs, str(tmp_path / "p.mmdb"), enc))
+    assert enc.forms == {0, 1, 2, 3}
+    got = _assert_paths_match_dig(reader, list(docs), [("blob",), ("tail", "en"), ("a",), ("b", 0)])
+    assert got == list(docs.values())
+
+
+def test_get_paths_prefix_database_matches_longest_prefix_referee(tmp_path):
+    """Overlapping v4 and v6 prefixes of mixed length; several prefixes
+    share one record, as in a real City database."""
+    rng = random.Random(23)
+    shared = [{"city": {"names": {"en": f"C{i}"}}, "location": {"latitude": i / 7},
+               "subdivisions": [{"iso_code": f"R{i}"}, {"iso_code": "S"}, {"iso_code": "T"}]}
+              for i in range(12)]
+    docs = {}
+    for _ in range(300):
+        if rng.random() < 0.7:
+            plen = rng.randrange(4, 33)
+            net = ipaddress.ip_network((rng.getrandbits(32) >> (32 - plen) << (32 - plen), plen))
+        else:
+            plen = rng.randrange(16, 129)
+            bits = (0x2001_0DB8 << 96 | rng.getrandbits(96)) if rng.random() < 0.5 \
+                else rng.getrandbits(128)
+            net = ipaddress.ip_network((bits >> (128 - plen) << (128 - plen), plen))
+        docs[str(net)] = rng.choice(shared)
+    for encoder in ("inline", "pointers"):
+        reader = MMDBReader(_write(docs, str(tmp_path / f"{encoder}.mmdb"), encoder))
+        probes = _probe_addresses(docs, seed=4)
+        paths = [("city", "names", "en"), ("location", "latitude"),
+                 ("subdivisions", 0, "iso_code"), ("subdivisions", 1)]
+        found, cols = reader.get_paths(probes, paths)
+        truth = [_lpm_truth(docs, 6, ip) for ip in probes]
+        assert found.tolist() == [t is not None for t in truth]
+        assert 0 < found.sum() < len(probes)
+        for path, col in zip(paths, cols):
+            assert _values(col) == [dig(t, path) for t in truth], path
+
+
+def test_get_paths_rejects_pointer_to_pointer(tmp_path):
+    """A pointer may not point to a pointer (MaxMind DB spec); a record
+    that is one pointer is fine."""
+    inner = encode_value({"a": "xyz"})
+    records = iter([inner, b"\x20\x00", b"\x20" + bytes([len(inner)])])
+    docs = {"1.0.0.1": {"n": 1}, "1.0.0.2": {"n": 2}, "1.0.0.3": {"n": 3}}
+    reader = MMDBReader(_write(docs, str(tmp_path / "pp.mmdb"), lambda doc: next(records)))
+    found, (col,) = reader.get_paths(["1.0.0.1", "1.0.0.2"], [("a",)])
+    assert found.tolist() == [True, True] and col.to_pylist() == ["xyz", "xyz"]
+    with pytest.raises(ValueError, match="pointer to a pointer"):
+        reader.get_paths(["1.0.0.3"], [("a",)])
+
+
+def test_get_paths_keys_match_exact_bytes(tmp_path):
+    """Keys are matched byte for byte, length included: "en\\0" is no "en"."""
+    docs = {"1.0.0.1": {"en\x00": "nul", "e": "short", "enx": "long"},
+            "1.0.0.2": {"en\x00": "nul", "en": "yes"}}
+    reader = MMDBReader(write_mmdb(docs, str(tmp_path / "k.mmdb")))
+    found, (col,) = reader.get_paths(list(docs), [("en",)])
+    assert col.to_pylist() == [None, "yes"]
