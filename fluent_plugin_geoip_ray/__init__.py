@@ -3,7 +3,7 @@
 Brand-new implementation of the query/data-processing capabilities of
 y-ken/fluent-plugin-geoip (reference at /root/reference, v1.3.2) re-expressed
 as streaming Ray Data pipelines over Parquet transcript tables:
-parse (vectorized regex extraction) -> enrich (GeoIP lookup, actor pool) ->
+parse (vectorized regex extraction) -> enrich (GeoIP lookup, task pool) ->
 route (tag-remap fan-out to Parquet sinks) -> aggregate (per-sink counts),
 plus the large-scale training-data operators (dedup, similarity search,
 text analysis, multimodal stubs).

@@ -275,13 +275,3 @@ def read_input(paths, **read_kwargs):
         return rd.read_parquet(paths, override_num_blocks=n, **read_kwargs)
     return ds
 
-
-def read_transcripts(sf_dir_or_sf, **read_kwargs):
-    """ray.data Dataset over the generated transcripts for a scale, read
-    by :func:`read_input`."""
-    sf = (
-        sf_from_dir(sf_dir_or_sf)
-        if isinstance(sf_dir_or_sf, str)
-        else float(sf_dir_or_sf)
-    )
-    return read_input(ensure_transcripts(sf), **read_kwargs)

@@ -191,12 +191,6 @@ def top_k(ds, col: str, k: int, keep_cols: list[str] | None = None,
     return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
 
 
-def sum_count_by(ds, key: str, value: str, batch_size: int = 65536):
-    """Grouped sum+count (``s``, ``n``) through :func:`groupby_agg`."""
-    return groupby_agg(ds, [key], [(value, "sum", "s"), (value, "count_star", "n")],
-                       batch_size=batch_size)
-
-
 def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),
                  mode: str = "auto", bins: int = 4096,
                  batch_size: int = 65536, driver_limit: int = 2_000_000):
@@ -621,13 +615,11 @@ def rollup_agg(ds, keys: list[str], aggs: list[tuple]):
     """``GROUP BY ROLLUP(keys)``: one result set holding aggregates at
     EVERY prefix level of ``keys`` -- finest first, then each roll-up,
     down to the grand total -- with rolled-up key columns NULL (the SQL
-    ROLLUP convention).
-
-    100 TB shape: the input is scanned ONCE (the finest
-    :func:`groupby_agg`); every coarser level re-aggregates the PREVIOUS
-    level's result -- already reduced to O(groups) rows -- through the
-    same bucketed exchange, so the cascade costs the finest aggregate
-    plus geometrically small change, never a rescan.
+    ROLLUP convention).  ROLLUP is the grouping sets of the key
+    prefixes ``[keys, keys[:-1], ..., []]``, so this is
+    :func:`grouping_sets_agg` over them: the input is scanned ONCE (the
+    finest :func:`groupby_agg`) and every coarser level re-aggregates
+    that already-reduced result, never the input.
 
     ``aggs`` entries are ``(col, fn, out)`` with fn restricted to the
     re-aggregable set {sum, count, count_star, min, max} (count re-rolls
@@ -636,60 +628,8 @@ def rollup_agg(ds, keys: list[str], aggs: list[tuple]):
     across levels (usual non-associativity ulp); integer-valued columns
     stay exact.
     """
-    allowed = {"sum", "count", "count_star", "min", "max"}
-    bad = sorted({fn for _, fn, _ in aggs} - allowed)
-    if bad:
-        raise ValueError(
-            f"rollup_agg needs re-aggregable fns {sorted(allowed)}, "
-            f"got {bad} (derive mean from sum+count downstream)")
-    if not keys:
-        raise ValueError("rollup_agg needs at least one key")
-    out_names = [out for _, _, out in aggs]
-    if len(set(out_names)) != len(out_names):
-        raise ValueError("duplicate output names in aggs")
-
-    finest = groupby_agg(ds, keys, aggs).materialize()
-    schema = finest.schema().base_schema
-    key_types = {k: schema.field(k).type for k in keys}
-    out_cols = keys + out_names
-    re_specs = [(out, "sum" if fn in ("count", "count_star") else fn, out)
-                for _, fn, out in aggs]
-
-    def pad_level(level_keys):
-        missing = [k for k in keys if k not in level_keys]
-
-        def fn(t: pa.Table) -> pa.Table:
-            for k in missing:
-                t = t.append_column(k, pa.nulls(t.num_rows, key_types[k]))
-            return t.select(out_cols)
-
-        return fn
-
-    levels = [finest.map_batches(pad_level(keys), batch_format="pyarrow",
-                                 zero_copy_batch=True)]
-    prev = finest
-    for depth in range(len(keys) - 1, -1, -1):
-        lvl_keys = keys[:depth]
-        if lvl_keys:
-            nxt = groupby_agg(prev, lvl_keys, re_specs)
-        else:
-            const = prev.map_batches(
-                lambda t: t.append_column(
-                    "__rollup_all",
-                    pa.repeat(pa.scalar(0, pa.int8()), t.num_rows)),
-                batch_format="pyarrow", zero_copy_batch=True)
-            nxt = groupby_agg(const, ["__rollup_all"],
-                              re_specs).drop_columns(["__rollup_all"])
-        nxt = nxt.materialize()
-        levels.append(nxt.map_batches(pad_level(lvl_keys),
-                                      batch_format="pyarrow",
-                                      zero_copy_batch=True))
-        prev = nxt
-
-    out = levels[0]
-    for lv in levels[1:]:
-        out = out.union(lv)
-    return out
+    sets = [keys[:depth] for depth in range(len(keys), -1, -1)]
+    return grouping_sets_agg(ds, keys, sets, aggs)
 
 
 def count_distinct_by(ds, keys: list[str], value_col: str,
@@ -763,7 +703,9 @@ def grouping_sets_agg(ds, keys: list[str], sets: list[list[str]],
     convention).  The input is scanned ONCE at the all-keys level; every
     requested set re-aggregates that already-reduced result through the
     bucketed exchange (sets must be subsets of ``keys``; fns restricted
-    to the re-aggregable family, as :func:`rollup_agg`).
+    to the re-aggregable family {sum, count, count_star, min, max};
+    output names distinct).  :func:`rollup_agg` and :func:`cube_agg`
+    are this over the key prefixes and over every key subset.
     """
     allowed = {"sum", "count", "count_star", "min", "max"}
     bad = sorted({fn for _, fn, _ in aggs} - allowed)
@@ -780,6 +722,8 @@ def grouping_sets_agg(ds, keys: list[str], sets: list[list[str]],
     if len({tuple(sorted(st)) for st in sets}) != len(sets):
         raise ValueError("duplicate grouping sets")
     out_names = [out for _, _, out in aggs]
+    if len(set(out_names)) != len(out_names):
+        raise ValueError("duplicate output names in aggs")
     finest = groupby_agg(ds, keys, aggs).materialize()
     schema = finest.schema().base_schema
     key_types = {k: schema.field(k).type for k in keys}

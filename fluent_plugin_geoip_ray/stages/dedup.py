@@ -1036,16 +1036,6 @@ class SimHashSketch:
         })
 
 
-def add_simhash(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Column helper: append simhash + 4 band columns (analysis paths)."""
-    sh = simhash_bits(batch, text_col)
-    out = batch.append_column("simhash", pa.array(sh.astype(np.int64)))
-    for b in range(4):
-        band = ((sh >> np.uint64(16 * b)) & np.uint64(0xFFFF)).astype(np.int32)
-        out = out.append_column(f"simhash_b{b}", pa.array(band))
-    return out
-
-
 def _hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = np.bitwise_xor(a.astype(np.uint64), b.astype(np.uint64))
     return np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)

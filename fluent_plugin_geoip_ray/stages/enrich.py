@@ -1,14 +1,15 @@
-"""GeoEnrich: the stateful enrich stage (actor-pool ``map_batches`` callable).
+"""GeoEnrich: the stateful enrich stage (a ``map_batches`` task callable).
 
 Ray-Data-native re-expression of the reference's per-event chain
 ``get_address -> geolocate -> create_placeholder -> add_geoip_field``
 (``lib/fluent/plugin/filter_geoip.rb:106-139,159-202``):
 
-* the backend is opened ONCE per actor in ``__init__`` -- the analog of
+* :func:`enrich_dataset` runs the stage in Ray Data's task pool; each
+  task builds one :class:`GeoEnrich` on its first batch, whose
+  ``__init__`` opens the backend ONCE -- the analog of
   ``load_database`` running once per Fluentd worker in ``configure``
-  (``filter_geoip.rb:103,204-217``); use
-  ``ds.map_batches(GeoEnrich, fn_constructor_kwargs=..., concurrency=N,
-  batch_format="pyarrow", zero_copy_batch=True)``.
+  (``filter_geoip.rb:103,204-217``).  An ``.mmdb`` open maps the file
+  read-only, so a task's open copies no database.
 * per batch, lookup values are dictionary-encoded, and the uniques not yet
   in the stage's cache go to the backend in ONE ``lookup_paths`` call for
   the spec's distinct geo paths (for an .mmdb, a batched trie descent and
@@ -66,21 +67,15 @@ class GeoEnrich:
         self,
         spec: RecordSpec | CompiledRecordSpec,
         backend_spec: dict | None = None,
-        backend_ref=None,
     ):
-        """``backend_spec`` is a small config dict (serialized once per actor);
-        ``backend_ref`` is a ``ray.put`` ObjectRef to a docs dict for larger
-        side tables (broadcast once per node, zero re-ship per batch)."""
+        """``backend_spec`` is a small config dict for
+        :func:`~fluent_plugin_geoip_ray.state.backends.make_backend`
+        (default: the built-in dict fixture)."""
         self.spec = (
             spec if isinstance(spec, CompiledRecordSpec) else compile_record_spec(spec)
         )
-        if backend_ref is not None:
-            import ray
-
-            self.backend = make_backend({"library": "dict", "docs": ray.get(backend_ref)})
-        else:
-            self.backend = make_backend(backend_spec or {"library": "dict"})
-        # value table, persisting across batches (actor state): row 0 is the
+        self.backend = make_backend(backend_spec or {"library": "dict"})
+        # value table, persisting across batches (stage state): row 0 is the
         # no-record row (misses, "", null keys); found records get a row each,
         # with one column per distinct geo path of the spec
         self._paths = tuple(dict.fromkeys(p.geoip_path for p in self.spec.placeholders))
@@ -249,45 +244,17 @@ def enrich_dataset(
     ds,
     spec: RecordSpec | CompiledRecordSpec,
     backend_spec: dict | None = None,
-    backend_ref=None,
-    batch_size: int | None = None,
-    concurrency=None,
-    num_cpus: float = 1,
-    mode: str = "tasks",
 ):
-    """Attach the enrich stage to a Dataset.
-
-    ``mode="tasks"`` (default): stateless task pool; each task builds its
-    :class:`GeoEnrich` lazily on its first batch, so the backend is opened
-    once per task and no actor processes churn per run.  Right for
-    cheap-to-open backends.
-
-    ``mode="actors"``: a fixed actor pool (``concurrency=(min,max)``) whose
-    ``__init__`` opens the backend -- required when open cost or state size
-    is large (a real .mmdb via ``backend_ref``, model weights), accepting
-    actor startup per execution.
-    """
+    """Attach the enrich stage to a Dataset: a stateless task pool where
+    each task builds its :class:`GeoEnrich` lazily on its first batch, so
+    the backend is opened once per task and no actor processes churn per
+    run.  Batches are whole blocks (``batch_size=None``)."""
     compiled = (
         spec if isinstance(spec, CompiledRecordSpec) else compile_record_spec(spec)
     )
-    if mode == "actors" or backend_ref is not None:
-        kwargs = dict(spec=compiled)
-        if backend_ref is not None:
-            kwargs["backend_ref"] = backend_ref
-        else:
-            kwargs["backend_spec"] = backend_spec or {"library": "dict"}
-        return ds.map_batches(
-            GeoEnrich,
-            fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency or (2, 8),
-            num_cpus=num_cpus,
-        )
     return ds.map_batches(
         _tasks_enrich_fn(compiled, backend_spec or {"library": "dict"}),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
+        batch_size=None,
     )

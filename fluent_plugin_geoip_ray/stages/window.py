@@ -602,7 +602,11 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
     the running frame reaches n rows, NULL before -- null-keeping like
     ``first_value``).  SQL null semantics:
     ``sum``/``count``/``min``/``max`` skip NULL inputs and are NULL
-    until the first non-null value of the key's frame; ``first_value``
+    until the first non-null value of the key's frame (``count`` is 0);
+    they come from :func:`_frame_aggs` over the frames ``[segment head,
+    i]``, so ``min``/``max`` keep the source dtype (int64 exact over its
+    full range) and float NaN values follow the SQL total order (NaN
+    greatest); ``first_value``
     does NOT skip nulls (the SQL default); ``ntile:<k>`` assigns the
     first ``n % k`` tiles one extra row (the SQL NTILE contract);
     ``rank``/``dense_rank``/``percent_rank``/``cume_dist`` are
@@ -621,8 +625,8 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
     Scale shape mirrors :func:`lag_lead_by`: a key's rows must co-locate
     and carry an order, so the projection moves through ONE hash exchange
     on the key; each bucket lexsorts once, segments are key-change flags,
-    and every aggregate is one numpy ``cumsum``/segment-base subtraction
-    or a pandas Cython ``groupby.cummin/cummax`` -- no per-row Python.
+    and every aggregate is numpy prefix-sum gathers or a pandas Cython
+    ``groupby.cummin/cummax`` -- no per-row Python.
     Project upstream so only needed columns shuffle; one key's rows live
     in one bucket (salt upstream if a single key dominates).
     """
@@ -648,8 +652,11 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
         t, order_lanes, g, starts, start_idx, seg, seg_base = \
             _sorted_segments(t, key, order_by, need_order_cols=need_ties)
         n = len(g)
-        rn = np.arange(n, dtype=np.int64) - seg_base + 1
+        idx = np.arange(n, dtype=np.int64)
+        rn = idx - seg_base + 1
         seg_len = np.diff(np.r_[start_idx, n])[seg]     # my segment's length
+        frame_cols = iter(_frame_aggs(
+            t, [a for a in aggs if a[1] in _FRAME_AGGS], seg_base, idx + 1))
 
         if need_ties:
             # tie runs: a row starts a new ORDER BY peer group when the
@@ -719,60 +726,94 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
                 fat = (rn - 1) // np.maximum(q + 1, 1)
                 thin = r + (rn - 1 - big) // np.maximum(q, 1)
                 col = pa.array(np.where(in_big, fat, thin) + 1)
-            else:
-                src_col = _numeric_src(t, src)
-                notnull = ~np.asarray(pc.is_null(src_col))
-                cnt = np.cumsum(notnull.astype(np.int64))
-                run_cnt = cnt - (cnt[seg_base] - notnull[seg_base])
-                if agg == "count":
-                    col = pa.array(run_cnt)
-                elif agg == "sum":
-                    is_int = pa.types.is_integer(src_col.type)
-                    v = np.asarray(pc.fill_null(src_col, 0)) \
-                        .astype(np.int64 if is_int else np.float64)
-                    c = np.cumsum(v)
-                    run = c - (c[seg_base] - v[seg_base])
-                    col = pa.array(np.where(run_cnt > 0, run, 0),
-                                   pa.int64() if is_int else pa.float64())
-                    col = pc.if_else(pa.array(run_cnt > 0), col,
-                                     pa.scalar(None, col.type))
-                else:                                   # min / max
-                    # SQL MIN/MAX skip NULLs (a null row still sees the
-                    # running extremum so far), so nulls become +/-inf
-                    # sentinels before the Cython cummin/cummax; rows with
-                    # no value yet (run_cnt == 0) null out below.  int64
-                    # round-trips through float64 exactly up to 2^53.
-                    fill = np.inf if agg == "min" else -np.inf
-                    v = np.asarray(pc.cast(src_col, pa.float64()),
-                                   dtype=np.float64)
-                    # float NaN VALUES follow the SQL total order (NaN
-                    # greatest): they become sentinels for the scan,
-                    # then running-NaN counts restore NaN where SQL
-                    # yields it (MAX once seen; MIN only if nothing but
-                    # NaN so far)
-                    isnan = notnull & np.isnan(v)
-                    s = pd.Series(np.where(notnull & ~isnan, v, fill))
-                    grp = s.groupby(seg)
-                    run = (grp.cummin() if agg == "min"
-                           else grp.cummax()).to_numpy()
-                    if isnan.any():
-                        ncnt = np.cumsum(isnan.astype(np.int64))
-                        run_nan = ncnt - (ncnt[seg_base]
-                                          - isnan[seg_base])
-                        if agg == "min":
-                            run = np.where(run_cnt - run_nan == 0,
-                                           np.nan, run)
-                        else:
-                            run = np.where(run_nan > 0, np.nan, run)
-                    col = pa.array(run, pa.float64())
-                    col = pc.if_else(pa.array(run_cnt > 0), col,
-                                     pa.scalar(None, pa.float64()))
-                    if not pa.types.is_floating(src_col.type):
-                        col = pc.cast(col, src_col.type)
+            else:                                       # sum/count/min/max
+                col = next(frame_cols)
             out = out.append_column(out_name, col)
         return out
 
     return hash_exchange_by(ds, [key], scan_bucket, num_buckets)
+
+
+_FRAME_AGGS = {"sum", "count", "avg", "min", "max"}
+
+
+def _frame_aggs(t: pa.Table, aggs: list, lb: np.ndarray,
+                ub: np.ndarray) -> list:
+    """The frame aggregates of a sorted bucket, one column per ``(src,
+    agg, out)`` of ``aggs`` (``agg`` in :data:`_FRAME_AGGS`): row ``i``
+    aggregates ``src`` over the bucket rows ``[lb[i], ub[i])``, a
+    non-empty frame inside the row's key segment.  The window functions
+    only say where their frames are.
+
+    SQL null semantics: NULL inputs don't contribute; a frame with no
+    non-null input yields NULL (``count`` yields 0).  sum/count/avg are
+    two prefix-sum gathers: integer sums are exact int64, ``avg`` one
+    IEEE division, float sums differ from a direct per-frame sum in the
+    last ulp.  min/max are selections in the SOURCE dtype (int64 exact
+    over its full range), NULLs as never-winning sentinels of that
+    dtype; float NaN VALUES follow the SQL total order (DuckDB,
+    Postgres): NaN sorts greatest, so MAX is NaN when any NaN is in the
+    frame and MIN only when the frame holds nothing but NaN.
+
+    Running frames -- each frame the previous row's plus its own row, or
+    a new one-row frame -- take min/max from an O(n) segmented
+    ``groupby.cummin/cummax``; other frames from the sparse table of
+    :func:`_range_extrema`, whose O(n log w) levels would cost
+    O(n log n) over whole partitions."""
+    import pyarrow.compute as pc
+
+    idx = np.arange(t.num_rows, dtype=np.int64)
+    heads = lb == idx
+    running = np.array_equal(ub, idx + 1) and bool(
+        (heads[1:] | (lb[1:] == lb[:-1])).all())
+
+    def frame_sum(x: np.ndarray) -> np.ndarray:
+        pre = np.r_[0, np.cumsum(x)]
+        return pre[ub] - pre[lb]
+
+    cols = []
+    for src, agg, _out in aggs:
+        src_col = _numeric_src(t, src)
+        notnull = ~np.asarray(pc.is_null(src_col))
+        cnt = frame_sum(notnull.astype(np.int64))
+        if agg == "count":
+            cols.append(pa.array(cnt))
+            continue
+        is_int = pa.types.is_integer(src_col.type)
+        if agg in ("sum", "avg"):
+            s = frame_sum(np.asarray(pc.fill_null(src_col, 0))
+                          .astype(np.int64 if is_int else np.float64))
+            col = pa.array(s if agg == "sum" else
+                           s.astype(np.float64)
+                           / np.maximum(cnt, 1).astype(np.float64))
+        else:
+            is_min = agg == "min"
+            isnan = None
+            if is_int:
+                info = np.iinfo(src_col.type.to_pandas_dtype())
+                sentinel = info.max if is_min else info.min
+                v = np.asarray(pc.fill_null(src_col, int(sentinel)))
+            else:
+                sentinel = np.inf if is_min else -np.inf
+                vf = np.asarray(pc.cast(src_col, pa.float64()),
+                                dtype=np.float64)
+                isnan = notnull & np.isnan(vf)
+                v = np.where(notnull & ~isnan, vf, sentinel)
+            if running:
+                grp = pd.Series(v).groupby(np.cumsum(heads))
+                run = (grp.cummin() if is_min else grp.cummax()).to_numpy()
+            else:
+                run = _range_extrema(v, lb, ub - 1, is_min, sentinel)
+            if isnan is not None and isnan.any():
+                m_nan = frame_sum(isnan.astype(np.int64))
+                run = np.where(m_nan == cnt if is_min else m_nan > 0,
+                               np.nan, run)
+            col = pa.array(run)
+        col = pc.if_else(pa.array(cnt > 0), col, pa.scalar(None, col.type))
+        if agg in ("min", "max") and col.type != src_col.type:
+            col = pc.cast(col, src_col.type)
+        cols.append(col)
+    return cols
 
 
 def _range_extrema(v: np.ndarray, lb: np.ndarray, idx: np.ndarray,
@@ -814,12 +855,12 @@ def rolling_agg(ds, key: str, order_by: list[str], aggs: list,
 
     ``aggs`` is ``[(src, agg, out), ...]`` with ``agg`` in ``{"sum",
     "count", "avg", "min", "max"}``; ``window >= 1`` is the frame size
-    in ROWS (clipped at the partition head, the SQL contract).  SQL
-    null semantics: NULL inputs don't contribute; a frame with zero
-    non-null inputs yields NULL (``count`` yields 0).  Exactness vs a
-    SQL oracle: ``count``/``min``/``max`` always (extrema never leave
-    the source dtype -- int64 stays exact over its FULL range, no 2^53
-    float round-trip); ``sum``/``avg`` for INTEGER sources (int64
+    in ROWS (clipped at the partition head, the SQL contract).  Every
+    aggregate comes from :func:`_frame_aggs` over the frames ``[max(
+    segment head, i - window + 1), i]``, which sets the SQL null and NaN
+    rules and the exactness vs a SQL oracle: ``count``/``min``/``max``
+    always (extrema never leave the source dtype -- int64 stays exact
+    over its FULL range); ``sum``/``avg`` for INTEGER sources (int64
     prefix sums, one IEEE division for avg); float ``sum``/``avg`` use
     prefix-sum subtraction whose rounding order differs from a direct
     per-frame sum in the last ulp.
@@ -829,110 +870,28 @@ def rolling_agg(ds, key: str, order_by: list[str], aggs: list,
 
     Scale shape: identical to :func:`running_agg` -- ONE hash exchange
     on the key, per-bucket lexsort, then O(n) numpy per aggregate:
-    sliding sums/counts are two prefix-sum gathers (frame head =
-    ``max(segment head, i - window + 1)``), sliding extrema one
+    sliding sums/counts are two prefix-sum gathers, sliding extrema one
     sparse-table RMQ (:func:`_range_extrema`, O(n log window) build +
     two gathers).  No per-row Python anywhere; project upstream so only
     needed columns shuffle; salt upstream if one key dominates a
     bucket.
     """
-    import numpy as np
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    valid = {"sum", "count", "avg", "min", "max"}
     for src, agg, _out in aggs:
-        if agg not in valid:
+        if agg not in _FRAME_AGGS:
             raise ValueError(f"rolling_agg: unknown agg {agg!r} for {src!r}")
     if not isinstance(window, int) or window < 1:
         raise ValueError(f"rolling_agg: window must be an int >= 1, "
                          f"got {window!r}")
 
     def scan_bucket(t: pa.Table) -> pa.Table:
-        t, _oc, g, _starts, start_idx, _seg, seg_base = \
+        t, _oc, g, _starts, _start_idx, _seg, seg_base = \
             _sorted_segments(t, key, order_by)
-        n = len(g)
-        idx = np.arange(n, dtype=np.int64)
+        idx = np.arange(len(g), dtype=np.int64)
         lb = np.maximum(seg_base, idx - (window - 1))   # frame head (incl.)
-
-        # per-source prefix machinery, computed once per distinct src
-        cache: dict = {}
-
-        def prep(src):
-            if src in cache:
-                return cache[src]
-            src_col = _numeric_src(t, src)
-            notnull = ~np.asarray(pc.is_null(src_col))
-            cnt_pre = np.r_[0, np.cumsum(notnull.astype(np.int64))]
-            mcnt = cnt_pre[idx + 1] - cnt_pre[lb]
-            cache[src] = (src_col, notnull, mcnt)
-            return cache[src]
-
-        def msum_of(src):
-            if (src, "sum") in cache:
-                return cache[(src, "sum")]
-            src_col, _notnull, mcnt = prep(src)
-            is_int = pa.types.is_integer(src_col.type)
-            v = np.asarray(pc.fill_null(src_col, 0)) \
-                .astype(np.int64 if is_int else np.float64)
-            pre = np.r_[0, np.cumsum(v)]
-            cache[(src, "sum")] = (pre[idx + 1] - pre[lb], mcnt, is_int)
-            return cache[(src, "sum")]
-
-        out = t
-        for src, agg, out_name in aggs:
-            if agg == "count":
-                _c, _nn, mcnt = prep(src)
-                col = pa.array(mcnt)
-            elif agg == "sum":
-                ms, mcnt, is_int = msum_of(src)
-                col = pa.array(ms, pa.int64() if is_int else pa.float64())
-                col = pc.if_else(pa.array(mcnt > 0), col,
-                                 pa.scalar(None, col.type))
-            elif agg == "avg":
-                ms, mcnt, _is_int = msum_of(src)
-                col = pa.array(
-                    ms.astype(np.float64)
-                    / np.maximum(mcnt, 1).astype(np.float64))
-                col = pc.if_else(pa.array(mcnt > 0), col,
-                                 pa.scalar(None, pa.float64()))
-            else:                                       # min / max
-                # SQL MIN/MAX skip NULLs -> null slots become never-win
-                # sentinels of the SOURCE dtype (no float cast: int64
-                # extrema stay exact over the full range); all-null
-                # frames (mcnt == 0) null out below.  Float NaN VALUES
-                # (not nulls) follow the SQL total order (DuckDB,
-                # Postgres): NaN sorts GREATEST, so MAX is NaN when any
-                # NaN is in the frame and MIN is NaN only when the frame
-                # holds nothing but NaN.
-                src_col, notnull, mcnt = prep(src)
-                if pa.types.is_integer(src_col.type):
-                    info = np.iinfo(src_col.type.to_pandas_dtype())
-                    sentinel = info.max if agg == "min" else info.min
-                    v = np.asarray(pc.fill_null(src_col, int(sentinel)))
-                    run = _range_extrema(v, lb, idx, agg == "min", sentinel)
-                else:
-                    sentinel = np.inf if agg == "min" else -np.inf
-                    vful = np.asarray(pc.cast(src_col, pa.float64()),
-                                      dtype=np.float64)
-                    isnan = notnull & np.isnan(vful)
-                    v = np.where(notnull & ~isnan, vful, sentinel)
-                    run = _range_extrema(v, lb, idx, agg == "min", sentinel)
-                    if isnan.any():
-                        nan_pre = np.r_[0, np.cumsum(
-                            isnan.astype(np.int64))]
-                        m_nan = nan_pre[idx + 1] - nan_pre[lb]
-                        if agg == "min":        # only-NaN frame -> NaN
-                            run = np.where(mcnt - m_nan == 0, np.nan, run)
-                        else:                   # any NaN -> NaN (greatest)
-                            run = np.where(m_nan > 0, np.nan, run)
-                col = pa.array(run)
-                col = pc.if_else(pa.array(mcnt > 0), col,
-                                 pa.scalar(None, col.type))
-                if col.type != src_col.type:
-                    col = pc.cast(col, src_col.type)
-            out = out.append_column(out_name, col)
-        return out
+        for (_src, _agg, out_name), col in zip(
+                aggs, _frame_aggs(t, aggs, lb, idx + 1)):
+            t = t.append_column(out_name, col)
+        return t
 
     return hash_exchange_by(ds, [key], scan_bucket, num_buckets)
 
@@ -949,13 +908,13 @@ def rolling_time_agg(ds, key: str, ts_col: str, aggs: list,
     ``aggs`` is ``[(src, agg, out), ...]`` with ``agg`` in ``{"sum",
     "count", "avg", "min", "max"}``.  SQL RANGE semantics are honored
     exactly, INCLUDING peers: rows sharing a timestamp share one frame
-    that contains all of them, regardless of physical order.  NULL
-    inputs don't contribute; an all-null frame yields NULL (``count``
-    0).  sum/avg on INTEGER sources are exact vs SQL (int64 prefix
-    sums, one IEEE division); float sums carry the prefix-sum last-ulp
-    caveat; min/max are exact selections in the SOURCE dtype (the
-    sparse-table RMQ answers the two-sided variable frames), float NaN
-    VALUES per the SQL total order (NaN greatest).
+    that contains all of them, regardless of physical order.  Every
+    aggregate comes from :func:`_frame_aggs` over those frames, with
+    the null, NaN and exactness rules of :func:`rolling_agg`: sum/avg
+    on INTEGER sources are exact vs SQL, float sums carry the
+    prefix-sum last-ulp caveat, min/max are exact selections in the
+    SOURCE dtype (the sparse-table RMQ answers the two-sided variable
+    frames).
 
     Null-KEY caveat shared with :func:`running_agg`; NULL timestamps
     are rejected (SQL RANGE frames require a non-null sort key).
@@ -964,16 +923,12 @@ def rolling_time_agg(ds, key: str, ts_col: str, aggs: list,
     (key, ts), then O(n log n) numpy: per-segment timestamps are
     rebased to their segment head and given disjoint per-segment
     offsets (gap > the frame width), so BOTH frame edges come from two
-    GLOBAL ``np.searchsorted`` calls; every aggregate is two
-    prefix-sum gathers.  No per-row or per-key Python.
+    GLOBAL ``np.searchsorted`` calls; sums and counts are two
+    prefix-sum gathers, extrema one sparse-table RMQ.  No per-row or
+    per-key Python.
     """
-    import numpy as np
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    valid = {"sum", "count", "avg", "min", "max"}
     for src, agg, _out in aggs:
-        if agg not in valid:
+        if agg not in _FRAME_AGGS:
             raise ValueError(
                 f"rolling_time_agg: unknown agg {agg!r} for {src!r}")
     if preceding_sec < 0:
@@ -1016,80 +971,10 @@ def rolling_time_agg(ds, key: str, ts_col: str, aggs: list,
                 ub[s0:s1] = s0 + np.searchsorted(seg_ts, seg_ts,
                                                  side="right")
 
-        cache: dict = {}
-
-        def prep(src):
-            if src in cache:
-                return cache[src]
-            src_col = _numeric_src(t, src)
-            notnull = ~np.asarray(pc.is_null(src_col))
-            cnt_pre = np.r_[0, np.cumsum(notnull.astype(np.int64))]
-            mcnt = cnt_pre[ub] - cnt_pre[lb]
-            cache[src] = (src_col, notnull, mcnt)
-            return cache[src]
-
-        def msum_of(src):
-            if (src, "sum") in cache:
-                return cache[(src, "sum")]
-            src_col, _notnull, mcnt = prep(src)
-            is_int = pa.types.is_integer(src_col.type)
-            v = np.asarray(pc.fill_null(src_col, 0)) \
-                .astype(np.int64 if is_int else np.float64)
-            pre = np.r_[0, np.cumsum(v)]
-            cache[(src, "sum")] = (pre[ub] - pre[lb], mcnt, is_int)
-            return cache[(src, "sum")]
-
-        out = t
-        for src, agg, out_name in aggs:
-            if agg == "count":
-                _c, _nn, mcnt = prep(src)
-                col = pa.array(mcnt)
-            elif agg == "sum":
-                msum, mcnt, is_int = msum_of(src)
-                col = pa.array(msum, pa.int64() if is_int else pa.float64())
-                col = pc.if_else(pa.array(mcnt > 0), col,
-                                 pa.scalar(None, col.type))
-            elif agg == "avg":
-                msum, mcnt, _is_int = msum_of(src)
-                col = pa.array(
-                    msum.astype(np.float64)
-                    / np.maximum(mcnt, 1).astype(np.float64))
-                col = pc.if_else(pa.array(mcnt > 0), col,
-                                 pa.scalar(None, pa.float64()))
-            else:                                       # min / max
-                # same dtype-preserving RMQ + SQL-total-order NaN
-                # handling as rolling_agg; the RMQ takes arbitrary
-                # [lb, ub-1] ranges so peer-inclusive RANGE frames need
-                # no deque (ub >= idx+1 > lb, so lb <= ub-1 always)
-                src_col, notnull, mcnt = prep(src)
-                rb = ub - 1
-                if pa.types.is_integer(src_col.type):
-                    info = np.iinfo(src_col.type.to_pandas_dtype())
-                    sentinel = info.max if agg == "min" else info.min
-                    v = np.asarray(pc.fill_null(src_col, int(sentinel)))
-                    run = _range_extrema(v, lb, rb, agg == "min", sentinel)
-                else:
-                    sentinel = np.inf if agg == "min" else -np.inf
-                    vful = np.asarray(pc.cast(src_col, pa.float64()),
-                                      dtype=np.float64)
-                    isnan = notnull & np.isnan(vful)
-                    v = np.where(notnull & ~isnan, vful, sentinel)
-                    run = _range_extrema(v, lb, rb, agg == "min", sentinel)
-                    if isnan.any():
-                        nan_pre = np.r_[0, np.cumsum(
-                            isnan.astype(np.int64))]
-                        m_nan = nan_pre[ub] - nan_pre[lb]
-                        if agg == "min":
-                            run = np.where(mcnt - m_nan == 0, np.nan, run)
-                        else:
-                            run = np.where(m_nan > 0, np.nan, run)
-                col = pa.array(run)
-                col = pc.if_else(pa.array(mcnt > 0), col,
-                                 pa.scalar(None, col.type))
-                if col.type != src_col.type:
-                    col = pc.cast(col, src_col.type)
-            out = out.append_column(out_name, col)
-        return out
+        for (_src, _agg, out_name), col in zip(
+                aggs, _frame_aggs(t, aggs, lb, ub)):
+            t = t.append_column(out_name, col)
+        return t
 
     return hash_exchange_by(ds, [key], scan_bucket, num_buckets)
 

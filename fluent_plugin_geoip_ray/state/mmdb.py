@@ -11,7 +11,8 @@ through this module, which provides:
   that duck-types the ``maxminddb.Reader.get`` contract consumed by
   :class:`..state.backends.MaxmindBackend` (the analog of the reference's
   ``GeoIP2::Database#lookup``, ``lib/fluent/plugin/filter_geoip.rb:215``).
-  Lookups are batched: both ``get_many(ips)`` and ``get_paths(ips,
+  It maps the file read-only, so an open copies nothing and the
+  processes that open one file share its pages.  Lookups are batched: both ``get_many(ips)`` and ``get_paths(ips,
   paths)`` parse strict dotted quads with one vectorized regex/split
   (anything else through ``ipaddress``), then descend the tree -- viewed
   at open as a ``(node_count, 2)`` record array -- with one numpy gather
@@ -38,6 +39,7 @@ the full pointer grammar so real GeoLite2 files decode too.
 from __future__ import annotations
 
 import ipaddress
+import mmap
 import os
 import struct
 
@@ -350,8 +352,11 @@ class MMDBReader:
     enrich backend's batch contract)."""
 
     def __init__(self, path: str):
+        # mmap refuses empty files; they fail below as a missing marker
         with open(path, "rb") as f:
-            self._buf = f.read()
+            size = os.fstat(f.fileno()).st_size
+            self._buf = (mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+                         if size else b"")
         marker_at = self._buf.rfind(METADATA_MARKER)
         if marker_at < 0:
             raise ValueError(f"{path}: not an mmdb file (metadata marker missing)")

@@ -204,40 +204,6 @@ def test_typed_passthrough_vs_string_coercion():
     assert isinstance(rows[0]["concat"], str)
 
 
-def test_actor_mode_with_backend_ref():
-    """Actor-pool enrich with a ray.put broadcast docs dict (the mmdb-analog
-    path: big side state shipped once, hydrated in actor __init__)."""
-    import ray
-    import ray.data as rd
-
-    from fluent_plugin_geoip_ray.state.fixture import fixture_geo_docs
-    from fluent_plugin_geoip_ray.stages.enrich import enrich_dataset
-
-    docs_ref = ray.put(fixture_geo_docs())
-    spec = RecordSpec(lookup_keys=["ip"], record={"city": CITY})
-    ds = rd.from_items([{"ip": "66.102.3.80"}, {"ip": "203.0.113.1"}])
-    out = (
-        enrich_dataset(ds, spec, backend_ref=docs_ref, concurrency=(1, 2))
-        .to_pandas().sort_values("ip").reset_index(drop=True)
-    )
-    import pandas as pd
-
-    # sorted by ip: 203.0.113.1 > 66.102.3.80 lexicographically
-    assert out.loc[1, "city"] == "Mountain View"
-    assert pd.isna(out.loc[0, "city"])
-
-
-def test_actor_mode_explicit():
-    import ray.data as rd
-
-    from fluent_plugin_geoip_ray.stages.enrich import enrich_dataset
-
-    spec = RecordSpec(lookup_keys=["ip"], record={"city": CITY})
-    ds = rd.from_items([{"ip": "125.54.15.42"}])
-    out = enrich_dataset(ds, spec, mode="actors", concurrency=(1, 1)).to_pandas()
-    assert out.loc[0, "city"] == "Tokorozawa"
-
-
 def test_ipv6_lookup_end_to_end():
     """IPv6 token extraction + lookup (geoip2 backends accept v6)."""
     from fluent_plugin_geoip_ray.stages.parse import parse_transcripts

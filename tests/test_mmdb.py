@@ -65,6 +65,14 @@ def test_reader_misses(mmdb_path):
         reader.get("not-an-ip")
 
 
+@pytest.mark.parametrize("content", [b"", b"not a database\n" * 64])
+def test_reader_rejects_empty_and_non_mmdb_files(tmp_path, content):
+    path = tmp_path / "bad.mmdb"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match="bad.mmdb: not an mmdb file"):
+        MMDBReader(str(path))
+
+
 def test_ipv6_lookup(mmdb_path):
     reader = MMDBReader(mmdb_path)
     doc = reader.get("2001:4860:4860::8888")

@@ -754,24 +754,53 @@ def test_bucket_hash_type_stable_across_blocks_with_nulls():
 def test_rolling_agg_extrema_exact_beyond_2_53():
     """Round-5 review: int64 min/max must not round-trip through float64
     (2^53 loss / ArrowInvalid crash) -- snowflake-style IDs are normal
-    inputs."""
-    from fluent_plugin_geoip_ray.stages.window import rolling_agg
+    inputs.  All three frame functions share one kernel: running,
+    ROWS and RANGE frames keep int64 exact and float32 as float32, the
+    source type DuckDB's MIN/MAX keep."""
+    from fluent_plugin_geoip_ray.stages.window import (
+        rolling_agg,
+        rolling_time_agg,
+        running_agg,
+    )
 
     big = 2**53
     df = pd.DataFrame({
         "id": np.arange(6, dtype=np.int64),
         "k": np.ones(6, dtype=np.int64),
+        "ts": np.datetime64("2026-01-01T00:00:00", "us")
+        + (np.arange(6) * 1_000_000).astype("timedelta64[us]"),
         "v": np.array([big + 1, big + 3, -2**62, big + 5, big + 2, big + 4],
                       dtype=np.int64),
+        "f": np.array([0.5, 2.5, -1.25, 3.0, 1.0, 2.0], dtype=np.float32),
     })
-    out = rolling_agg(rd.from_pandas(df), "k", ["id"],
-                      [("v", "min", "mn"), ("v", "max", "mx")], window=3
-                      ).to_pandas().set_index("id").sort_index()
-    exp_mn = [big + 1, big + 1, -2**62, -2**62, -2**62, big + 2]
-    exp_mx = [big + 1, big + 3, big + 3, big + 5, big + 5, big + 5]
-    assert out["mn"].tolist() == exp_mn
-    assert out["mx"].tolist() == exp_mx
-    assert out["mn"].dtype == np.int64          # dtype never left int64
+    aggs = [("v", "min", "mn"), ("v", "max", "mx"),
+            ("f", "min", "fmn"), ("f", "max", "fmx")]
+    # ROWS BETWEEN 2 PRECEDING == RANGE 2 seconds PRECEDING at 1 s spacing
+    window3 = ([big + 1, big + 1, -2**62, -2**62, -2**62, big + 2],
+               [big + 1, big + 3, big + 3, big + 5, big + 5, big + 5],
+               [0.5, 0.5, -1.25, -1.25, -1.25, 1.0],
+               [0.5, 2.5, 2.5, 3.0, 3.0, 3.0])
+    running = ([big + 1, big + 1, -2**62, -2**62, -2**62, -2**62],
+               [big + 1, big + 3, big + 3, big + 5, big + 5, big + 5],
+               [0.5, 0.5, -1.25, -1.25, -1.25, -1.25],
+               [0.5, 2.5, 2.5, 3.0, 3.0, 3.0])
+    outs = {
+        "rolling": (rolling_agg(rd.from_pandas(df), "k", ["id"], aggs,
+                                window=3), window3),
+        "rolling_time": (rolling_time_agg(rd.from_pandas(df), "k", "ts",
+                                          aggs, preceding_sec=2), window3),
+        "running": (running_agg(rd.from_pandas(df), "k", ["id"], aggs),
+                    running),
+    }
+    for name, (ds, (exp_mn, exp_mx, exp_fmn, exp_fmx)) in outs.items():
+        out = ds.to_pandas().set_index("id").sort_index()
+        assert (out["mn"].dtype, out["mx"].dtype) == (np.int64, np.int64), name
+        assert (out["fmn"].dtype, out["fmx"].dtype) == (np.float32,
+                                                        np.float32), name
+        assert out["mn"].tolist() == exp_mn, name
+        assert out["mx"].tolist() == exp_mx, name
+        assert out["fmn"].tolist() == exp_fmn, name
+        assert out["fmx"].tolist() == exp_fmx, name
 
 
 def test_running_agg_rank_family_null_order_values_are_peers():
