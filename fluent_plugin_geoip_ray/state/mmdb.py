@@ -12,9 +12,10 @@ through this module, which provides:
   :class:`..state.backends.MaxmindBackend` (the analog of the reference's
   ``GeoIP2::Database#lookup``, ``lib/fluent/plugin/filter_geoip.rb:215``).
   It maps the file read-only, so an open copies nothing and the
-  processes that open one file share its pages.  Lookups are batched: both ``get_many(ips)`` and ``get_paths(ips,
-  paths)`` parse strict dotted quads with one vectorized regex/split
-  (anything else through ``ipaddress``), then descend the tree -- viewed
+  processes that open one file share its pages.  Lookups are batched:
+  both ``get_many(ips)`` and ``get_paths(ips, paths)`` parse strict
+  dotted quads with one vectorized regex/split (anything else through
+  ``ipaddress``), then descend the tree -- viewed
   at open as a ``(node_count, 2)`` record array -- with one numpy gather
   per bit level over the addresses still inside it (32 levels from the
   cached IPv4 start node, 128 for IPv6), stopping early on data pointers
