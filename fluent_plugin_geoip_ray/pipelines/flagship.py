@@ -331,25 +331,21 @@ def run_fanout(
     import ray
 
     refs = stats_ds.to_arrow_refs()  # executes; blocks fetched in parallel
-    batches = [t for t in ray.get(refs) if t.num_rows]
-    if not batches:
-        allt = FanoutWrite.STATS_SCHEMA.empty_table()
-    else:
-        allt = pa.concat_tables(batches)
+    return _merge_counts([t for t in ray.get(refs) if t.num_rows])
+
+
+def _merge_counts(tables: list[pa.Table]) -> pa.Table:
+    """The one (route, kind, key) count merge: ``n`` summed per key over
+    stats tables, as a ``FanoutWrite.STATS_SCHEMA`` table (empty for no
+    tables).  A null key is its own row."""
+    if not tables:
+        return FanoutWrite.STATS_SCHEMA.empty_table()
     merged = (
-        allt.group_by(["route", "kind", "key"])
+        pa.concat_tables(tables).group_by(["route", "kind", "key"])
         .aggregate([("n", "sum")])
         .rename_columns(["route", "kind", "key", "n"])
     )
-    return pa.table(
-        {
-            "route": merged.column("route").combine_chunks().cast(pa.string()),
-            "kind": merged.column("kind").combine_chunks().cast(pa.string()),
-            "key": merged.column("key").combine_chunks().cast(pa.string()),
-            "n": merged.column("n").combine_chunks().cast(pa.int64()),
-        },
-        schema=FanoutWrite.STATS_SCHEMA,
-    )
+    return merged.cast(FanoutWrite.STATS_SCHEMA).combine_chunks()
 
 
 def run_flagship(
@@ -397,16 +393,12 @@ def read_aggregates(agg_dir: str, kinds: tuple | None = None) -> pa.Table:
         for name in fsio.listdir(fs, fsio.join(base, part))
         if name.startswith("agg-") and name.endswith(".parquet")
     ]
-    if not files:
-        return FanoutWrite.STATS_SCHEMA.empty_table()
-    allt = pa.concat_tables([fsio.read_parquet(fs, f) for f in sorted(files)])
+    tables = [fsio.read_parquet(fs, f) for f in sorted(files)]
     if kinds:
-        allt = allt.filter(pc.is_in(allt.column("kind"), value_set=pa.array(list(kinds))))
-    return (
-        allt.group_by(["route", "kind", "key"])
-        .aggregate([("n", "sum")])
-        .rename_columns(["route", "kind", "key", "n"])
-    )
+        wanted = pa.array(list(kinds))
+        tables = [t.filter(pc.is_in(t.column("kind"), value_set=wanted))
+                  for t in tables]
+    return _merge_counts(tables)
 
 
 def run_partitioned(
@@ -508,10 +500,7 @@ def run_partitioned(
     )
     merged = None
     if partial_files:
-        tables = [fsio.read_parquet(ofs, f) for f in partial_files]
-        allt = pa.concat_tables(tables)
-        merged = allt.group_by(["route", "kind", "key"]).aggregate([("n", "sum")])
-        merged = merged.rename_columns(["route", "kind", "key", "n"])
+        merged = _merge_counts([fsio.read_parquet(ofs, f) for f in partial_files])
         fsio.write_parquet_atomic(ofs, merged, fsio.join(obase, "aggregates.parquet"))
     return {"ran": ran, "skipped": skipped, "aggregates": merged}
 
@@ -701,7 +690,7 @@ def _compact_one_partition(part: str, target_rows_per_file: int) -> dict:
 
 
 def compact_sink(sink_dir: str, target_rows_per_file: int = 1_000_000,
-                 pattern: str = "part=*", parallel: bool = True):
+                 pattern: str = "part=*"):
     """Small-file compaction for a fan-out sink directory (the operational
     follow-up to resumable partitioned writes: many small ``batch-*``
     files per partition merge into few large ones, preserving rows
@@ -721,13 +710,8 @@ def compact_sink(sink_dir: str, target_rows_per_file: int = 1_000_000,
     import ray
 
     parts = sorted(glob.glob(os.path.join(sink_dir, pattern)))
+    worker = ray.remote(num_cpus=1)(_compact_one_partition)
     report: dict = {}
-    if parallel and len(parts) > 1:
-        worker = ray.remote(num_cpus=1)(_compact_one_partition)
-        for r in ray.get([worker.remote(p, target_rows_per_file)
-                          for p in parts]):
-            report.update(r)
-    else:
-        for p in parts:
-            report.update(_compact_one_partition(p, target_rows_per_file))
+    for r in ray.get([worker.remote(p, target_rows_per_file) for p in parts]):
+        report.update(r)
     return report

@@ -9,98 +9,42 @@ where it starts.  This is a pure function of (order, token counts):
 independent of cluster size and restartable, and exactly expressible as a
 SQL window sum (the driver oracle).
 
-Distributed scan shape: sort by key -> pass 1 collects one (min_key,
-token_sum) row per block (tiny driver merge -> per-block exclusive
-offsets) -> pass 2 re-walks the SAME materialized blocks adding local
-exclusive cumsum to the block offset.  Only O(blocks) scalars ever reach
-the driver.
+Distributed scan shape (:class:`scan.SortedBlocks`): sort by key -> one
+tiny task per sorted block sums its tokens (driver cumsum -> per-block
+exclusive offsets, addressed by block position) -> one task per block
+adds its local exclusive cumsum to the block offset.  Only O(blocks)
+scalars ever reach the driver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from .scan import SortedBlocks
 
 
-def _check_unique_minkeys(min_keys: np.ndarray) -> None:
-    """Duplicate block min-keys mean a run of ONE key spans a block boundary
-    (keys are required unique): raise instead of silently aliasing two
-    blocks to one offset (ADVICE r2)."""
-    if len(min_keys) != len(np.unique(min_keys)):
-        raise ValueError(
-            "pack_bins requires unique keys: duplicate block min-keys found "
-            "(a run of one key spans a block boundary)"
-        )
+def _token_sum(t: pa.Table, tokens_col: str) -> int:
+    return pc.sum(t.column(tokens_col)).as_py() or 0
+
+
+def _append_pack(t: pa.Table, off, tokens_col: str, budget: int) -> pa.Table:
+    toks = t.column(tokens_col).to_numpy(zero_copy_only=False).astype(np.int64)
+    pack = (off + np.cumsum(toks) - toks) // budget
+    return t.append_column("pack_id", pa.array(pack.astype(np.int64)))
 
 
 def pack_bins(ds, key_col: str, tokens_col: str, budget: int):
     """Append ``pack_id`` (int64) = token-prefix bin in global key order.
 
-    The input is sorted by ``key_col`` and materialized; both passes walk
-    the same physical blocks (``batch_size=None`` = one batch per block),
-    which is what makes offset lookup by block min-key exact.  Requires
-    UNIQUE keys (document ids; int64 or string) -- duplicate keys split
-    across a block boundary would alias two blocks in the offset map, so
-    duplicated block min-keys raise instead of silently mis-binning
-    (ADVICE r2).  Empty blocks contribute no summary row and pass through
-    with an empty ``pack_id`` column.
+    The input is sorted by ``key_col`` (document ids; int64 or string;
+    null keys last) and materialized; each block's token offset is the
+    token sum of the blocks before it, by block position.  Documents with
+    equal keys take consecutive positions in an unspecified order, as
+    under SQL ``ROW_NUMBER``.  Output is ordered by key block-to-block.
     """
-    import ray
-
-    sorted_ds = ds.sort(key_col).materialize()
-    key_type = sorted_ds.schema().base_schema.field(key_col).type
-
-    def block_summary(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if batch.num_rows == 0:            # empty block: no summary row
-            return pa.table({"min_key": pa.array([], key_type),
-                             "tok_sum": pa.array([], pa.int64())})
-        keys = batch.column(key_col)
-        toks = batch.column(tokens_col)
-        return pa.table({
-            "min_key": pa.array([pc.min(keys).as_py()], key_type),
-            "tok_sum": pa.array([pc.sum(toks).as_py() or 0], pa.int64()),
-        })
-
-    summary_tables = [
-        t for t in ray.get(
-            sorted_ds.map_batches(
-                block_summary, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            ).to_arrow_refs()
-        )
-        # empty blocks can surface with a schema-less empty table
-        if t.num_rows
-    ]
-    if not summary_tables:
-        return sorted_ds.map_batches(
-            lambda b: b.append_column(
-                "pack_id", pa.array(np.zeros(b.num_rows, np.int64))
-            ),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-    summaries = pa.concat_tables(summary_tables).to_pandas().sort_values("min_key")
-    min_keys = summaries["min_key"].to_numpy()
-    _check_unique_minkeys(min_keys)
-    offsets = np.concatenate([[0], np.cumsum(summaries["tok_sum"].to_numpy())[:-1]])
-    state = ray.put((min_keys, offsets))
-
-    out_schema = sorted_ds.schema().base_schema
-
-    def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            # empty blocks may arrive schema-less: emit the full out schema
-            cols = {f.name: pa.array([], f.type) for f in out_schema}
-            cols["pack_id"] = pa.array([], pa.int64())
-            return pa.table(cols)
-        mk, off = ray.get(state)
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        toks = batch.column(tokens_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        block = np.searchsorted(mk, keys[0], side="right") - 1
-        local_excl = np.concatenate([[0], np.cumsum(toks)[:-1]])
-        pack = (off[block] + local_excl) // budget
-        return batch.append_column("pack_id", pa.array(pack.astype(np.int64)))
-
-    return sorted_ds.map_batches(assign, batch_format="pyarrow",
-                                 zero_copy_batch=True, batch_size=None)
+    blocks = SortedBlocks(ds, [key_col])
+    offsets = blocks.offsets(blocks.sums(_token_sum, tokens_col=tokens_col))
+    return blocks.scan(_append_pack, offsets, tokens_col=tokens_col,
+                       budget=budget)

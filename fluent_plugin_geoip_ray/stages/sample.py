@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .exchange import hash_exchange_by
+from .scan import SortedBlocks
 
 # 64-bit golden-ratio multiplier (Knuth): hash = (key * M + seed) mod 2^64.
 # Chosen because the identical formula is expressible in SQL HUGEINT math,
@@ -165,11 +166,18 @@ def weighted_mix(ds, key_col: str, category_col: str,
                           batch_size=batch_size)
 
 
+def _append_pos(t: pa.Table, off, pos_col: str) -> pa.Table:
+    pos = off + np.arange(t.num_rows, dtype=np.int64)
+    return t.drop_columns(["__eh"]).append_column(pos_col, pa.array(pos))
+
+
 def epoch_shuffle(ds, key_col: str, seed: int = 0,
                   pos_col: str = "shuffle_pos"):
     """Deterministic global training-order shuffle: append ``pos_col`` =
     the row's rank under the seeded Knuth key hash (ties impossible for
-    unique keys: the odd-multiplier hash is a bijection on uint64).
+    unique keys: the odd-multiplier hash is a bijection on uint64; rows
+    with equal keys take consecutive positions in an unspecified order,
+    as under SQL ``ROW_NUMBER``).
 
     Epoch shuffling at 100 TB must be deterministic and resumable --
     ``random_shuffle`` gives a different order every run and materializes an
@@ -179,14 +187,12 @@ def epoch_shuffle(ds, key_col: str, seed: int = 0,
     every row (``ROW_NUMBER() OVER (ORDER BY <hash>, key)``).
 
     Shape: one range-partitioned sort on the hash (Ray Data's distributed
-    sort -- the unavoidable exchange any global permutation needs), then the
-    ``pack_bins`` scan trick: one (min_hash, n_rows) summary row per block
-    -> driver cumsum over O(blocks) scalars -> per-block rank offsets; rows
-    never move again.  Output is ORDERED by ``pos_col`` block-to-block, so
-    a downstream ``write_parquet`` lays files out in epoch order.
+    sort -- the unavoidable exchange any global permutation needs), then
+    the positional scan of :class:`scan.SortedBlocks`: each block's offset
+    is the metadata row count of the blocks before it; rows never move
+    again.  Output is ORDERED by ``pos_col`` block-to-block, so a
+    downstream ``write_parquet`` lays files out in epoch order.
     """
-    import ray
-
     # sign-bit flip: Ray sorts int64 SIGNED; (h ^ 2^63) viewed as int64
     # sorts in exactly unsigned-h order, so the SQL oracle is a plain
     # ``ORDER BY <unsigned hash>``
@@ -198,50 +204,14 @@ def epoch_shuffle(ds, key_col: str, seed: int = 0,
 
     hashed = ds.map_batches(add_hash, batch_format="pyarrow",
                             zero_copy_batch=True)
-    sorted_ds = hashed.sort(["__eh", key_col]).materialize()
+    return SortedBlocks(hashed, ["__eh", key_col]).scan(_append_pos,
+                                                        pos_col=pos_col)
 
-    def block_summary(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"min_h": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        return pa.table({
-            "min_h": pa.array([batch.column("__eh")[0].as_py()], pa.int64()),
-            "n": pa.array([batch.num_rows], pa.int64()),
-        })
 
-    tables = [
-        t for t in ray.get(
-            sorted_ds.map_batches(block_summary, batch_format="pyarrow",
-                                  zero_copy_batch=True,
-                                  batch_size=None).to_arrow_refs())
-        if t.num_rows
-    ]
-    if not tables:
-        return sorted_ds.drop_columns(["__eh"])
-    summ = pa.concat_tables(tables).to_pandas().sort_values("min_h")
-    min_h = summ["min_h"].to_numpy()
-    if len(min_h) != len(np.unique(min_h)):
-        raise ValueError(
-            "epoch_shuffle requires unique keys: duplicate block min-hashes"
-        )
-    offsets = np.concatenate([[0], np.cumsum(summ["n"].to_numpy())[:-1]])
-    state = ray.put((min_h, offsets))
-
-    def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.drop_columns(["__eh"]).append_column(
-                pos_col, pa.array([], pa.int64()))
-        mh, off = ray.get(state)
-        # locate this block by its first hash (blocks are the sort output;
-        # same physical blocks as the summary pass -- batch_size=None)
-        first = batch.column("__eh")[0].as_py()
-        block = int(np.searchsorted(mh, first, side="right")) - 1
-        pos = off[block] + np.arange(batch.num_rows, dtype=np.int64)
-        return batch.drop_columns(["__eh"]).append_column(
-            pos_col, pa.array(pos))
-
-    return sorted_ds.map_batches(assign, batch_format="pyarrow",
-                                 zero_copy_batch=True, batch_size=None)
+def _sort_key(t: pa.Table, score_col: str, descending: bool) -> pa.Table:
+    # negation keeps nulls null: the scan sorts them last either way
+    s = t.column(score_col)
+    return t.append_column("__s", pc.negate_checked(s) if descending else s)
 
 
 def select_top_fraction(ds, score_col: str, key_col: str, fraction: float,
@@ -253,69 +223,70 @@ def select_top_fraction(ds, score_col: str, key_col: str, fraction: float,
 
     100 TB shape: the full rows never shuffle.  Only a (key, score)
     PROJECTION (~16 B/row) goes through the one unavoidable all-to-all (a
-    distributed sort); the global K-th threshold row is then located from
-    O(blocks) per-block summaries -- the driver holds O(blocks) scalars plus
+    distributed sort); the global K-th row is then located from the sorted
+    blocks' metadata row counts -- the driver holds O(blocks) scalars plus
     ONE projection block -- and selection is a single streaming broadcast-
     threshold filter over the original dataset.  Equivalent SQL:
-    ``ROW_NUMBER() OVER (ORDER BY score DESC, key) <= floor(n * fraction)``.
+    ``ROW_NUMBER() OVER (ORDER BY score DESC NULLS LAST, key) <= floor(n *
+    fraction)``.
 
-    ``descending=True`` keeps the LARGEST scores.  Keys must be unique
-    (same contract as :func:`epoch_shuffle`); scores may tie arbitrarily.
+    ``descending=True`` keeps the LARGEST scores.  A null score comes after
+    every non-null one in either direction, so null-scored rows are kept
+    only when the K-th row is one of them.  Scores may tie arbitrarily;
+    rows that tie with the K-th row on (score, key) are all kept.
     """
-    import ray
-
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
 
-    proj = ds.select_columns([key_col, score_col])
-
-    def add_sort_key(t: pa.Table) -> pa.Table:
-        s = t.column(score_col)
-        if descending:
-            s = pc.negate_checked(s)
-        return t.append_column("__s", s)
-
-    sorted_proj = (proj.map_batches(add_sort_key, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-                   .sort(["__s", key_col]).materialize())
-    refs = sorted_proj.to_arrow_refs()
-
-    @ray.remote(num_cpus=0.25)
-    def block_summary(t: pa.Table):
-        if t.num_rows == 0:
-            return None
-        return (t.column("__s")[0].as_py(), t.column(key_col)[0].as_py(),
-                t.num_rows)
-
-    summaries = ray.get([block_summary.remote(r) for r in refs])
-    live = [(s, i) for i, s in enumerate(summaries) if s is not None]
-    total = sum(s[2] for s, _ in live)
-    k = int(np.floor(total * fraction))
+    blocks = SortedBlocks(
+        ds.select_columns([key_col, score_col]).map_batches(
+            _sort_key, fn_kwargs={"score_col": score_col,
+                                  "descending": descending},
+            batch_format="pyarrow", zero_copy_batch=True),
+        ["__s", key_col])
+    k = int(np.floor(blocks.total * fraction))
     if k <= 0:
         return ds.map_batches(lambda t: t.slice(0, 0),
                               batch_format="pyarrow", zero_copy_batch=True)
-    if k >= total:
+    if k >= blocks.total:
         return ds
 
-    # blocks are contiguous ranges of the total order; (first __s, first key)
-    # is unique per block (unique keys), so sorting summaries recovers order
-    live.sort(key=lambda e: (e[0][0], e[0][1]))
-    counts = np.array([s[2] for s, _ in live], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    j = int(np.searchsorted(offsets, k - 1, side="right")) - 1
-    thr_block = ray.get(refs[live[j][1]])
-    row = (k - 1) - int(offsets[j])
-    s_thr = thr_block.column(score_col)[row].as_py()
-    key_thr = thr_block.column(key_col)[row].as_py()
+    thr = blocks.row(k - 1)
+    s_thr, key_thr = thr.column(score_col)[0], thr.column(key_col)[0]
 
     def keep(t: pa.Table) -> pa.Table:
         s = t.column(score_col)
-        strictly = pc.greater(s, s_thr) if descending else pc.less(s, s_thr)
-        at_thr = pc.and_(pc.equal(s, s_thr),
-                         pc.less_equal(t.column(key_col), key_thr))
-        return t.filter(pc.fill_null(pc.or_(strictly, at_thr), False))
+        upto_key = pc.less_equal(t.column(key_col), key_thr)
+        if not s_thr.is_valid:  # K-th row is a null score: all scored rows
+            sel = pc.or_(pc.is_valid(s), pc.and_(pc.is_null(s), upto_key))
+        else:
+            better = pc.greater(s, s_thr) if descending else pc.less(s, s_thr)
+            sel = pc.or_(better, pc.and_(pc.equal(s, s_thr), upto_key))
+        return t.filter(pc.fill_null(sel, False))
 
     return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _tile_of(rank: np.ndarray, total: int, ntile: int) -> np.ndarray:
+    base, rem = divmod(total, ntile)
+    if base == 0:
+        # more tiles than rows: tile == rank for the rows that exist
+        return rank.copy()
+    big = rem * (base + 1)
+    early = rank <= big
+    t = np.empty(len(rank), dtype=np.int64)
+    t[early] = (rank[early] - 1) // (base + 1) + 1
+    t[~early] = rem + (rank[~early] - 1 - big) // base + 1
+    return t
+
+
+def _append_rank(t: pa.Table, off, rank_col: str, ntile: int | None,
+                 tile_col: str, total: int) -> pa.Table:
+    rank = off + 1 + np.arange(t.num_rows, dtype=np.int64)
+    out = t.drop_columns(["__s"]).append_column(rank_col, pa.array(rank))
+    if ntile is not None:
+        out = out.append_column(tile_col, pa.array(_tile_of(rank, total, ntile)))
+    return out
 
 
 def global_rank(ds, score_col: str, key_col: str, descending: bool = False,
@@ -324,91 +295,31 @@ def global_rank(ds, score_col: str, key_col: str, descending: bool = False,
     """Exact global 1-based rank of every row by ``score_col`` with
     deterministic ``key_col`` tie-breaking, optionally plus an exact SQL
     ``NTILE(q)`` assignment -- ``ROW_NUMBER() / NTILE(q) OVER (ORDER BY
-    score [DESC], key)``.
+    score [DESC] NULLS LAST, key)``.
 
     100 TB shape (the :func:`epoch_shuffle` scan): ONE range-partitioned
     distributed sort (the unavoidable exchange behind any global order),
-    then O(blocks) per-block (first_score, first_key, n_rows) summaries to
-    the driver, a cumsum, and a streaming per-block offset + ``arange``
+    then each block's rank offset from the metadata row counts of the
+    blocks before it and a streaming per-block offset + ``arange``
     assignment -- rows move exactly once and the driver holds O(blocks)
-    scalars.  Output is ordered by rank block-to-block.  Keys must be
-    unique (the same contract as ``epoch_shuffle``); scores may tie.
+    scalars.  Output is ordered by rank block-to-block.  Scores may tie;
+    rows with equal (score, key) take consecutive ranks in an unspecified
+    order, as under SQL ``ROW_NUMBER``.  A null score ranks after every
+    non-null one in either direction.
 
     NTILE follows the SQL standard: with n rows the first ``n % q`` tiles
     get ``n // q + 1`` rows, the rest ``n // q``.
     """
-    import bisect
-
-    import ray
-
     if ntile is not None and ntile < 1:
         raise ValueError(f"ntile must be >= 1, got {ntile}")
 
-    def add_sort_key(t: pa.Table) -> pa.Table:
-        s = t.column(score_col)
-        if descending:
-            s = pc.negate_checked(s)
-        return t.append_column("__s", s)
-
-    sorted_ds = (ds.map_batches(add_sort_key, batch_format="pyarrow",
-                                zero_copy_batch=True)
-                 .sort(["__s", key_col]).materialize())
-
-    @ray.remote(num_cpus=0.25)
-    def block_summary(t: pa.Table):
-        if t.num_rows == 0:
-            return None
-        return (t.column("__s")[0].as_py(), t.column(key_col)[0].as_py(),
-                t.num_rows)
-
-    summaries = [s for s in ray.get(
-        [block_summary.remote(r) for r in sorted_ds.to_arrow_refs()])
-        if s is not None]
-    if not summaries:
-        out = sorted_ds.drop_columns(["__s"])
-        return out
-    # blocks are contiguous ranges of the total order and (first __s,
-    # first key) is unique per block (unique keys), so sorting the
-    # summaries recovers block order
-    summaries.sort(key=lambda e: (e[0], e[1]))
-    firsts = [(s, k) for s, k, _ in summaries]
-    counts = np.array([n for _, _, n in summaries], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    total = int(counts.sum())
-    state = ray.put((firsts, offsets))
-
-    def tile_of(rank: np.ndarray) -> np.ndarray:
-        base, rem = divmod(total, ntile)
-        big = rem * (base + 1)
-        early = rank <= big
-        t = np.empty(len(rank), dtype=np.int64)
-        if base == 0:
-            # more tiles than rows: tile == rank for the rows that exist
-            return rank.copy()
-        t[early] = (rank[early] - 1) // (base + 1) + 1
-        t[~early] = rem + (rank[~early] - 1 - big) // base + 1
-        return t
-
-    def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            out = batch.drop_columns(["__s"]).append_column(
-                rank_col, pa.array([], pa.int64()))
-            if ntile is not None:
-                out = out.append_column(tile_col, pa.array([], pa.int64()))
-            return out
-        fs, off = ray.get(state)
-        first = (batch.column("__s")[0].as_py(),
-                 batch.column(key_col)[0].as_py())
-        block = bisect.bisect_right(fs, first) - 1
-        rank = off[block] + 1 + np.arange(batch.num_rows, dtype=np.int64)
-        out = batch.drop_columns(["__s"]).append_column(
-            rank_col, pa.array(rank))
-        if ntile is not None:
-            out = out.append_column(tile_col, pa.array(tile_of(rank)))
-        return out
-
-    return sorted_ds.map_batches(assign, batch_format="pyarrow",
-                                 zero_copy_batch=True, batch_size=None)
+    blocks = SortedBlocks(
+        ds.map_batches(_sort_key, fn_kwargs={"score_col": score_col,
+                                             "descending": descending},
+                       batch_format="pyarrow", zero_copy_batch=True),
+        ["__s", key_col])
+    return blocks.scan(_append_rank, rank_col=rank_col, ntile=ntile,
+                       tile_col=tile_col, total=blocks.total)
 
 
 def stratified_sample(ds, stratum_col: str, key_col: str, fraction: float,

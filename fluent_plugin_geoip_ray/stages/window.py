@@ -107,9 +107,14 @@ def _sorted_segments(t: pa.Table, key: str, order_by: list[str],
 
 
 def _ts_us(batch: pa.Table, ts_col: str) -> np.ndarray:
+    """Event times as int64 microseconds: a timestamp column of any unit
+    is converted to µs first (sub-µs parts truncated); an integer column
+    is taken as µs already."""
     col = batch.column(ts_col)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
+    if pa.types.is_timestamp(col.type) and col.type.unit != "us":
+        col = col.cast(pa.timestamp("us", col.type.tz), safe=False)
     return col.cast(pa.int64()).to_numpy(zero_copy_only=False)
 
 
@@ -169,7 +174,8 @@ def session_windows(ds, key: str = "user_id", ts_col: str = "ts",
     Global sort by (key, ts[, tiebreak]), then sessions are CONTIGUOUS
     runs -- one vectorized pass per block computes run breaks, with an
     O(blocks) boundary-carry scan (last row of each block -> next block's
-    first-break flag + run-id offset) exactly like the pack_bins scan.
+    first-break flag + run-id offset) over the positional blocks of
+    :class:`scan.SortedBlocks`, the scan ``pack_bins`` uses too.
     Run stats are per-block ``reduceat`` partials merged by run id; only
     O(blocks + sessions) rows ever leave the workers.  The final merge
     runs on the driver up to ``driver_limit`` sessions and through a hash
@@ -184,53 +190,77 @@ def _key_arrow(batch: pa.Table, key: str) -> pa.Array:
     return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
 
+def _run_breaks(t: pa.Table, key: str, ts_col: str, gap_us, first_brk: bool):
+    """``(key array, µs times, break flags)`` of a sorted block: a row
+    breaks a run when its key differs from, or its time exceeds by more
+    than the gap, the row before it (row 0 takes ``first_brk``)."""
+    k = _key_arrow(t, key)
+    kn = k.to_numpy(zero_copy_only=False)
+    ts = _ts_us(t, ts_col)
+    brk = np.empty(len(kn), dtype=bool)
+    brk[0] = first_brk
+    brk[1:] = (kn[1:] != kn[:-1]) | (np.diff(ts) > gap_us)
+    return k, ts, brk
+
+
+def _session_summary(t: pa.Table, key: str, ts_col: str, gap_us):
+    # (first_key, first_ts, last_key, last_ts, internal_runs) of a block
+    k, ts, brk = _run_breaks(t, key, ts_col, gap_us, False)
+    return k[0].as_py(), int(ts[0]), k[-1].as_py(), int(ts[-1]), int(brk.sum())
+
+
+def _run_partials(t: pa.Table, state, key: str, ts_col: str,
+                  gap_us) -> pa.Table:
+    off, first_brk = state
+    k, ts, brk = _run_breaks(t, key, ts_col, gap_us, first_brk)
+    run_id = off + np.cumsum(brk.astype(np.int64))  # global, contiguous
+    # per-run stats via reduceat over contiguous runs; row 0 always
+    # starts a partial segment (its run may continue from prev block)
+    seg = brk.copy()
+    seg[0] = True
+    starts = np.flatnonzero(seg)
+    n_ev = np.diff(np.append(starts, len(ts)))
+    return pa.table({
+        key: k.take(pa.array(starts)),
+        "run_id": pa.array(run_id[starts]),
+        "n_events": pa.array(n_ev.astype(np.int64)),
+        "ts_min": pa.array(ts[starts]),
+        "ts_max": pa.array(ts[np.append(starts[1:], len(ts)) - 1]),
+    })
+
+
 def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
                           order_tiebreak: str | None,
                           num_buckets: int = 32, driver_limit: int = 250_000):
     """Sorted-scan sessionization (see :func:`session_windows`).
 
     After the (key, ts) sort + materialize, blocks are addressed
-    POSITIONALLY via ``to_arrow_refs`` -- one Ray task per block, so block
-    identity never depends on row content (round-2 ADVICE: the old
-    first-row-tuple block map silently collided when a run of duplicate
-    (key, ts) rows spanned a block, and only worked for int64 keys).  Keys
-    stay Arrow-typed end to end: int64, string, anything comparable.
+    POSITIONALLY (:class:`scan.SortedBlocks`) -- one Ray task per block,
+    so block identity never depends on row content (a first-row-tuple
+    block map collides when a run of duplicate (key, ts) rows spans a
+    block).  Keys stay Arrow-typed end to end: int64, string, anything
+    comparable.
 
     Driver state is O(blocks) scalars (boundary-carry + run-id offsets).
     The final merge auto-switches on the global session count (free on the
     driver: the run-id counter): below ``driver_limit`` one C++ pass over
-    the collected O(runs) partial rows; above it the partials become a
-    Dataset (``from_arrow_refs``, zero-copy) hash-exchanged on ``key`` --
-    run ids are assigned in global (key, ts) sort order, so each key's runs
-    form a contiguous id range: one argsort per bucket groups keys AND
-    orders sessions, and ``session_idx`` is a per-key arange.  No driver
-    state at any cardinality on that path.
+    the collected O(runs) partial rows; above it the partials Dataset is
+    hash-exchanged on ``key`` -- run ids are assigned in global (key, ts)
+    sort order, so each key's runs form a contiguous id range: one argsort
+    per bucket groups keys AND orders sessions, and ``session_idx`` is a
+    per-key arange.  No driver state at any cardinality on that path.
     """
     import ray
     import ray.data as rd
 
+    from .scan import SortedBlocks
+
     gap_us = np.int64(gap_sec) * 1_000_000
     sort_cols = [key, ts_col] + ([order_tiebreak] if order_tiebreak else [])
-    sorted_ds = ds.sort(sort_cols).materialize()
-    refs = sorted_ds.to_arrow_refs()  # dataset (= sort) order
-
-    @ray.remote
-    def block_summary(t: pa.Table):
-        # (first_key, first_ts, last_key, last_ts, internal_runs); None when
-        # the block is empty (excluded from the boundary chain)
-        if t.num_rows == 0:
-            return None
-        kn = _key_arrow(t, key).to_numpy(zero_copy_only=False)
-        ts = _ts_us(t, ts_col)
-        n_internal = 0
-        if len(kn) > 1:
-            n_internal = int(((kn[1:] != kn[:-1]) | (np.diff(ts) > gap_us)).sum())
-        return (kn[0], int(ts[0]), kn[-1], int(ts[-1]), n_internal)
-
-    summaries = ray.get([block_summary.remote(r) for r in refs])
-    live = [(r, s) for r, s in zip(refs, summaries) if s is not None]
-    if not live:
+    blocks = SortedBlocks(ds, sort_cols)
+    if not blocks.total:
         key_type = pa.int64()
+        refs = blocks.ds.to_arrow_refs()
         if refs:
             sch = ray.get(refs[0]).schema
             if key in sch.names:
@@ -240,48 +270,15 @@ def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
             ("n_events", pa.int64()),
             ("ts_min", pa.timestamp("us")), ("ts_max", pa.timestamp("us")),
         ]).empty_table())
-    fk = np.array([s[0] for _, s in live], dtype=object)
-    ft = np.array([s[1] for _, s in live], dtype=np.int64)
-    lk = np.array([s[2] for _, s in live], dtype=object)
-    lt = np.array([s[3] for _, s in live], dtype=np.int64)
-    runs = np.array([s[4] for _, s in live], dtype=np.int64)
-    n_blocks = len(live)
-    brk0 = np.zeros(n_blocks, dtype=bool)
-    brk0[0] = True  # very first row starts run 1
-    if n_blocks > 1:
-        brk0[1:] = (fk[1:] != lk[:-1]) | (ft[1:] - lt[:-1] > gap_us)
-    offsets = np.zeros(n_blocks, dtype=np.int64)
-    acc = np.cumsum(brk0.astype(np.int64) + runs)
-    offsets[1:] = acc[:-1]
-
-    @ray.remote
-    def run_partials(t: pa.Table, off: int, first_brk: bool) -> pa.Table:
-        k = _key_arrow(t, key)
-        kn = k.to_numpy(zero_copy_only=False)
-        ts = _ts_us(t, ts_col)
-        brk = np.empty(len(kn), dtype=bool)
-        brk[0] = first_brk
-        if len(kn) > 1:
-            brk[1:] = (kn[1:] != kn[:-1]) | (np.diff(ts) > gap_us)
-        run_id = off + np.cumsum(brk.astype(np.int64))  # global, contiguous
-        # per-run stats via reduceat over contiguous runs; row 0 always
-        # starts a partial segment (its run may continue from prev block)
-        seg = brk.copy()
-        seg[0] = True
-        starts = np.flatnonzero(seg)
-        n_ev = np.diff(np.append(starts, len(kn)))
-        return pa.table({
-            key: k.take(pa.array(starts)),
-            "run_id": pa.array(run_id[starts]),
-            "n_events": pa.array(n_ev.astype(np.int64)),
-            "ts_min": pa.array(ts[starts]),
-            "ts_max": pa.array(ts[np.append(starts[1:], len(kn)) - 1]),
-        })
-
-    part_refs = [
-        run_partials.remote(r, int(o), bool(c))
-        for (r, _), o, c in zip(live, offsets, brk0)
-    ]
+    kw = {"key": key, "ts_col": ts_col, "gap_us": gap_us}
+    fk, ft, lk, lt, runs = (np.array(c, dtype=object) for c in
+                            zip(*blocks.sums(_session_summary, **kw)))
+    brk0 = np.ones(len(fk), dtype=bool)  # very first row starts run 1
+    brk0[1:] = (fk[1:] != lk[:-1]) | (ft[1:] - lt[:-1] > gap_us)
+    new_runs = brk0.astype(np.int64) + runs.astype(np.int64)
+    parts = blocks.scan(_run_partials,
+                        list(zip(blocks.offsets(new_runs).tolist(),
+                                 brk0.tolist())), **kw)
 
     def _finalize(t: pa.Table) -> pa.Table:
         kcol = _key_arrow(t, key)
@@ -314,16 +311,15 @@ def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
         })
 
     # final merge: total session count is already known on the driver for
-    # free (acc[-1] = global run counter), so the choice costs nothing to
+    # free (the sum of the blocks' new runs), so the choice costs nothing to
     # make -- driver merge below driver_limit (one C++ pass over O(runs)
     # rows), bucketed hash exchange on key above it (no driver state at any
     # cardinality; all segments of a run share its key, so boundary-spanning
     # runs reunite in their bucket).
-    if int(acc[-1]) <= driver_limit:
-        tables = [t for t in ray.get(part_refs) if t.num_rows]
+    if int(new_runs.sum()) <= driver_limit:
+        tables = [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows]
         return rd.from_arrow(_finalize(pa.concat_tables(tables).combine_chunks()))
-    return hash_exchange_by(rd.from_arrow_refs(part_refs), [key], _finalize,
-                            num_buckets)
+    return hash_exchange_by(parts, [key], _finalize, num_buckets)
 
 
 def rate_limit(ds, key: str, ts_col: str, window_sec: int, k: int,

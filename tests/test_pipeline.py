@@ -52,6 +52,11 @@ def test_flagship_end_to_end(sf_path, tmp_path):
         pc.match_substring_regex(enriched.column("tag"), "^enriched\\.")
     ).as_py()
 
+    # the merged stats keep their schema (route, kind, key, n)
+    from fluent_plugin_geoip_ray.pipelines.flagship import FanoutWrite
+
+    assert stats.schema == FanoutWrite.STATS_SCHEMA
+
     # stats rows agree with sink files
     srows = {
         (r["route"], r["kind"], r["key"]): r["n"] for r in stats.to_pylist()
@@ -84,10 +89,28 @@ def test_text_byte_identity_under_stable_order(sf_path, tmp_path):
     assert raw.column("ts").combine_chunks().equals(src.column("ts").combine_chunks())
 
 
+def _canon_counts(t):
+    """(route, kind, key) count merge of ``t``, sorted: the referee for
+    every merged stats table."""
+    return (t.group_by(["route", "kind", "key"]).aggregate([("n", "sum")])
+            .rename_columns(["route", "kind", "key", "n"])
+            .sort_by([("route", "ascending"), ("kind", "ascending"),
+                      ("key", "ascending")]))
+
+
 def test_partitioned_run_and_resume(sf_path, tmp_path):
     out_dir = str(tmp_path / "out")
     r1 = run_partitioned(transcript_files(0.001), out_dir)
     assert r1["ran"] and not r1["skipped"]
+    # aggregates.parquet = the returned table = one merge of the partials
+    from fluent_plugin_geoip_ray.pipelines.flagship import FanoutWrite
+
+    written = pq.read_table(os.path.join(out_dir, "aggregates.parquet"))
+    assert written.schema == r1["aggregates"].schema == FanoutWrite.STATS_SCHEMA
+    assert written.equals(r1["aggregates"])
+    partials = glob.glob(os.path.join(out_dir, "_partials", "*", "stats.parquet"))
+    assert _canon_counts(written).equals(_canon_counts(
+        pa.concat_tables([pq.read_table(f) for f in partials])))
     agg1 = r1["aggregates"].sort_by(
         [("route", "ascending"), ("kind", "ascending"), ("key", "ascending")]
     )
@@ -301,6 +324,13 @@ def test_read_aggregates_merge_on_read(sf_path, tmp_path):
     out = str(tmp_path / "mor")
     stats = run_flagship(sf_path, out_dir=out)  # conv partials -> agg_partials
     merged = read_aggregates(os.path.join(out, "agg_partials"))
+    # schema and rows: one group_by over every partial file
+    from fluent_plugin_geoip_ray.pipelines.flagship import FanoutWrite
+
+    assert merged.schema == FanoutWrite.STATS_SCHEMA
+    files = glob.glob(os.path.join(out, "agg_partials", "part=*", "agg-*.parquet"))
+    assert _canon_counts(merged).equals(_canon_counts(
+        pa.concat_tables([pq.read_table(f) for f in files])))
     conv = merged.filter(
         pc.and_(pc.equal(merged["kind"], "conv_id"), pc.equal(merged["route"], "raw"))
     )
@@ -572,9 +602,13 @@ def test_compact_sink_crash_after_commit_excludes_absorbed(sf_path, tmp_path):
 
 
 def test_compact_sink_parallel_covers_all_partitions(sf_path, tmp_path):
-    """Parallel mode compacts every partition concurrently (one Ray task
-    each) with the same per-partition results as serial."""
-    from fluent_plugin_geoip_ray.pipelines.flagship import compact_sink
+    """compact_sink compacts every partition concurrently (one Ray task
+    each) with the same per-partition results as a serial in-process loop
+    over the partitions (the referee)."""
+    from fluent_plugin_geoip_ray.pipelines.flagship import (
+        _compact_one_partition,
+        compact_sink,
+    )
 
     out_a = str(tmp_path / "par")
     out_b = str(tmp_path / "ser")
@@ -582,9 +616,10 @@ def test_compact_sink_parallel_covers_all_partitions(sf_path, tmp_path):
     run_flagship(sf_path, out_dir=out_b)
 
     rep_par = compact_sink(os.path.join(out_a, "raw"),
-                           target_rows_per_file=10_000_000, parallel=True)
-    rep_ser = compact_sink(os.path.join(out_b, "raw"),
-                           target_rows_per_file=10_000_000, parallel=False)
+                           target_rows_per_file=10_000_000)
+    rep_ser = {}
+    for part in sorted(glob.glob(os.path.join(out_b, "raw", "part=*"))):
+        rep_ser.update(_compact_one_partition(part, 10_000_000))
     assert set(rep_par) == set(rep_ser) and len(rep_par) >= 1
     for k in rep_par:
         assert rep_par[k]["rows"] == rep_ser[k]["rows"]

@@ -158,6 +158,24 @@ def _top_frac_ref(df, score, key, frac, descending=True):
     return set(df.sort_values([score, key], ascending=asc).head(k)[key])
 
 
+def _null_scores(n=4000, seed=13):
+    """Unique int ids, float scores ~30% null, as 8 blocks."""
+    rng = np.random.default_rng(seed)
+    t = pa.table({
+        "id": pa.array(np.arange(n, dtype=np.int64)),
+        "score": pa.array(rng.normal(size=n), mask=rng.random(n) < 0.3),
+    })
+    return t, rd.from_arrow([t.slice(i, n // 8) for i in range(0, n, n // 8)])
+
+
+def _duckdb(t, sql):
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("t", t)
+    return con.execute(sql).df()
+
+
 def test_select_top_fraction_exact_with_ties():
     from fluent_plugin_geoip_ray.stages.sample import select_top_fraction
 
@@ -192,6 +210,21 @@ def test_select_top_fraction_ascending_floats_and_edges():
                                            0.1, descending=False)
     assert select_top_fraction(rd.from_arrow(t), "score", "id", 0.0).count() == 0
     assert select_top_fraction(rd.from_arrow(t), "score", "id", 1.0).count() == n
+
+    # null scores come after every non-null score in both directions: the
+    # K-th row is scored at 0.5 and null at 0.9 (30% nulls)
+    t, ds = _null_scores()
+    for frac in (0.5, 0.9):
+        for descending in (True, False):
+            got = set(select_top_fraction(ds, "score", "id", frac,
+                                          descending=descending)
+                      .to_pandas()["id"])
+            ref = _duckdb(t, f"""
+                SELECT id FROM (SELECT id, ROW_NUMBER() OVER (ORDER BY score
+                    {'DESC' if descending else 'ASC'} NULLS LAST, id) AS r
+                    FROM t)
+                WHERE r <= {int(np.floor(t.num_rows * frac))}""")
+            assert got == set(ref["id"]), (frac, descending)
 
 
 def test_select_top_fraction_string_keys_partition_invariant():
@@ -244,10 +277,27 @@ def _ntile_ref(rank, n, q):
     return rem + (rank - 1 - big) // base + 1
 
 
-@pytest.mark.parametrize("descending", [False, True])
-def test_global_rank_matches_reference(descending):
+@pytest.mark.parametrize("descending,nulls", [
+    (False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-nulls", "True-nulls"])
+def test_global_rank_matches_reference(descending, nulls):
     from fluent_plugin_geoip_ray.stages.sample import global_rank
 
+    if nulls:
+        # ~30% null float scores over 8 blocks vs DuckDB, nulls last
+        t, ds = _null_scores()
+        out = global_rank(ds, "score", "id", descending=descending,
+                          ntile=3).to_pandas().sort_values("id")
+        order = f"score {'DESC' if descending else 'ASC'} NULLS LAST, id"
+        ref = _duckdb(t, f"""
+            SELECT id, ROW_NUMBER() OVER (ORDER BY {order}) AS rank,
+                   NTILE(3) OVER (ORDER BY {order}) AS tile
+            FROM t ORDER BY id""")
+        assert len(out) == t.num_rows
+        assert (out["id"].to_numpy() == ref["id"].to_numpy()).all()
+        assert (out["rank"].to_numpy() == ref["rank"].to_numpy()).all()
+        assert (out["tile"].to_numpy() == ref["tile"].to_numpy()).all()
+        return
     t = _rank_table()
     ref = _rank_ref(t, descending)
     out = global_rank(rd.from_arrow(t).repartition(7), "score", "id",

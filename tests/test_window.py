@@ -223,6 +223,47 @@ def test_session_scan_driver_equals_bucketed_merge():
         pd.testing.assert_frame_equal(a, b[a.columns])
 
 
+@pytest.mark.parametrize("unit", ["s", "ms", "ns"])
+def test_window_functions_read_timestamps_in_any_unit(unit):
+    """Windows, session gaps and RANGE frames are in seconds whatever the
+    timestamp unit: an s, ms or ns copy of a µs column (whole seconds, so
+    every copy is exact) gives the µs column's result."""
+    from fluent_plugin_geoip_ray.stages.window import rolling_time_agg
+
+    rng = np.random.default_rng(17)
+    n = 600
+    ts = np.datetime64("2026-01-01T00:00:00", "s") \
+        + rng.integers(0, 6 * 3600, n).astype("timedelta64[s]")
+    t_us = pa.table({
+        "id": pa.array(np.arange(n, dtype=np.int64)),
+        "user_id": pa.array(rng.integers(0, 5, n)),
+        "ts": pa.array(ts.astype("datetime64[us]")),
+    })
+
+    def run(t):
+        def ds():
+            return rd.from_arrow(t).repartition(3)
+
+        def sort(d, cols):
+            return d.to_pandas().sort_values(cols).reset_index(drop=True)
+
+        wcols = ["user_id", "window_start"]
+        return [
+            sort(tumbling_window(ds(), size_sec=900, keys=["user_id"]), wcols),
+            sort(sliding_window_counts(ds(), size_sec=1800, step_sec=600,
+                                       keys=["user_id"]), wcols),
+            sort(session_windows(ds(), gap_sec=600, order_tiebreak="id"),
+                 ["user_id", "session_idx"]),
+            sort(rolling_time_agg(ds(), "user_id", "ts",
+                                  [("id", "count", "c"), ("id", "min", "m")],
+                                  preceding_sec=900), ["id"])[["id", "c", "m"]],
+        ]
+
+    t_unit = t_us.set_column(2, "ts", t_us.column("ts").cast(pa.timestamp(unit)))
+    for want, got in zip(run(t_us), run(t_unit)):
+        pd.testing.assert_frame_equal(got, want)
+
+
 # --------------------------------------------------------------------------
 # rate_limit (first-k per key per tumbling window)
 # --------------------------------------------------------------------------
