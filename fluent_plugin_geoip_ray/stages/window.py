@@ -22,6 +22,7 @@ import pyarrow as pa
 
 from .aggregate import groupby_agg
 from .exchange import hash_exchange_by
+from .scan import SortedBlocks
 
 
 def _key_lanes(col: pa.Array | pa.ChunkedArray):
@@ -252,8 +253,6 @@ def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
     """
     import ray
     import ray.data as rd
-
-    from .scan import SortedBlocks
 
     gap_us = np.int64(gap_sec) * 1_000_000
     sort_cols = [key, ts_col] + ([order_tiebreak] if order_tiebreak else [])
