@@ -123,10 +123,11 @@ def q_agg_conv(sf_dir: str):
 
 def q_sorted_text(sf_dir: str):
     """[N] ordering/byte-identity: enriched-sink (conv_id, turn_idx, text)."""
+    from fluent_plugin_geoip_ray.stages.scan import SortedBlocks
+
     ds = _enriched_ds(sf_dir, gate=True)
-    return ds.select_columns(["conv_id", "turn_idx", "text"]).sort(
-        ["conv_id", "turn_idx"]
-    )
+    return SortedBlocks(ds.select_columns(["conv_id", "turn_idx", "text"]),
+                        ["conv_id", "turn_idx"]).scan(lambda block, _off: block)
 
 
 def q_enrich_multi(sf_dir: str):
@@ -1319,12 +1320,9 @@ def q_events_with_stats(sf_dir: str):
 
 
 def q_events_ewma(sf_dir: str):
-    """Per-user EWMA of value over time (smoothed metric).  No SQL
-    oracle: the pandas-semantics EWMA has no numerically robust SQL
-    form (the closed-form (1-a)^(-i) weights overflow), so the driver
-    records the weaker rows-only check; exactness is pinned by
-    test_window.py::test_ewma_by_matches_reference_loop against a
-    hand-rolled referee."""
+    """Per-user EWMA of value over time (smoothed metric).  The oracle
+    is pandas' ``ewm`` recurrence as a recursive CTE, one row per step
+    (the closed-form (1-a)^(-i) weights overflow)."""
     import ray.data as rd
 
     from fluent_plugin_geoip_ray.stages.window import ewma_by
@@ -3768,6 +3766,34 @@ def oracle_sql() -> dict[str, str]:
                    CAST(min(ts) AS TIMESTAMP) AS ts_min,
                    CAST(max(ts) AS TIMESTAMP) AS ts_max
             FROM s GROUP BY user_id, session_idx""",
+        # pandas ewm(alpha=0.2, adjust=True, ignore_na=True).mean() as its
+        # own recurrence, one row per step: the weight of the history
+        # decays by 1 - alpha = 0.8 before each new value joins with
+        # weight 1 (pandas skips the update when the value equals the
+        # running mean); the same IEEE operations in the same order
+        "events_ewma": """
+            WITH RECURSIVE e AS (
+                SELECT event_id, user_id, ts, value,
+                       row_number() OVER (PARTITION BY user_id
+                                          ORDER BY ts, event_id) AS rn
+                FROM events
+            ),
+            r AS (
+                SELECT user_id, rn, CAST(value AS DOUBLE) AS w,
+                       CAST(1.0 AS DOUBLE) AS ow
+                FROM e WHERE rn = 1
+                UNION ALL
+                SELECT e.user_id, e.rn,
+                       CASE WHEN r.w IS NULL THEN e.value
+                            WHEN e.value IS NULL OR e.value = r.w THEN r.w
+                            ELSE (r.ow * 0.8 * r.w + e.value)
+                                 / (r.ow * 0.8 + 1.0) END,
+                       CASE WHEN r.w IS NULL OR e.value IS NULL THEN r.ow
+                            ELSE r.ow * 0.8 + 1.0 END
+                FROM r JOIN e ON e.user_id = r.user_id AND e.rn = r.rn + 1
+            )
+            SELECT e.event_id, e.user_id, e.ts, e.value, r.w AS ewma
+            FROM e JOIN r USING (user_id, rn)""",
         "conv_stats": f"""
             SELECT conv_id, count(*) AS n_turns, max(turn_idx) AS max_turn,
                    min(ts) AS ts_first, max(ts) AS ts_last

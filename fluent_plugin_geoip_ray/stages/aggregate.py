@@ -22,7 +22,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import canon_float, hash_exchange_by
+from .exchange import canon_float, hash_exchange_by, segments
 
 
 def _canon_keys(batch: pa.Table, keys: list[str]) -> pa.Table:
@@ -284,57 +284,50 @@ def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),
             ]
             if not tables:
                 return rd.from_items([])
-            # merge partial value-lists per key (O(groups x blocks) rows)
-            buckets: dict = {}
-            for t in tables:
-                tp = t.to_pandas()
-                for k, v in zip(tp[key], tp["__vals"]):
-                    buckets.setdefault(k, []).append(np.asarray(v, np.float64))
-
-            def _qcont(vs: "np.ndarray", q: float) -> float:
-                # SQL quantile_cont's exact arithmetic: lo*(1-frac) + hi*frac
-                # (bit-identical to DuckDB; other lerp orders differ in ulps)
-                n = len(vs)
-                pos = q * (n - 1)
-                lo = int(np.floor(pos))
+            # merge the partial value-lists per key (O(groups x blocks)
+            # rows): one key segment each, values sorted within it
+            t = pa.concat_tables(tables).combine_chunks()
+            order, heads = segments(t, [key])
+            lists = t.column("__vals").take(pa.array(order)).combine_chunks()
+            gid = np.repeat(np.cumsum(heads) - 1,
+                            pc.list_value_length(lists).to_numpy())
+            v = lists.flatten().to_numpy(zero_copy_only=False).astype(
+                np.float64)
+            gid, v = gid[~np.isnan(v)], v[~np.isnan(v)]
+            cnt = np.bincount(gid, minlength=int(heads.sum()))
+            base = np.cumsum(cnt) - cnt
+            v = np.append(v[np.lexsort((v, gid))], np.nan)  # 0-value groups
+            out = {key: t.column(key).take(pa.array(order[heads]))}
+            for q in qs:
+                # SQL quantile_cont's exact arithmetic: lo*(1-frac) +
+                # hi*frac (bit-identical to DuckDB; other lerp orders
+                # differ in ulps)
+                pos = q * (cnt - 1)
+                lo = np.floor(pos)
                 frac = pos - lo
-                if frac == 0.0 or lo + 1 >= n:
-                    return float(vs[min(lo, n - 1)])
-                return float(vs[lo] * (1.0 - frac) + vs[lo + 1] * frac)
-
-            keys_out, cols = [], {f"q{int(q * 100)}": [] for q in qs}
-            for k in sorted(buckets):
-                keys_out.append(k)
-                vals = np.concatenate(buckets[k])
-                vals = np.sort(vals[~np.isnan(vals)])
-                for q in qs:
-                    cols[f"q{int(q * 100)}"].append(
-                        _qcont(vals, q) if len(vals) else None
-                    )
-            out = {key: pa.array(keys_out)}
-            out.update({name: pa.array(v, pa.float64())
-                        for name, v in cols.items()})
+                i = np.where(cnt > 0, base + lo.astype(np.int64), len(v) - 1)
+                j = np.minimum(i + 1, len(v) - 1)
+                r = np.where(frac == 0.0, v[i],
+                             v[i] * (1.0 - frac) + v[j] * frac)
+                out[f"q{int(q * 100)}"] = pa.array(r, pa.float64(),
+                                                   from_pandas=True)
             return rd.from_arrow(pa.table(out))
 
     # sketch mode: log-spaced histogram partials, mergeable by addition
     def sketch_partial(batch: pa.Table) -> pa.Table:
         import numpy as np
-        import pandas as pd
 
-        keys_np = batch.column(key).to_pandas().to_numpy()
         v = batch.column(value).to_numpy(zero_copy_only=False).astype(np.float64)
         ok = ~np.isnan(v)
-        keys_np, v = keys_np[ok], v[ok]
         # log bins over [1e-6, 1e9); values clamp into the edge bins
-        logs = np.clip(np.log10(np.maximum(v, 1e-6)), -6.0, 9.0 - 1e-12)
+        logs = np.clip(np.log10(np.maximum(v[ok], 1e-6)), -6.0, 9.0 - 1e-12)
         b = ((logs + 6.0) / 15.0 * bins).astype(np.int64)
-        df = pd.DataFrame({"k": keys_np, "b": b})
-        counts = df.groupby(["k", "b"]).size().reset_index(name="n")
-        return pa.table({
-            key: pa.array(counts["k"]),
-            "bin": pa.array(counts["b"].astype(np.int64)),
-            "n": pa.array(counts["n"].astype(np.int64)),
-        })
+        t = pa.table({key: batch.column(key).filter(pa.array(ok)),
+                      "bin": pa.array(b)})
+        order, heads = segments(t, [key, "bin"])
+        starts = np.flatnonzero(heads)
+        return t.take(pa.array(order[starts])).append_column(
+            "n", pa.array(np.diff(np.append(starts, len(order)))))
 
     partials = sketch_src.map_batches(sketch_partial, batch_format="pyarrow",
                                       zero_copy_batch=True,
@@ -342,29 +335,28 @@ def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),
 
     # merge: hash-exchange the (key, bin, n) partial rows on KEY (every bin
     # of a key lands in one bucket), then the whole per-bucket finalize is
-    # vectorized: lexsort by (key, bin) -> segment-sum duplicate bins ->
+    # vectorized: sort by (key, bin) -> segment-sum duplicate bins ->
     # per-key CDF as global-cumsum minus segment base -> one searchsorted
     # per quantile against base + q*total (the global cumsum is strictly
     # increasing across segments, so the probe cannot leave its key's
     # segment).  O(groups x bins) rows move once; the driver holds nothing.
     def finalize_bucket(t: pa.Table) -> pa.Table:
-        keys_np = t.column(key).to_pandas().to_numpy(dtype=object)
-        b = t.column("bin").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = t.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((b, keys_np))
-        ks, bs, ns = keys_np[order], b[order], n[order]
+        order, kheads = segments(t, [key], ["bin"])
+        bs = t.column("bin").to_numpy(zero_copy_only=False)[order]
+        ns = t.column("n").to_numpy(zero_copy_only=False)[order]
         # collapse duplicate (key, bin) rows (partials from many blocks)
-        newseg = np.r_[True, (ks[1:] != ks[:-1]) | (bs[1:] != bs[:-1])]
+        newseg = kheads.copy()
+        newseg[1:] |= bs[1:] != bs[:-1]
         starts = np.flatnonzero(newseg)
         ns = np.add.reduceat(ns, starts)
-        ks, bs = ks[starts], bs[starts]
+        bs = bs[starts]
         # per-key segments over the collapsed rows
-        kstart = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-        kend = np.append(kstart[1:], len(ks))
+        kstart = np.flatnonzero(kheads[starts])
+        kend = np.append(kstart[1:], len(bs))
         cdf = np.cumsum(ns)
         base = np.concatenate([[0], cdf[kend - 1]])[:len(kstart)]
         total = cdf[kend - 1] - base
-        out = {key: pa.array(ks[kstart])}
+        out = {key: t.column(key).take(pa.array(order[starts[kstart]]))}
         for q in qs:
             pos = np.searchsorted(cdf, base + q * total, side="left")
             pos = np.minimum(pos, kend - 1)
@@ -391,33 +383,34 @@ def top_k_by_group(ds, group_col: str, order_col: str, k: int,
     groups rows would OOM the driver -- the partials route through a hash
     exchange on ``group_col`` (same shape as ``groupby_agg``'s merge) and
     the partial re-applies per bucket, so no driver state at any
-    cardinality."""
+    cardinality.  NULL groups form one group; NULL ``order_col`` values
+    come last in either direction."""
+    return _top_k_per_group(ds, [group_col], order_col, k, descending,
+                            tie_breakers or [], batch_size, driver_limit,
+                            num_buckets)
+
+
+def _top_k_per_group(ds, groups: list[str], order_col: str, k: int,
+                     descending: bool, ties: list[str], batch_size: int,
+                     driver_limit: int, num_buckets: int):
+    """:func:`top_k_by_group` over the key tuple ``groups``."""
     import numpy as np
     import ray
     import ray.data as rd
 
-    ties = tie_breakers or []
+    by = [(order_col, "descending" if descending else "ascending"), *ties]
 
     def partial(batch: pa.Table) -> pa.Table:
-        gk = batch.column(group_col).to_pandas().to_numpy()
-        v = batch.column(order_col).to_numpy(zero_copy_only=False)
-        sort_cols = [batch.column(t).to_pandas().to_numpy() for t in ties[::-1]]
-        if v.dtype.kind == "M":  # datetime64 -> int64 for negation
-            v = v.view("i8")
-        key = -v if descending else v
-        order = np.lexsort(tuple(sort_cols) + (key, gk))
-        gs = gk[order]
-        starts = np.r_[True, gs[1:] != gs[:-1]]
-        group_start = np.maximum.accumulate(np.where(starts, np.arange(len(gs)), 0))
-        rank = np.arange(len(gs)) - group_start
-        keep = order[rank < k]
-        return batch.take(pa.array(np.sort(keep)))
+        order, starts = segments(batch, groups, by)
+        heads = np.flatnonzero(starts)
+        rank = np.arange(len(order)) - heads[np.cumsum(starts) - 1]
+        return batch.take(pa.array(np.sort(order[rank < k])))
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True,
                               batch_size=batch_size).materialize()
     if partials.count() > driver_limit:
-        return hash_exchange_by(partials, [group_col], partial, num_buckets)
+        return hash_exchange_by(partials, groups, partial, num_buckets)
 
     tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
     if not tables:
@@ -446,7 +439,7 @@ def approx_distinct_by(ds, key: str, value: str, p: int = 11,
 
     Registers are built fully vectorized per batch (hash -> bucket index =
     top ``p`` bits, rho = leading-zero run of the rest; per-(key, bucket)
-    max via lexsort + ``maximum.reduceat``) and emitted as one
+    max via ``np.maximum.at`` over key segments) and emitted as one
     FixedSizeList<uint8>[2^p] row per key per batch.  The merge is an
     elementwise register max per key routed through the bucketed
     hash-exchange (same shape as ``groupby_agg``'s merge): each hash
@@ -463,7 +456,6 @@ def approx_distinct_by(ds, key: str, value: str, p: int = 11,
     def partial(batch: pa.Table) -> pa.Table:
         from .exchange import stable_hash
 
-        keys = batch.column(key).to_pandas().to_numpy(dtype=object)
         # stable_hash, not the object lane: an int value column with
         # nulls in SOME blocks would hash one value two ways (int vs
         # float object) and overcount it as two distincts
@@ -484,17 +476,11 @@ def approx_distinct_by(ds, key: str, value: str, p: int = 11,
             cur[mask] = cur[mask] << np.uint64(shift)
         lz[nz] = cnt
         rho = (lz + 1).clip(max=64 - p + 1).astype(np.uint8)
-        ku, kinv = np.unique(keys, return_inverse=True)
-        comb = kinv.astype(np.int64) * m + idx
-        order = np.argsort(comb)
-        cs, rs = comb[order], rho[order]
-        starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
-        regmax = np.maximum.reduceat(rs, starts)
-        regs = np.zeros((len(ku), m), dtype=np.uint8)
-        cu = cs[starts]
-        regs[cu // m, cu % m] = regmax
+        order, starts = segments(batch, [key])
+        regs = np.zeros((int(starts.sum()), m), dtype=np.uint8)
+        np.maximum.at(regs, (np.cumsum(starts) - 1, idx[order]), rho[order])
         return pa.table({
-            key: pa.array(ku),
+            key: batch.column(key).take(pa.array(order[starts])),
             "__regs": pa.FixedSizeListArray.from_arrays(
                 pa.array(regs.ravel(), pa.uint8()), m
             ),
@@ -508,12 +494,10 @@ def approx_distinct_by(ds, key: str, value: str, p: int = 11,
         # key, one ``maximum.reduceat`` over key segments (axis=0), then the
         # HLL estimator evaluated for ALL keys at once (linear counting
         # applied rowwise where est <= 2.5m and zero registers remain)
-        keys_np = t.column(key).to_pandas().to_numpy(dtype=object)
+        order, starts = segments(t, [key])
         regs = _fixed_uint8_matrix(t.column("__regs"), m)
-        order = np.argsort(keys_np, kind="stable")
-        ks, rg = keys_np[order], regs[order]
-        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-        merged = np.maximum.reduceat(rg, starts, axis=0)
+        merged = np.maximum.reduceat(regs[order], np.flatnonzero(starts),
+                                     axis=0)
         alpha = 0.7213 / (1 + 1.079 / m)
         est = alpha * m * m / (2.0 ** (-merged.astype(np.float64))).sum(axis=1)
         zeros = (merged == 0).sum(axis=1)
@@ -523,7 +507,7 @@ def approx_distinct_by(ds, key: str, value: str, p: int = 11,
             small, m * np.log(m / np.where(lc, zeros, 1).astype(np.float64)), est
         )
         return pa.table({
-            key: pa.array(ks[starts]),
+            key: t.column(key).take(pa.array(order[starts])),
             "approx_distinct": pa.array(np.round(est).astype(np.int64)),
         })
 
@@ -668,26 +652,15 @@ def string_agg_by(ds, key: str, value_col: str, order_by: list[str],
     def assemble(t: pa.Table) -> pa.Table:
         import numpy as np
 
-        # np.lexsort: LAST key is primary -> (order_by..., key) sorts by
-        # key first, then order_by within each key run
-        sort_cols = [t.column(c).to_pandas().to_numpy() for c in
-                     (*reversed(order_by), key)]
-        order = np.lexsort(tuple(sort_cols))
-        g = t.column(key).to_pandas().to_numpy(dtype=object)[order]
-        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-        counts = np.diff(np.append(starts, len(g)))
-        vals = t.column(value_col)
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        vals = vals.take(pa.array(order))
+        order, heads = segments(t, [key], order_by)
+        starts = np.flatnonzero(heads)
+        counts = np.diff(np.append(starts, len(order)))
+        vals = t.column(value_col).take(pa.array(order)).combine_chunks()
         off = np.zeros(len(starts) + 1, dtype=np.int64)
         np.cumsum(counts, out=off[1:])
         lst = pa.ListArray.from_arrays(pa.array(off, pa.int32()), vals)
-        keys_arr = t.column(key)
-        if isinstance(keys_arr, pa.ChunkedArray):
-            keys_arr = keys_arr.combine_chunks()
         return pa.table({
-            key: keys_arr.take(pa.array(order[starts])),
+            key: t.column(key).take(pa.array(order[starts])),
             out_col: pc.binary_join(lst, sep),
             count_col: pa.array(counts.astype(np.int64)),
         })
@@ -816,19 +789,13 @@ def approx_top_k(ds, col: str, k: int, summary_size: int | None = None,
         return vals[keep][pos], c[pos]
 
     def partial(t: pa.Table) -> pa.Table:
-        arr = t.column(col)
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        v = arr.to_pandas().to_numpy()
-        v = v[~pa.compute.is_null(arr).to_numpy(zero_copy_only=False)] \
-            if arr.null_count else v
-        if not len(v):
-            return pa.table({col: pa.array([], arr.type),
-                             "__mg": pa.array([], pa.int64())})
-        uniq, counts = np.unique(v, return_counts=True)
-        uniq, counts = mg_truncate(uniq, counts.astype(np.int64))
-        return pa.table({col: pa.array(uniq, arr.type),
-                         "__mg": pa.array(counts)})
+        vals = pa.table({col: pc.drop_null(t.column(col))})
+        order, starts = segments(vals, [col])
+        heads = np.flatnonzero(starts)
+        rows, counts = mg_truncate(
+            order[heads], np.diff(np.append(heads, len(order))))
+        return vals.take(pa.array(rows, pa.int64())).append_column(
+            "__mg", pa.array(counts, pa.int64()))
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
@@ -906,25 +873,18 @@ def winsorize_by(ds, key: str, value: str, lo_q: float = 0.01,
     q = quantiles_by(ds, key, value, qs=(lo_q, hi_q), mode=mode)
     qt = pa.concat_tables(
         [t for t in ray.get(q.to_arrow_refs()) if t.num_rows])
-    cols = qt.column_names
-    lo_name, hi_name = cols[1], cols[2]
-    keys_np = qt.column(key).to_pandas().to_numpy(dtype=object)
-    order = np.argsort(keys_np)
-    state = ray.put((
-        keys_np[order],
-        qt.column(lo_name).to_numpy(zero_copy_only=False)[order],
-        qt.column(hi_name).to_numpy(zero_copy_only=False)[order],
-    ))
+    state = ray.put((canon_float(qt.column(0)), qt.column(1), qt.column(2)))
     name = out_col or value
 
     def clamp(t: pa.Table) -> pa.Table:
-        ks, lo, hi = ray.get(state)
-        g = t.column(key).to_pandas().to_numpy(dtype=object)
-        pos = np.searchsorted(ks, g)
-        pos = np.clip(pos, 0, len(ks) - 1)
+        keys, *bounds = ray.get(state)
+        # NULL matches NULL: the NULL group has its own bounds
+        pos = pc.index_in(canon_float(t.column(key)), value_set=keys,
+                          skip_nulls=False)
+        lo, hi = (b.take(pos).to_numpy(zero_copy_only=False) for b in bounds)
         v = t.column(value).cast(pa.float64()).to_numpy(
             zero_copy_only=False)
-        clipped = np.minimum(np.maximum(v, lo[pos]), hi[pos])
+        clipped = np.minimum(np.maximum(v, lo), hi)
         arr = pa.array(clipped, pa.float64())
         if t.column(value).null_count:
             arr = pc.if_else(pc.is_valid(t.column(value)), arr,
@@ -992,7 +952,7 @@ def zscore_flag(ds, key: str, value: str, threshold: float = 3.0,
     partials per key merge through the bucketed exchange -- O(keys) rows
     total; (2) the tiny (key, mean, std) table broadcasts (under
     ``stats_broadcast_limit`` keys) and the flag is one vectorized
-    searchsorted probe + compare per batch.  Rows never shuffle.  The
+    ``index_in`` probe + compare per batch.  Rows never shuffle.  The
     flag formula is ``abs(v - mean) > threshold * stddev_pop`` with
     ``mean = sum/n`` and ``stddev_pop = sqrt(sumsq/n - mean^2)`` --
     replicable in SQL as AVG/STDDEV_POP (agreement to float rounding;
@@ -1023,28 +983,28 @@ def zscore_flag(ds, key: str, value: str, threshold: float = 3.0,
             "a coarser key or raise the limit")
     stat_tabs = [t for t in ray.get(stats.to_arrow_refs()) if t.num_rows]
     if stat_tabs:
-        sp = pa.concat_tables(stat_tabs).combine_chunks().to_pandas()
-        k = sp[key].to_numpy()
-        order = np.argsort(k)
-        n = sp["n"].to_numpy()[order].astype(np.float64)
-        mean = sp["s"].to_numpy()[order] / n
-        var = np.maximum(sp["s2"].to_numpy()[order] / n - mean ** 2, 0.0)
-        ref = ray.put((k[order], mean, np.sqrt(var)))
+        st = pa.concat_tables(stat_tabs).combine_chunks()
+        n = st.column("n").to_numpy().astype(np.float64)
+        mean = st.column("s").to_numpy() / n
+        var = np.maximum(st.column("s2").to_numpy() / n - mean ** 2, 0.0)
+        ref = ray.put((canon_float(st.column(key)), mean, np.sqrt(var)))
     else:  # every value null: no stats, nothing can be an anomaly
-        ref = ray.put((np.empty(0, object), np.empty(0), np.empty(0)))
+        ref = ray.put(None)
 
     def flag(t: pa.Table) -> pa.Table:
-        ks, means, stds = ray.get(ref)
-        kv = t.column(key).to_numpy(zero_copy_only=False)
-        v = t.column(value).to_numpy(zero_copy_only=False).astype(np.float64)
-        if len(ks):
-            pos = np.minimum(np.searchsorted(ks, kv), len(ks) - 1)
-            # keys with no non-null values never entered the stats table:
-            # such rows (and null-value rows) are not anomalies
-            found = ks[pos] == kv
-            z = found & (np.abs(v - means[pos]) > threshold * stds[pos])
-        else:
-            z = np.zeros(len(kv), dtype=bool)
+        z = np.zeros(t.num_rows, dtype=bool)
+        if (lookup := ray.get(ref)) is not None:
+            ks, means, stds = lookup
+            # NULL matches NULL; keys with no non-null values never
+            # entered the stats table: such rows (and null-value rows)
+            # are not anomalies
+            pos = pc.index_in(canon_float(t.column(key)), value_set=ks,
+                              skip_nulls=False)
+            p = pc.fill_null(pos, 0).to_numpy()
+            v = t.column(value).to_numpy(zero_copy_only=False).astype(
+                np.float64)
+            z = pc.is_valid(pos).to_numpy(zero_copy_only=False) & (
+                np.abs(v - means[p]) > threshold * stds[p])
         out = t.select(keep_cols) if keep_cols else t
         return out.append_column("is_anomaly", pa.array(z))
 

@@ -119,17 +119,18 @@ def _int64_view(col: pa.Array):
 
 
 def key_lanes(col):
-    """Key column -> ``(filled_values, is_null)`` numpy pair -- THE
-    per-type-deterministic representation shared by bucket hashing
-    (:func:`stable_hash`), the window family's segment sort, and the
-    as-of matchers.  The lane never depends on a per-block property
-    (null count, inferred pandas dtype): integer/bool/temporal columns
-    always take the int64 lane (exact; uint64 wraps, date32/time32
-    widen), floats the float64 lane, strings ""-filled objects.  Nulls
-    are FILLED in the values lane (fill only decides null rows' bucket;
-    callers use the null lane to sort them last / match them nowhere /
-    segment them apart).  Object-lane NaN never appears, so np.lexsort
-    comparators stay consistent."""
+    """Key column -> ``(filled_values, is_null)`` numpy pair -- the
+    per-type-deterministic VALUE representation shared by bucket hashing
+    (:func:`stable_hash`) and the as-of matchers, which compare keys
+    across tables (in-bucket sorts use :func:`segments`, whose ranks
+    compare only within one table).  The lane never depends on a
+    per-block property (null count, inferred pandas dtype):
+    integer/bool/temporal columns always take the int64 lane (exact;
+    uint64 wraps, date32/time32 widen), floats the float64 lane,
+    strings ""-filled objects.  Nulls are FILLED in the values lane
+    (fill only decides null rows' bucket; callers use the null lane to
+    sort them last or match them nowhere).  Object-lane NaN never
+    appears, so np.lexsort comparators stay consistent."""
     import pyarrow.compute as pc
 
     if isinstance(col, pa.ChunkedArray):
@@ -149,6 +150,60 @@ def key_lanes(col):
     else:
         kf = col.to_pandas().to_numpy(dtype=object)
     return kf, kn
+
+
+def _rank_lane(t: pa.Table, c) -> np.ndarray:
+    """uint64 sort lane of column ``c`` (a name, or a ``(name,
+    "descending")`` pair): twice its dense rank within ``t``, plus one
+    on NULL rows (see :func:`segments`)."""
+    import pyarrow.compute as pc
+
+    name, direction = (c, "ascending") if isinstance(c, str) else c
+    col = t.column(name)
+    if pa.types.is_dictionary(col.type):
+        col = pc.cast(col, col.type.value_type)
+    if pa.types.is_null(col.type):
+        return np.ones(len(col), dtype=np.uint64)
+    try:
+        rank = np.asarray(pc.rank(col, null_placement="at_end",
+                                  tiebreaker="dense"))
+    except pa.ArrowNotImplementedError:
+        raise ValueError(f"column {name!r} of type {col.type} cannot be "
+                         "sorted; cast it to a sortable type first") from None
+    null = np.asarray(pc.is_null(col)) if col.null_count else False
+    if direction == "descending":   # NaN (ranked with NULL) comes first
+        rank = rank.max(initial=0) + np.uint64(1) \
+            - np.where(null, np.uint64(0), rank)
+    return rank * np.uint64(2) + null
+
+
+def segments(t: pa.Table, keys: list[str], order_by=()):
+    """Sort a bucket and cut it into key groups: ``(order, starts)``,
+    where ``order`` is the stable permutation sorting ``t`` by ``keys``
+    then ``order_by`` (ascending; an ``order_by`` entry may be a
+    ``(name, "descending")`` pair) and ``starts[i]`` is True where the
+    key tuple of sorted row ``i`` differs from the row before it (row 0
+    always).  On a table already sorted by ``keys`` the permutation is
+    the identity, so ``starts`` flags its rows in place.
+
+    NULL/NaN/-0.0 rule, the SQL ``GROUP BY`` / ``PARTITION BY`` and
+    ``ORDER BY ... NULLS LAST`` one: NULL keys form ONE group that
+    sorts after every value in either direction; NaN equals NaN and is
+    greater than every number; -0.0 equals 0.0.  Each column sorts
+    through a dense rank within ``t`` (dictionary columns decoded first, a
+    null-typed column all NULL) doubled plus a null flag: Arrow's rank
+    ties NaN with NULL, the flag splits them.  Ranks compare only within
+    one table, so bucket routing keeps the value lanes of
+    :func:`stable_hash`.  List, struct and map columns raise a
+    ``ValueError`` naming the column."""
+    lanes = [_rank_lane(t, c) for c in (*keys, *order_by)]
+    order = np.lexsort(lanes[::-1])
+    starts = np.zeros(t.num_rows, dtype=bool)
+    starts[:1] = True
+    for lane in lanes[:len(keys)]:
+        s = lane[order]
+        starts[1:] |= s[1:] != s[:-1]
+    return order, starts
 
 
 def stable_bucket_ids(table: pa.Table, keys: list[str],

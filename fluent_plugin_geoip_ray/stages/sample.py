@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import hash_exchange_by
+from .exchange import canon_float, hash_exchange_by, segments
 from .scan import SortedBlocks
 
 # 64-bit golden-ratio multiplier (Knuth): hash = (key * M + seed) mod 2^64.
@@ -87,18 +87,15 @@ def split(ds, key_col: str, fractions: dict[str, float], seed: int = 0,
                           batch_size=batch_size)
 
 
-def _topk_per_group(gk: np.ndarray, h: np.ndarray, k: int,
-                    tiebreak: np.ndarray | None = None):
-    """Row indices of the k smallest hashes per group (vectorized);
-    hash ties break on ``tiebreak`` (the key), matching the SQL oracle's
-    ORDER BY hash, key."""
-    order = (np.lexsort((tiebreak, h, gk)) if tiebreak is not None
-             else np.lexsort((h, gk)))
-    gs, hs = gk[order], h[order]
-    starts = np.r_[True, gs[1:] != gs[:-1]]
-    group_start_pos = np.maximum.accumulate(np.where(starts, np.arange(len(gs)), 0))
-    rank = np.arange(len(gs)) - group_start_pos
-    return order[rank < k]
+def _hash_ranks(t: pa.Table, group_col: str, key_col: str, seed: int):
+    """``(order, rank)``: the permutation sorting ``t`` by (group, key
+    hash, key) -- NULL groups one group, last -- and each sorted row's
+    0-based rank within its group."""
+    h = key_hash(t.column(key_col).to_numpy(zero_copy_only=False), seed)
+    order, starts = segments(t.append_column("__h", pa.array(h)),
+                             [group_col], ["__h", key_col])
+    heads = np.flatnonzero(starts)
+    return order, np.arange(len(order)) - heads[np.cumsum(starts) - 1]
 
 
 def sample_per_group(ds, group_col: str, key_col: str, k: int, seed: int = 0,
@@ -120,11 +117,8 @@ def sample_per_group(ds, group_col: str, key_col: str, k: int, seed: int = 0,
     import ray.data as rd
 
     def partial(batch: pa.Table) -> pa.Table:
-        gk = batch.column(group_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        h = key_hash(keys, seed)
-        keep = _topk_per_group(gk, h, k, tiebreak=keys)
-        return batch.take(pa.array(np.sort(keep)))
+        order, rank = _hash_ranks(batch, group_col, key_col, seed)
+        return batch.take(pa.array(np.sort(order[rank < k])))
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True,
@@ -334,15 +328,15 @@ def stratified_sample(ds, stratum_col: str, key_col: str, fraction: float,
     ceil(fraction * count)``).
 
     Shape: pass 1 is a tiny grouped count through the bucketed exchange;
-    the per-stratum quota table broadcasts as sorted arrays (strata are
-    few by definition -- ``driver_strata_limit`` guards the assumption).
+    the per-stratum quota table broadcasts as a lookup (strata are few
+    by definition -- ``driver_strata_limit`` guards the assumption; a
+    NULL stratum is one stratum).
     Pass 2 keeps at most k_g rows per stratum per BLOCK (vectorized
     partial top-k: each block's local top-k_g is a superset of its
     members of the global top-k_g), then ONE exchange on the stratum
     co-locates candidates and the final applies the identical selection
     exactly.
     """
-    import pandas as pd
     import ray
 
     from .aggregate import groupby_agg
@@ -364,27 +358,20 @@ def stratified_sample(ds, stratum_col: str, key_col: str, fraction: float,
             f"{driver_strata_limit}; stratified_sample assumes few strata")
     ct = pa.concat_tables(
         [t for t in ray.get(counts.to_arrow_refs()) if t.num_rows])
-    sv = ct.column(stratum_col).to_pandas().to_numpy(dtype=object)
-    nv = ct.column("n").to_numpy(zero_copy_only=False)
-    order = np.argsort(sv)
-    quotas = np.ceil(fraction * nv[order]).astype(np.int64)
-    state = ray.put((sv[order], quotas))
+    quotas = np.ceil(fraction * ct.column("n").to_numpy()).astype(np.int64)
+    state = ray.put((canon_float(ct.column(stratum_col)), quotas))
 
     def select(t: pa.Table) -> pa.Table:
         if not t.num_rows:
             return t
-        strata_sorted, ks = ray.get(state)
-        g = t.column(stratum_col).to_pandas().to_numpy(dtype=object)
-        h = key_hash(t.column(key_col).to_numpy(zero_copy_only=False))
-        o = np.lexsort((h, g))
-        gs = g[o]
-        starts = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
-        lens = np.diff(np.append(starts, len(gs)))
-        rank = np.arange(len(gs), dtype=np.int64) - np.repeat(starts, lens)
-        kg = ks[np.searchsorted(strata_sorted, gs[starts])]
-        keep_sorted = rank < np.repeat(kg, lens)
-        keep = np.empty(len(gs), dtype=bool)
-        keep[o] = keep_sorted
+        strata, quotas = ray.get(state)
+        # NULL matches NULL: the NULL stratum has its own quota
+        quota = quotas[pc.index_in(canon_float(t.column(stratum_col)),
+                                   value_set=strata,
+                                   skip_nulls=False).to_numpy()]
+        order, rank = _hash_ranks(t, stratum_col, key_col, seed)
+        keep = np.empty(t.num_rows, dtype=bool)
+        keep[order] = rank < quota[order]
         return t.filter(pa.array(keep))
 
     partial = ds.map_batches(select, batch_format="pyarrow",

@@ -2,7 +2,9 @@
 
 Every operator that needs a row's global position -- ``epoch_shuffle``,
 ``select_top_fraction``, ``global_rank``, ``pack_bins`` and
-``session_windows`` -- runs one distributed sort and then this scan.
+``session_windows`` -- runs one distributed sort and then this scan, and
+so does every globally sorted output (the sorted sink, the IVF training
+sample): Ray's own sort never sees a null key anywhere else.
 After the sort and a materialize, the blocks, in dataset order, are
 contiguous ranges of the total order.  :class:`SortedBlocks` keeps the
 non-empty ones with their row counts from block metadata (no pass over

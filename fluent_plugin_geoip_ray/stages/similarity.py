@@ -114,6 +114,7 @@ def uniform_sample_matrix(ds, id_col: str, emb_col: str, sample_n: int,
     partials another ~64x before the final tiny sort+limit, so the driver
     never sees more than O(blocks/64 * sample_n) shrunken rows."""
     from .sample import key_hash
+    from .scan import SortedBlocks
     from .text import _hash_strings
 
     def local_top(batch: pa.Table) -> pa.Table:
@@ -143,7 +144,8 @@ def uniform_sample_matrix(ds, id_col: str, emb_col: str, sample_n: int,
         local_top, batch_format="pyarrow", zero_copy_batch=True)
     combined = partials.map_batches(local_top, batch_format="pyarrow",
                                     batch_size=sample_n * 64)
-    top = combined.sort("__h").limit(sample_n).to_pandas()
+    top = SortedBlocks(combined, ["__h"]).scan(
+        lambda block, _off: block).limit(sample_n).to_pandas()
     return np.stack(top[emb_col].to_numpy())
 
 

@@ -21,25 +21,8 @@ import pandas as pd
 import pyarrow as pa
 
 from .aggregate import groupby_agg
-from .exchange import hash_exchange_by
+from .exchange import hash_exchange_by, segments
 from .scan import SortedBlocks
-
-
-def _key_lanes(col: pa.Array | pa.ChunkedArray):
-    """Partition-key or order column -> ``(filled_values, is_null)``
-    numpy pair for WITHIN-BUCKET lexsort and neighbor compares --
-    delegates to :func:`exchange.key_lanes` (one lane dispatch for
-    hashing, sorting and matching; see its docstring for the per-type
-    contract).  The null lane sorts nulls last, keeps each null key
-    row its own segment (the documented null-key caveat) and makes null
-    order values peers of each other.  A null-typed column (Ray types a
-    block column that holds only nulls as ``null``) takes an int64 lane
-    of zeros, every row null."""
-    from .exchange import key_lanes
-
-    if pa.types.is_null(col.type):
-        return np.zeros(len(col), dtype=np.int64), np.ones(len(col), dtype=bool)
-    return key_lanes(col)
 
 
 def _numeric_src(t: pa.Table, src: str) -> pa.Array:
@@ -58,53 +41,18 @@ def _numeric_src(t: pa.Table, src: str) -> pa.Array:
     return col
 
 
-def _sorted_segments(t: pa.Table, key: str, order_by: list[str],
-                     need_order_cols: bool = False):
-    """Shared reduce-side preamble of the frame family: lexsort the
-    bucket by (key, *order_by) -- every column through the nulls-last
-    null-safe lanes of :func:`_key_lanes` (NaN sorts after every number,
-    before NULL: the SQL ``ASC NULLS LAST`` order) -- then locate key
-    segments.  Returns ``(t_sorted, sorted_order_lanes, g, starts,
-    start_idx, seg, seg_base)`` where ``g`` is the sorted filled key lane
-    (length bookkeeping + equality together with ``starts``), ``starts``
-    flags segment heads (null keys each start one), ``seg`` is the
-    per-row segment id and ``seg_base`` each row's segment-head index.
-    ``sorted_order_lanes`` (one ``(values, is_null)`` pair per order
-    column, re-gathered into sorted row order) is only materialized when
-    ``need_order_cols`` -- just the rank family reads it; everyone else
-    skips the O(n) gathers.
-
-    A non-string column that :func:`_key_lanes` keeps as Python objects
-    (decimal, dictionary, binary, large and fixed-size binary, list,
-    struct, map) cannot hold nulls in a bucket of two or more rows:
-    ``np.lexsort`` would compare None with its values.  Such a column
-    raises a ``ValueError`` naming it and its type; a 1-row bucket
-    compares nothing and sorts as before."""
-    kf, kn = _key_lanes(t.column(key))
-    order_lanes = [_key_lanes(t.column(c)) for c in order_by]
-    for c, (vf, vn) in zip([key, *order_by], [(kf, kn), *order_lanes]):
-        typ = t.schema.field(c).type
-        if t.num_rows > 1 and vn.any() and vf.dtype == object and not (
-                pa.types.is_string(typ) or pa.types.is_large_string(typ)):
-            raise ValueError(
-                f"window: column {c!r} of type {typ} holds nulls; nulls of "
-                "this type cannot be sorted -- cast it to a numeric or "
-                "string type, or fill its nulls, first")
-    sort_cols = [lane for vf, vn in reversed(order_lanes)
-                 for lane in (vf, vn)] + [kf, kn]
-    order = np.lexsort(tuple(sort_cols))
-    t = t.take(pa.array(order))
-    g, gn = kf[order], kn[order]
-    n = len(g)
-    starts = np.ones(n, dtype=bool)
-    if n > 1:
-        starts[1:] = (g[1:] != g[:-1]) | gn[1:] | gn[:-1]
+def _sorted_segments(t: pa.Table, key: str, order_by: list[str]):
+    """Shared reduce-side preamble of the frame family: sort the bucket
+    by (key, *order_by) and cut it into key segments with
+    :func:`exchange.segments` (NULL keys form one segment, sorted last;
+    order values sort ``ASC NULLS LAST``, NaN before NULL).  Returns
+    ``(t_sorted, starts, start_idx, seg, seg_base)``: ``starts`` flags
+    segment heads, ``start_idx`` their row indices, ``seg`` is the
+    per-row segment id and ``seg_base`` each row's segment-head index."""
+    order, starts = segments(t, [key], order_by)
     start_idx = np.flatnonzero(starts)
     seg = np.cumsum(starts) - 1
-    seg_base = start_idx[seg]
-    ordered_lanes = [(vf[order], vn[order]) for vf, vn in order_lanes] \
-        if need_order_cols else []
-    return t, ordered_lanes, g, starts, start_idx, seg, seg_base
+    return t.take(pa.array(order)), starts, start_idx, seg, start_idx[seg]
 
 
 def _ts_us(batch: pa.Table, ts_col: str) -> np.ndarray:
@@ -186,28 +134,24 @@ def session_windows(ds, key: str = "user_id", ts_col: str = "ts",
                                  driver_limit=driver_limit)
 
 
-def _key_arrow(batch: pa.Table, key: str) -> pa.Array:
-    col = batch.column(key)
-    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-
-
 def _run_breaks(t: pa.Table, key: str, ts_col: str, gap_us, first_brk: bool):
     """``(key array, µs times, break flags)`` of a sorted block: a row
     breaks a run when its key differs from, or its time exceeds by more
-    than the gap, the row before it (row 0 takes ``first_brk``)."""
-    k = _key_arrow(t, key)
-    kn = k.to_numpy(zero_copy_only=False)
+    than the gap, the row before it (row 0 takes ``first_brk``).  The
+    block is sorted by key, so :func:`exchange.segments` flags the key
+    changes in place."""
     ts = _ts_us(t, ts_col)
-    brk = np.empty(len(kn), dtype=bool)
+    brk = segments(t, [key])[1]
     brk[0] = first_brk
-    brk[1:] = (kn[1:] != kn[:-1]) | (np.diff(ts) > gap_us)
-    return k, ts, brk
+    brk[1:] |= np.diff(ts) > gap_us
+    return t.column(key), ts, brk
 
 
 def _session_summary(t: pa.Table, key: str, ts_col: str, gap_us):
-    # (first_key, first_ts, last_key, last_ts, internal_runs) of a block
-    k, ts, brk = _run_breaks(t, key, ts_col, gap_us, False)
-    return k[0].as_py(), int(ts[0]), k[-1].as_py(), int(ts[-1]), int(brk.sum())
+    # (first and last key as 2 rows, first_ts, last_ts, internal_runs)
+    _k, ts, brk = _run_breaks(t, key, ts_col, gap_us, False)
+    return (t.select([key]).take([0, t.num_rows - 1]), int(ts[0]),
+            int(ts[-1]), int(brk.sum()))
 
 
 def _run_partials(t: pa.Table, state, key: str, ts_col: str,
@@ -270,17 +214,19 @@ def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
             ("ts_min", pa.timestamp("us")), ("ts_max", pa.timestamp("us")),
         ]).empty_table())
     kw = {"key": key, "ts_col": ts_col, "gap_us": gap_us}
-    fk, ft, lk, lt, runs = (np.array(c, dtype=object) for c in
-                            zip(*blocks.sums(_session_summary, **kw)))
-    brk0 = np.ones(len(fk), dtype=bool)  # very first row starts run 1
-    brk0[1:] = (fk[1:] != lk[:-1]) | (ft[1:] - lt[:-1] > gap_us)
-    new_runs = brk0.astype(np.int64) + runs.astype(np.int64)
+    ends, ft, lt, runs = zip(*blocks.sums(_session_summary, **kw))
+    ft, lt, runs = (np.array(c, dtype=np.int64) for c in (ft, lt, runs))
+    # the blocks' first and last keys, in sort order: block i+1's first
+    # key starts a run when it differs from block i's last (row 0 always)
+    brk0 = segments(pa.concat_tables(ends, promote_options="default"),
+                    [key])[1][::2].copy()
+    brk0[1:] |= ft[1:] - lt[:-1] > gap_us
+    new_runs = brk0.astype(np.int64) + runs
     parts = blocks.scan(_run_partials,
                         list(zip(blocks.offsets(new_runs).tolist(),
                                  brk0.tolist())), **kw)
 
     def _finalize(t: pa.Table) -> pa.Table:
-        kcol = _key_arrow(t, key)
         rid = t.column("run_id").to_numpy(zero_copy_only=False)
         nev = t.column("n_events").to_numpy(zero_copy_only=False)
         tmin = t.column("ts_min").to_numpy(zero_copy_only=False)
@@ -294,15 +240,14 @@ def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
         nev_m = np.add.reduceat(nev[order], starts)
         tmin_m = np.minimum.reduceat(tmin[order], starts)
         tmax_m = np.maximum.reduceat(tmax[order], starts)
-        kidx = order[starts]
-        kn = kcol.to_numpy(zero_copy_only=False)[kidx]
-        firsts = np.r_[True, kn[1:] != kn[:-1]]
+        keys = t.select([key]).take(pa.array(order[starts]))
+        firsts = segments(keys, [key])[1]
         group_start = np.maximum.accumulate(
-            np.where(firsts, np.arange(len(kn)), 0)
+            np.where(firsts, np.arange(len(firsts)), 0)
         )
-        session_idx = np.arange(len(kn)) - group_start + 1
+        session_idx = np.arange(len(firsts)) - group_start + 1
         return pa.table({
-            key: kcol.take(pa.array(kidx)),
+            key: keys.column(key),
             "session_idx": pa.array(session_idx.astype(np.int64)),
             "n_events": pa.array(nev_m.astype(np.int64)),
             "ts_min": pa.array(tmin_m).cast(pa.timestamp("us")),
@@ -330,15 +275,15 @@ def rate_limit(ds, key: str, ts_col: str, window_sec: int, k: int,
     throttle (``ROW_NUMBER() OVER (PARTITION BY key, window ORDER BY ts,
     ties) <= k``).
 
-    Composition: a composite (key, window) group column feeds
+    Composition: the (key, window) key tuple feeds the grouped top-k of
     :func:`..aggregate.top_k_by_group` with ``descending=False`` -- so
     the partial/final shape is the algebraic grouped top-k (at most k
     rows per group per block leave a worker; bucketed final above the
-    driver limit).  Works for string or integer keys.
+    driver limit).  NULL keys form one partition per window.
     """
     import pyarrow.compute as pc
 
-    from .aggregate import top_k_by_group
+    from .aggregate import _top_k_per_group
 
     if window_sec <= 0:
         raise ValueError(f"window_sec must be > 0, got {window_sec}")
@@ -346,22 +291,16 @@ def rate_limit(ds, key: str, ts_col: str, window_sec: int, k: int,
         raise ValueError(f"k must be >= 1, got {k}")
     width_us = int(window_sec) * 1_000_000
 
-    def add_grp(t: pa.Table) -> pa.Table:
-        ts = t.column(ts_col)
-        if pa.types.is_timestamp(ts.type):
-            ts = ts.cast(pa.int64())
-        win = pc.divide(ts.cast(pa.int64()), width_us)
-        grp = pc.binary_join_element_wise(
-            t.column(key).cast(pa.string()), win.cast(pa.string()), "|")
-        return t.append_column("__rl_grp", grp)
+    def add_win(t: pa.Table) -> pa.Table:
+        return t.append_column("__rl_win", pc.divide(
+            t.column(ts_col).cast(pa.int64()), width_us))
 
-    limited = top_k_by_group(
-        ds.map_batches(add_grp, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        "__rl_grp", ts_col, k, descending=False,
-        tie_breakers=tie_breakers, driver_limit=driver_limit,
+    limited = _top_k_per_group(
+        ds.map_batches(add_win, batch_format="pyarrow", zero_copy_batch=True),
+        [key, "__rl_win"], ts_col, k, descending=False,
+        ties=tie_breakers or [], batch_size=65536, driver_limit=driver_limit,
         num_buckets=num_buckets)
-    return limited.drop_columns(["__rl_grp"])
+    return limited.drop_columns(["__rl_win"])
 
 
 def lag_lead_by(ds, key: str, order_by: list[str], cols: dict,
@@ -392,8 +331,8 @@ def lag_lead_by(ds, key: str, order_by: list[str], cols: dict,
     def shift_bucket(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        t, _oc, g, starts, _si, _seg, _sb = _sorted_segments(t, key, order_by)
-        n = len(g)
+        t, starts, _si, _seg, _sb = _sorted_segments(t, key, order_by)
+        n = t.num_rows
         same_prev = ~starts
         # lag valid at i iff rows i-offset..i all share the key (the
         # offset consecutive same_prev flags ending at i are all True)
@@ -452,7 +391,6 @@ def funnel(ds, key: str, ts_col: str, type_col: str, steps: list[str],
     # resolve the timestamp type once from the dataset schema
     sch = ds.schema()
     ts_type = sch.types[sch.names.index(ts_col)]
-    key_type = sch.types[sch.names.index(key)]
 
     def project(t: pa.Table) -> pa.Table:
         types = t.column(type_col)
@@ -470,14 +408,11 @@ def funnel(ds, key: str, ts_col: str, type_col: str, steps: list[str],
                                zero_copy_batch=True, batch_size=batch_size)
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        kv = t.column(key).to_pandas().to_numpy()
-        ts = t.column("__ts").to_numpy(zero_copy_only=False)
-        st = t.column("__step").to_numpy(zero_copy_only=False)
-        codes, uniques = pd.factorize(kv, sort=True)
-        order = np.lexsort((ts, codes))
-        cs, ts_s, st_s = codes[order], ts[order], st[order]
-        starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
-        seg_id = np.cumsum(np.r_[False, cs[1:] != cs[:-1]])
+        order, heads = segments(t, [key], ["__ts"])
+        ts_s = t.column("__ts").to_numpy(zero_copy_only=False)[order]
+        st_s = t.column("__step").to_numpy(zero_copy_only=False)[order]
+        starts = np.flatnonzero(heads)
+        seg_id = np.cumsum(heads) - 1
         n_seg = len(starts)
         prev_seg = np.full(n_seg, np.iinfo(np.int64).min)
         mins = []
@@ -489,7 +424,7 @@ def funnel(ds, key: str, ts_col: str, type_col: str, steps: list[str],
             mins.append(m)
             prev_seg = m  # sentinel propagates: later steps can't qualify
         reached1 = mins[0] != sentinel
-        out = {key: pa.array(uniques[cs[starts][reached1]], type=key_type)}
+        out = {key: t.column(key).take(pa.array(order[starts][reached1]))}
         for si in range(n_steps):
             m = pa.array(mins[si][reached1], pa.int64())
             m = pc.if_else(pc.equal(m, pa.scalar(sentinel, pa.int64())),
@@ -537,24 +472,11 @@ def dense_tumbling(ds, ts_col: str = "ts", size_sec: int = 3600,
         raise ValueError("dense_tumbling requires at least one key column")
 
     def densify(t: pa.Table) -> pa.Table:
-        key_types = {k: t.schema.field(k).type for k in keys}
-        if t.num_rows == 0:
-            cols = {k: pa.array([], key_types[k]) for k in keys}
-            cols["window_start"] = pa.array([], pa.int64())
-            cols[count_col] = pa.array([], pa.int64())
-            return pa.table(cols)
-        w = t.column("window_start").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        n = t.column(count_col).to_numpy(zero_copy_only=False)
-        kvs = [t.column(k).to_pandas().to_numpy() for k in keys]
-        codes = [pd.factorize(kv, sort=False)[0] for kv in kvs]
-        order = np.lexsort(tuple([w] + codes[::-1]))
-        ws, ns = w[order], n[order]
-        cs = [c[order] for c in codes]
-        changed = np.zeros(len(ws) - 1, dtype=bool)
-        for c in cs:
-            changed |= c[1:] != c[:-1]
-        starts = np.flatnonzero(np.r_[True, changed])
+        order, heads = segments(t, keys, ["window_start"])
+        ws = t.column("window_start").to_numpy(
+            zero_copy_only=False).astype(np.int64)[order]
+        ns = t.column(count_col).to_numpy(zero_copy_only=False)[order]
+        starts = np.flatnonzero(heads)
         ends = np.append(starts[1:], len(ws))
         lo, hi = ws[starts], ws[ends - 1]
         n_win = ((hi - lo) // size_sec + 1).astype(np.int64)
@@ -565,13 +487,12 @@ def dense_tumbling(ds, ts_col: str = "ts", size_sec: int = 3600,
         dense_w = lo[seg] + ordinal * size_sec
         # stitch sparse counts with one vectorized scatter: sparse row r in
         # segment s lands at dense position base[s] + (w - lo[s]) / size
-        seg_id = np.cumsum(np.r_[False, changed])
+        seg_id = np.cumsum(heads) - 1
         dense_n = np.zeros(total, dtype=np.int64)
         posd = base[seg_id] + (ws - lo[seg_id]) // size_sec
         dense_n[posd] = ns
-        rep = starts[seg]
-        out = {k: pa.array(kvs[j][order][rep]).cast(key_types[k])
-               for j, k in enumerate(keys)}
+        rep = pa.array(order[starts[seg]])
+        out = {k: t.column(k).take(rep) for k in keys}
         out["window_start"] = pa.array(dense_w)
         out[count_col] = pa.array(dense_n)
         return pa.table(out)
@@ -612,11 +533,6 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
     peers-through-me over partition rows -- int-to-double conversion
     and one IEEE division each, so the compare vs SQL is exact).
 
-    Null-KEY caveat (shared with :func:`lag_lead_by`): NULL partition
-    keys compare unequal to each other here (each null row is its own
-    segment), while SQL ``PARTITION BY`` groups all nulls together --
-    filter or fill null keys upstream if that distinction matters.
-
     Scale shape mirrors :func:`lag_lead_by`: a key's rows must co-locate
     and carry an order, so the projection moves through ONE hash exchange
     on the key; each bucket lexsorts once, segments are key-change flags,
@@ -626,7 +542,6 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
     in one bucket (salt upstream if a single key dominates).
     """
     import numpy as np
-    import pandas as pd
     import pyarrow.compute as pc
 
     valid = {"sum", "count", "min", "max", "row_number", "rank",
@@ -644,9 +559,9 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
                     for _s, a, _o in aggs)
 
     def scan_bucket(t: pa.Table) -> pa.Table:
-        t, order_lanes, g, starts, start_idx, seg, seg_base = \
-            _sorted_segments(t, key, order_by, need_order_cols=need_ties)
-        n = len(g)
+        t, starts, start_idx, seg, seg_base = \
+            _sorted_segments(t, key, order_by)
+        n = t.num_rows
         idx = np.arange(n, dtype=np.int64)
         rn = idx - seg_base + 1
         seg_len = np.diff(np.r_[start_idx, n])[seg]     # my segment's length
@@ -654,18 +569,9 @@ def running_agg(ds, key: str, order_by: list[str], aggs: list,
             t, [a for a in aggs if a[1] in _FRAME_AGGS], seg_base, idx + 1))
 
         if need_ties:
-            # tie runs: a row starts a new ORDER BY peer group when the
-            # key changes or ANY order column differs from its neighbor;
-            # SQL makes NULLs peers of each other and NaNs peers of each
-            # other, but a NaN never a peer of a NULL -- the null lane
-            # splits them (nulls share one fill value), and a both-NaN
-            # pair is masked back out (NaN != NaN elementwise)
-            run_start = starts.copy()
-            if n > 1:
-                for vf, vn in order_lanes:              # sorted row order
-                    nan = pd.isna(vf)
-                    run_start[1:] |= (vn[1:] != vn[:-1]) | (
-                        (vf[1:] != vf[:-1]) & ~(nan[1:] & nan[:-1]))
+            # ORDER BY peer groups: the (key, *order_by) tuple changes
+            # (t is sorted by it, so the flags line up in place)
+            run_start = segments(t, [key, *order_by])[1]
             last_start = np.maximum.accumulate(
                 np.where(run_start, np.arange(n, dtype=np.int64), -1))
             rank = last_start - seg_base + 1            # rn of my run's head
@@ -860,9 +766,6 @@ def rolling_agg(ds, key: str, order_by: list[str], aggs: list,
     prefix-sum subtraction whose rounding order differs from a direct
     per-frame sum in the last ulp.
 
-    Null-KEY caveat shared with :func:`running_agg`: each NULL key row
-    is its own partition here, while SQL groups all nulls together.
-
     Scale shape: identical to :func:`running_agg` -- ONE hash exchange
     on the key, per-bucket lexsort, then O(n) numpy per aggregate:
     sliding sums/counts are two prefix-sum gathers, sliding extrema one
@@ -879,9 +782,9 @@ def rolling_agg(ds, key: str, order_by: list[str], aggs: list,
                          f"got {window!r}")
 
     def scan_bucket(t: pa.Table) -> pa.Table:
-        t, _oc, g, _starts, _start_idx, _seg, seg_base = \
+        t, _starts, _start_idx, _seg, seg_base = \
             _sorted_segments(t, key, order_by)
-        idx = np.arange(len(g), dtype=np.int64)
+        idx = np.arange(t.num_rows, dtype=np.int64)
         lb = np.maximum(seg_base, idx - (window - 1))   # frame head (incl.)
         for (_src, _agg, out_name), col in zip(
                 aggs, _frame_aggs(t, aggs, lb, idx + 1)):
@@ -911,8 +814,8 @@ def rolling_time_agg(ds, key: str, ts_col: str, aggs: list,
     SOURCE dtype (the sparse-table RMQ answers the two-sided variable
     frames).
 
-    Null-KEY caveat shared with :func:`running_agg`; NULL timestamps
-    are rejected (SQL RANGE frames require a non-null sort key).
+    NULL timestamps are rejected (SQL RANGE frames require a non-null
+    sort key).
 
     Scale shape: ONE hash exchange on the key, per-bucket lexsort by
     (key, ts), then O(n log n) numpy: per-segment timestamps are
@@ -939,9 +842,9 @@ def rolling_time_agg(ds, key: str, ts_col: str, aggs: list,
         if ts_raw.null_count:
             raise ValueError("rolling_time_agg: null timestamps in "
                              f"{ts_col!r} (RANGE needs a non-null sort key)")
-        t, _oc, g, _starts, start_idx, seg, seg_base = \
+        t, _starts, start_idx, seg, seg_base = \
             _sorted_segments(t, key, [ts_col])
-        n = len(g)
+        n = t.num_rows
         ts = _ts_us(t, ts_col)
 
         # disjoint per-segment time axes: rebase each segment to its
@@ -997,7 +900,7 @@ def ewma_by(ds, key: str, order_by: list[str], src: str,
         raise ValueError(f"ewma_by: alpha must be in (0, 1], got {alpha}")
 
     def scan_bucket(t: pa.Table) -> pa.Table:
-        t, _oc, g, _st, _si, seg, _sb = _sorted_segments(t, key, order_by)
+        t, _st, _si, seg, _sb = _sorted_segments(t, key, order_by)
         src_col = _numeric_src(t, src)
         notnull = ~np.asarray(pc.is_null(src_col))
         v = np.where(notnull,

@@ -4,14 +4,16 @@ The sorted-scan sessionizer is the most intricate distributed piece in
 the window family (global sort, per-block run breaks, O(blocks)
 boundary-carry, reduceat partials, auto driver/bucketed merge) --
 hypothesis feeds it random gap widths, duplicate timestamps, skewed
-keys and block splits, and compares against DuckDB's lag + cumulative
-sum idiom (the same SQL the driver oracle uses).
+int or string keys (about a fifth of them NULL, one partition in SQL)
+and block splits, and compares against DuckDB's lag + cumulative sum
+idiom (the SQL of the ``events_sessions`` oracle).
 """
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data as rd
 from hypothesis import Phase, given, settings, strategies as st
 
@@ -26,8 +28,15 @@ def session_case(draw):
     # coarse grid so duplicate timestamps and exact-gap ties both occur
     grid = draw(st.sampled_from([1, 5, 30]))
     span = draw(st.integers(min_value=1, max_value=120))
+    keys = rng.integers(0, nkeys, n)
+    null = rng.random(n) < 0.2
+    if draw(st.sampled_from(["int", "str"])) == "str":
+        keys = pd.array(np.where(null, None, [f"u{v}" for v in keys]),
+                        dtype=object)
+    else:
+        keys = pd.array(np.where(null, None, keys), dtype="Int64")
     df = pd.DataFrame({
-        "user_id": rng.integers(0, nkeys, n),
+        "user_id": keys,
         "event_id": np.arange(n, dtype=np.int64),
         "ts": (np.datetime64("2026-01-01", "us")
                + (rng.integers(0, span, n) * grid * 10**6)
@@ -49,12 +58,9 @@ def test_session_windows_matches_duckdb(case):
     ds = rd.from_arrow([t.slice(s, step)
                         for s in range(0, t.num_rows, step)])
 
-    got = (session_windows(ds, key="user_id", gap_sec=gap,
-                           order_tiebreak="event_id",
-                           driver_limit=driver_limit)
-           .to_pandas()
-           .sort_values(["user_id", "session_idx"])
-           .reset_index(drop=True))
+    got = pa.concat_tables(ray.get(session_windows(
+        ds, key="user_id", gap_sec=gap, order_tiebreak="event_id",
+        driver_limit=driver_limit).to_arrow_refs()))
 
     con = duckdb.connect()
     con.register("events", df)
@@ -78,14 +84,13 @@ def test_session_windows_matches_duckdb(case):
                count(*) AS n_events,
                CAST(min(ts) AS TIMESTAMP) AS ts_min,
                CAST(max(ts) AS TIMESTAMP) AS ts_max
-        FROM s GROUP BY user_id, session_idx
-        ORDER BY user_id, session_idx""").fetchdf()
+        FROM s GROUP BY user_id, session_idx""").arrow()
     con.close()
 
-    assert len(got) == len(exp)
-    for c in ("user_id", "session_idx", "n_events"):
-        assert np.array_equal(got[c].to_numpy().astype(np.int64),
-                              exp[c].to_numpy().astype(np.int64)), c
-    for c in ("ts_min", "ts_max"):
-        assert np.array_equal(got[c].to_numpy().astype("datetime64[us]"),
-                              exp[c].to_numpy().astype("datetime64[us]")), c
+    cols = ["user_id", "session_idx", "n_events", "ts_min", "ts_max"]
+
+    def rows(t: pa.Table) -> list:
+        return sorted(zip(*(t.column(c).to_pylist() for c in cols)),
+                      key=lambda r: (r[0] is None, r[0] or 0, r[1]))
+
+    assert rows(got) == rows(exp)

@@ -1010,58 +1010,106 @@ def test_ewma_by_matches_reference_loop():
         ewma_by(rd.from_pandas(df), "k", ["id"], "v", alpha=0.0)
 
 
-@pytest.mark.parametrize("order_col", [
-    pa.array([decimal.Decimal("1.5"), None, decimal.Decimal("0.5")]),
-    pa.array(["b", None, "a"]).dictionary_encode(),
-    pa.array([b"b", None, b"a"], pa.binary()),
-], ids=["decimal", "dictionary", "binary"])
-def test_sorted_segments_object_lane_nulls_raise(order_col):
-    """Nulls in an order column that sorts as Python objects raise a
-    ValueError naming the column and its type (not a TypeError from
-    comparing None inside np.lexsort); a 1-row bucket compares nothing
-    and still sorts."""
+def _duck_ids(t: pa.Table, sql: str) -> list:
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("t", t)
+    out = [r[0] for r in con.execute(sql).fetchall()]
+    con.close()
+    return out
+
+
+@pytest.mark.parametrize("typ", [pa.decimal128(5, 1), "dictionary",
+                                 pa.binary()],
+                         ids=["decimal", "dictionary", "binary"])
+def test_sorted_segments_object_lane_nulls_match_duckdb(typ):
+    """Key and order columns that numpy would hold as Python objects
+    sort and segment like SQL: one NULL key group after every value,
+    NULL order values last within their key."""
     from fluent_plugin_geoip_ray.stages.window import _sorted_segments
 
-    t = pa.table({"k": pa.array([1, 1, 2]), "o": order_col})
+    def col(vals):
+        if typ == "dictionary":
+            return pa.array(vals).dictionary_encode()
+        if pa.types.is_decimal(typ):
+            return pa.array([None if v is None else decimal.Decimal(v)
+                             for v in vals], typ)
+        return pa.array([None if v is None else v.encode()
+                         for v in vals], typ)
+
+    t = pa.table({
+        "id": pa.array(range(8)),
+        "k": col(["2", None, "1", "2", None, "1", "2", None]),
+        "o": col(["5", "3", None, None, "4", "3", "4", None]),
+    })
+    out, starts, *_ = _sorted_segments(t, "k", ["o"])
+    # DuckDB reads the dictionary column as an enum; compare as text
+    plain = t.set_column(1, "k", pc.cast(t.column("k"), pa.string())) \
+        .set_column(2, "o", pc.cast(t.column("o"), pa.string())) \
+        if typ == "dictionary" else t
+    assert out.column("id").to_pylist() == _duck_ids(
+        plain, "SELECT id FROM t ORDER BY k NULLS LAST, o NULLS LAST, id")
+    assert np.flatnonzero(starts).tolist() == _duck_ids(plain, """
+        SELECT rn - 1 FROM (
+          SELECT k, row_number() OVER (ORDER BY k NULLS LAST, o NULLS LAST,
+                                       id) AS rn FROM t)
+        QUALIFY rn = min(rn) OVER (PARTITION BY k) ORDER BY rn""")
+
+
+@pytest.mark.parametrize("nested", [
+    pa.array([[1], None, [0]]),
+    pa.array([{"a": 1}, None, {"a": 0}]),
+    pa.array([[("a", 1)], None, [("b", 0)]], pa.map_(pa.string(), pa.int64())),
+], ids=["list", "struct", "map"])
+def test_sorted_segments_nested_columns_raise(nested):
+    """List, struct and map columns have no sort order: a ValueError
+    names the column and its type."""
+    from fluent_plugin_geoip_ray.stages.window import _sorted_segments
+
+    t = pa.table({"k": pa.array([1, 1, 2]), "o": nested})
     with pytest.raises(ValueError, match=r"column 'o' of type "
-                       + re.escape(str(order_col.type)) + " holds nulls"):
+                       + re.escape(str(nested.type))):
         _sorted_segments(t, "k", ["o"])
-    one = t.slice(1, 1)
-    assert one.column("o").null_count == 1
-    assert _sorted_segments(one, "k", ["o"])[0].num_rows == 1
-    # the same column without nulls still sorts
-    valid = pc.drop_null(order_col)
-    t = pa.table({"k": pa.array([1] * len(valid)), "o": valid})
-    assert _sorted_segments(t, "k", ["o"])[0].num_rows == len(valid)
 
 
 def test_sorted_segments_null_typed_columns_sort_as_nulls():
     """Ray types a block column holding only nulls as ``null``: such an
-    order column sorts as all-null peers (it used to raise TypeError in
-    np.lexsort once a bucket held two rows), and a null-typed key makes
-    every row its own segment, like any null key."""
+    order column sorts as all-null peers, and a null-typed key is one
+    segment, like any NULL key."""
+    from fluent_plugin_geoip_ray.stages.exchange import segments
     from fluent_plugin_geoip_ray.stages.window import _sorted_segments
 
     t = pa.table({"k": pa.array([2, 1, 2, 1]), "o": pa.nulls(4),
                   "v": pa.array([0, 1, 2, 3])})
-    out, lanes, _g, starts, *_ = _sorted_segments(t, "k", ["o"],
-                                                  need_order_cols=True)
+    out, starts, *_ = _sorted_segments(t, "k", ["o"])
     assert out.column("v").to_pylist() == [1, 3, 0, 2]  # stable within k
     assert starts.tolist() == [True, False, True, False]
-    assert lanes[0][1].all()
+    assert segments(out, ["k", "o"])[1].tolist() == starts.tolist()
     t = pa.table({"k": pa.nulls(3), "o": pa.array([3, 1, 2])})
-    assert _sorted_segments(t, "k", ["o"])[3].tolist() == [True] * 3
+    out, starts, *_ = _sorted_segments(t, "k", ["o"])
+    assert starts.tolist() == [True, False, False]
+    assert out.column("o").to_pylist() == [1, 2, 3]
 
 
-def test_lag_lead_decimal_order_nulls_raise_through_exchange():
+def test_lag_lead_decimal_order_nulls_match_duckdb_through_exchange():
+    import duckdb
+
     from fluent_plugin_geoip_ray.stages.window import lag_lead_by
 
     t = pa.table({
-        "k": pa.array([1, 1, 1, 2], pa.int64()),
+        "k": pa.array([1, 1, 1, 2, None, None], pa.int64()),
         "o": pa.array([decimal.Decimal("2"), None, decimal.Decimal("1"),
-                       decimal.Decimal("3")], pa.decimal128(5, 0)),
-        "v": pa.array([10, 20, 30, 40], pa.int64()),
+                       decimal.Decimal("3"), None, decimal.Decimal("1")],
+                      pa.decimal128(5, 0)),
+        "v": pa.array([10, 20, 30, 40, 50, 60], pa.int64()),
     })
-    with pytest.raises(ValueError, match=r"column 'o' of type decimal128\(5, 0\)"):
-        lag_lead_by(rd.from_arrow(t), "k", ["o"],
-                    {"v": ("lag", "prev_v")}).materialize()
+    got = lag_lead_by(rd.from_arrow(t), "k", ["o"],
+                      {"v": ("lag", "prev_v")}).to_pandas()
+    exp = duckdb.sql("""SELECT v, lag(v) OVER (PARTITION BY k ORDER BY o
+                                              NULLS LAST) AS prev_v
+                        FROM t""").df()
+    got = got.sort_values("v").reset_index(drop=True)
+    exp = exp.sort_values("v").reset_index(drop=True)
+    assert got["prev_v"].isna().tolist() == exp["prev_v"].isna().tolist()
+    assert got["prev_v"].dropna().tolist() == exp["prev_v"].dropna().tolist()

@@ -1,7 +1,8 @@
 """Property-based differential test: the window-frame family vs DuckDB.
 
-Hypothesis generates small tables with duplicate keys, tied order
-values, duplicate timestamps and nulls; every example runs
+Hypothesis generates small tables with duplicate keys (int or string,
+about a fifth of them NULL), tied order values, duplicate timestamps
+and nulls; every example runs
 running_agg / rolling_agg / rolling_time_agg through the real Ray
 pipelines and compares row-for-row against DuckDB's window functions.
 Aggregate choices are restricted to the documented exact set (int
@@ -22,6 +23,16 @@ from fluent_plugin_geoip_ray.stages.window import (
 )
 
 
+def _null_keys(rng, keys: np.ndarray, kind: str):
+    """``keys`` with about 20% NULLs, as nullable int64 or as strings:
+    SQL ``PARTITION BY`` puts every NULL key in one partition."""
+    null = rng.random(len(keys)) < 0.2
+    if kind == "str":
+        return pd.array(np.where(null, None, [f"k{v}" for v in keys]),
+                        dtype=object)
+    return pd.array(np.where(null, None, keys), dtype="Int64")
+
+
 @st.composite
 def frames(draw):
     n = draw(st.integers(min_value=1, max_value=120))
@@ -29,7 +40,8 @@ def frames(draw):
     nkeys = draw(st.integers(min_value=1, max_value=4))
     df = pd.DataFrame({
         "id": np.arange(n, dtype=np.int64),
-        "k": rng.integers(0, nkeys, n),
+        "k": _null_keys(rng, rng.integers(0, nkeys, n),
+                        draw(st.sampled_from(["int", "str"]))),
         "o": rng.integers(0, draw(st.integers(1, 5)), n)
              .astype(np.float64),                   # heavy ties
         "iv": rng.integers(-20, 20, n).astype(np.float64),
