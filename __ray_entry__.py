@@ -485,7 +485,7 @@ def q_dedup_spans(sf_dir: str):
 def q_doc_rank(sf_dir: str):
     """Exact global ranking + decile assignment of documents by length:
     ROW_NUMBER / NTILE(10) OVER (ORDER BY n_chars DESC, doc_id).  One
-    distributed sort + O(blocks) offset scan; rows move exactly once.
+    range exchange + O(blocks) offset scan; rows move exactly once.
     Independently SQL-oracle-backed (identical window functions)."""
     import ray.data as rd
 

@@ -194,7 +194,6 @@ class FanoutWrite:
         self.routes = routes
         self.pid = pid
         self.agg_dir = agg_dir
-        self._group_tables: list = []
         # resolve each sink's filesystem ONCE (pyarrow filesystems pickle,
         # so resolved handles ride into the actor pool) and memoize created
         # part dirs -- no per-batch resolve/create_dir RPCs in the hot loop
@@ -234,6 +233,7 @@ class FanoutWrite:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         stats = {"route": [], "kind": [], "key": [], "n": []}
+        group_tables = []
         for route in self.routes:
             routed = route.apply(batch)
             if route.sink and routed.num_rows:
@@ -273,7 +273,7 @@ class FanoutWrite:
                     keys = keys.combine_chunks()
                 if not pa.types.is_string(keys.type):
                     keys = keys.cast(pa.string())
-                self._group_tables.append(
+                group_tables.append(
                     pa.table(
                         {
                             "route": pa.array(
@@ -286,8 +286,7 @@ class FanoutWrite:
                         schema=self.STATS_SCHEMA,
                     )
                 )
-        parts = [pa.table(stats, schema=self.STATS_SCHEMA)] + self._group_tables
-        self._group_tables = []
+        parts = [pa.table(stats, schema=self.STATS_SCHEMA)] + group_tables
         full = pa.concat_tables(parts).combine_chunks()
         if self.agg_dir is None:
             return full
@@ -566,6 +565,23 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _gc_partition(part: str, committed: set, absorbed: set) -> int:
+    """Delete what a committed manifest no longer needs -- absorbed
+    ``batch-*`` files, uncommitted ``compact-*`` generations and stray
+    ``_compact-g*.tmp`` files -- and return how many files went."""
+    import glob
+    import os
+
+    doomed = [f for f in glob.glob(os.path.join(part, "batch-*.parquet"))
+              if os.path.basename(f) in absorbed]
+    doomed += [f for f in glob.glob(os.path.join(part, "compact-*.parquet"))
+               if os.path.basename(f) not in committed]
+    doomed += glob.glob(os.path.join(part, "_compact-g*.tmp"))
+    for f in doomed:
+        os.remove(f)
+    return len(doomed)
+
+
 def _compact_one_partition(part: str, target_rows_per_file: int) -> dict:
     """Compact one partition: stream-merge its live files into
     ``ceil(rows/target)`` generation-named ``compact-g{G:04d}-{i:05d}``
@@ -586,21 +602,8 @@ def _compact_one_partition(part: str, target_rows_per_file: int) -> dict:
         # and its cleanup leaves absorbed batch-* files and superseded
         # compact generations on disk -- invisible to readers, yet
         # unbounded growth if the skip path never collects them.
-        gc_removed = 0
-        if man is not None:
-            committed = set(man["files"])
-            absorbed = set(man["absorbed"])
-            for f in glob.glob(os.path.join(part, "batch-*.parquet")):
-                if os.path.basename(f) in absorbed:
-                    os.remove(f)
-                    gc_removed += 1
-            for f in glob.glob(os.path.join(part, "compact-*.parquet")):
-                if os.path.basename(f) not in committed:
-                    os.remove(f)
-                    gc_removed += 1
-            for f in glob.glob(os.path.join(part, "_compact-g*.tmp")):
-                os.remove(f)
-                gc_removed += 1
+        gc_removed = 0 if man is None else _gc_partition(
+            part, set(man["files"]), set(man["absorbed"]))
         n = sum(pqmod.ParquetFile(f).metadata.num_rows for f in live_compact)
         return {base: {"files_before": len(live_compact),
                        "files_after": len(live_compact), "rows": n,
@@ -673,17 +676,8 @@ def _compact_one_partition(part: str, target_rows_per_file: int) -> dict:
     os.replace(mtmp, os.path.join(part, _COMPACT_MANIFEST))
     _fsync_dir(part)
 
-    # cleanup (post-commit; safe to crash anywhere in here): absorbed batch
-    # files, superseded compact generations, stray uncommitted compact files
-    committed = set(new_man["files"])
-    for f in glob.glob(os.path.join(part, "batch-*.parquet")):
-        if os.path.basename(f) in absorbed:
-            os.remove(f)
-    for f in glob.glob(os.path.join(part, "compact-*.parquet")):
-        if os.path.basename(f) not in committed:
-            os.remove(f)
-    for f in glob.glob(os.path.join(part, "_compact-g*.tmp")):
-        os.remove(f)
+    # cleanup (post-commit; safe to crash anywhere in here)
+    _gc_partition(part, set(new_man["files"]), absorbed)
 
     return {base: {"files_before": len(inputs),
                    "files_after": len(out_files), "rows": rows_total}}

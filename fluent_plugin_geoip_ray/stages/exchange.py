@@ -1,13 +1,13 @@
-"""Hash exchange: all-to-all co-location WITHOUT Ray's sort-based shuffle.
+"""Hash exchange: the package's one all-to-all, on raw Ray tasks.
 
-``Dataset.groupby("__bucket").map_groups(...)`` routes every row through
-Ray Data's sort-based shuffle; on FULL-row payloads (joins, anti-filters,
-rebuilds) that sort dominates end-to-end time and scales with block count
-(measured: ~27 s for 1.6M rows / 200 blocks; 3-8x superlinear jumps in the
-K=10 -> K=20 sweep).  The bucket ids here are already the partition -- no
-ordering is needed -- so this module implements the classic two-stage hash
-exchange with raw Ray tasks (the documented escape hatch for semantics the
-Dataset API can't express):
+Every wide step is "exchange, then work per bucket", and no Ray sort,
+groupby, shuffle or repartition runs in the package: Ray Data's sort-based
+shuffle dominated end-to-end time on full-row payloads and scaled
+superlinearly with block count (~27 s for 1.6M rows / 200 blocks).  Keyed
+routes hash key columns; the range route of :class:`scan.SortedBlocks`
+(the global sort) buckets each row by the sampled boundary rows that sort
+at or before it.  The bucket ids are already the partition, so this is
+the classic two-stage exchange:
 
 * map side: one task per input block sorts it by bucket (one vectorized
   ``take`` via a counting-sort permutation -- NOT ``num_buckets`` filter
@@ -447,8 +447,8 @@ def hash_exchange(ds, num_buckets: int, reduce_fn, bucket_col: str = "__bucket")
     One-input exchanges keyed by columns go through
     :func:`hash_exchange_by`, several inputs through :func:`cogroup_by`;
     call this directly only when the bucket column is computed some other
-    way (dedup's ``_hash_bucket`` routes: pair keys, re-star buckets,
-    gram prefixes)."""
+    way: dedup's ``_hash_bucket`` routes (pair keys, re-star buckets, gram
+    prefixes) and the range route of :class:`scan.SortedBlocks`."""
     groups = min(num_buckets, cluster_cpus())
     shards, blocks, _ = _split_all(ds, num_buckets, groups, bucket_col)
     if not blocks:

@@ -38,11 +38,12 @@ def _append_pack(t: pa.Table, off, tokens_col: str, budget: int) -> pa.Table:
 def pack_bins(ds, key_col: str, tokens_col: str, budget: int):
     """Append ``pack_id`` (int64) = token-prefix bin in global key order.
 
-    The input is sorted by ``key_col`` (document ids; int64 or string;
-    null keys last) and materialized; each block's token offset is the
-    token sum of the blocks before it, by block position.  Documents with
-    equal keys take consecutive positions in an unspecified order, as
-    under SQL ``ROW_NUMBER``.  Output is ordered by key block-to-block.
+    The input is sorted by ``key_col`` (document ids, in the order of
+    :func:`exchange.segments`) and materialized; each block's token offset
+    is the token sum of the blocks before it, by block position.
+    Documents with equal keys take consecutive positions in an unspecified
+    order, as under SQL ``ROW_NUMBER``.  Output is ordered by key
+    block-to-block.
     """
     blocks = SortedBlocks(ds, [key_col])
     offsets = blocks.offsets(blocks.sums(_token_sum, tokens_col=tokens_col))

@@ -142,14 +142,15 @@ def _tag_codes(batch: pa.Table) -> tuple[pa.Array, pa.Array]:
 
 def write_sorted_sink(ds, sink_dir: str, keys=("conv_id", "turn_idx"),
                       min_rows_per_file: int | None = None):
-    """Globally-sorted sink: sort on ``keys`` (NULLS LAST, through
-    :class:`scan.SortedBlocks`) then parquet.
+    """Globally-sorted sink: sort on ``keys`` (the range exchange of
+    :class:`scan.SortedBlocks`, in the order of :func:`exchange.segments`)
+    then parquet.
 
     FIXTURES.md §5's "sink rows sorted by (conv_id, turn_idx)" as a physical
-    layout (the lazily-verified invariant is q_sorted_text).  The sort is the
-    one genuinely all-to-all stage in the system -- use only when consumers
-    need physically ordered files; the byte-identity invariant holds without
-    it under sort-on-read."""
+    layout (the lazily-verified invariant is q_sorted_text).  Every row
+    crosses the exchange -- use only when consumers need physically ordered
+    files; the byte-identity invariant holds without it under
+    sort-on-read."""
     from .scan import SortedBlocks
 
     out = SortedBlocks(ds, list(keys)).scan(lambda block, _off: block)

@@ -180,21 +180,16 @@ def epoch_shuffle(ds, key_col: str, seed: int = 0,
     reproduces it exactly, and the SQL oracle can verify the EXACT rank of
     every row (``ROW_NUMBER() OVER (ORDER BY <hash>, key)``).
 
-    Shape: one range-partitioned sort on the hash (Ray Data's distributed
-    sort -- the unavoidable exchange any global permutation needs), then
-    the positional scan of :class:`scan.SortedBlocks`: each block's offset
-    is the metadata row count of the blocks before it; rows never move
-    again.  Output is ORDERED by ``pos_col`` block-to-block, so a
-    downstream ``write_parquet`` lays files out in epoch order.
+    Shape: one range exchange on the hash (:class:`scan.SortedBlocks` --
+    the unavoidable all-to-all any global permutation needs), then its
+    positional scan: each block's offset is the metadata row count of the
+    blocks before it; rows never move again.  Output is ORDERED by
+    ``pos_col`` block-to-block, so a downstream ``write_parquet`` lays
+    files out in epoch order.
     """
-    # sign-bit flip: Ray sorts int64 SIGNED; (h ^ 2^63) viewed as int64
-    # sorts in exactly unsigned-h order, so the SQL oracle is a plain
-    # ``ORDER BY <unsigned hash>``
-    FLIP = np.uint64(1 << 63)
-
     def add_hash(t: pa.Table) -> pa.Table:
         h = key_hash(t.column(key_col).to_numpy(zero_copy_only=False), seed)
-        return t.append_column("__eh", pa.array((h ^ FLIP).view(np.int64)))
+        return t.append_column("__eh", pa.array(h))
 
     hashed = ds.map_batches(add_hash, batch_format="pyarrow",
                             zero_copy_batch=True)
@@ -202,10 +197,8 @@ def epoch_shuffle(ds, key_col: str, seed: int = 0,
                                                         pos_col=pos_col)
 
 
-def _sort_key(t: pa.Table, score_col: str, descending: bool) -> pa.Table:
-    # negation keeps nulls null: the scan sorts them last either way
-    s = t.column(score_col)
-    return t.append_column("__s", pc.negate_checked(s) if descending else s)
+def _score_order(score_col: str, key_col: str, descending: bool) -> list:
+    return [(score_col, "descending") if descending else score_col, key_col]
 
 
 def select_top_fraction(ds, score_col: str, key_col: str, fraction: float,
@@ -216,28 +209,25 @@ def select_top_fraction(ds, score_col: str, key_col: str, fraction: float,
     is EXACT and auditable, not approximate.
 
     100 TB shape: the full rows never shuffle.  Only a (key, score)
-    PROJECTION (~16 B/row) goes through the one unavoidable all-to-all (a
-    distributed sort); the global K-th row is then located from the sorted
-    blocks' metadata row counts -- the driver holds O(blocks) scalars plus
-    ONE projection block -- and selection is a single streaming broadcast-
-    threshold filter over the original dataset.  Equivalent SQL:
-    ``ROW_NUMBER() OVER (ORDER BY score DESC NULLS LAST, key) <= floor(n *
-    fraction)``.
+    PROJECTION (~16 B/row) goes through the one unavoidable all-to-all (the
+    range exchange of :class:`scan.SortedBlocks`); the global K-th row is
+    then located from the sorted blocks' metadata row counts -- the driver
+    holds O(blocks) scalars plus ONE projection block -- and selection is a
+    single streaming broadcast-threshold filter over the original dataset.
+    Equivalent SQL: ``ROW_NUMBER() OVER (ORDER BY score DESC NULLS LAST,
+    key) <= floor(n * fraction)``.
 
-    ``descending=True`` keeps the LARGEST scores.  A null score comes after
-    every non-null one in either direction, so null-scored rows are kept
-    only when the K-th row is one of them.  Scores may tie arbitrarily;
-    rows that tie with the K-th row on (score, key) are all kept.
+    ``descending=True`` keeps the LARGEST scores, in the order of
+    :func:`exchange.segments`: a null score comes after every non-null one
+    in either direction, so null-scored rows are kept only when the K-th
+    row is one of them.  Scores may tie arbitrarily; rows that tie with the
+    K-th row on (score, key) are all kept.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
 
-    blocks = SortedBlocks(
-        ds.select_columns([key_col, score_col]).map_batches(
-            _sort_key, fn_kwargs={"score_col": score_col,
-                                  "descending": descending},
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["__s", key_col])
+    order = _score_order(score_col, key_col, descending)
+    blocks = SortedBlocks(ds.select_columns([key_col, score_col]), order)
     k = int(np.floor(blocks.total * fraction))
     if k <= 0:
         return ds.map_batches(lambda t: t.slice(0, 0),
@@ -246,17 +236,16 @@ def select_top_fraction(ds, score_col: str, key_col: str, fraction: float,
         return ds
 
     thr = blocks.row(k - 1)
-    s_thr, key_thr = thr.column(score_col)[0], thr.column(key_col)[0]
 
     def keep(t: pa.Table) -> pa.Table:
-        s = t.column(score_col)
-        upto_key = pc.less_equal(t.column(key_col), key_thr)
-        if not s_thr.is_valid:  # K-th row is a null score: all scored rows
-            sel = pc.or_(pc.is_valid(s), pc.and_(pc.is_null(s), upto_key))
-        else:
-            better = pc.greater(s, s_thr) if descending else pc.less(s, s_thr)
-            sel = pc.or_(better, pc.and_(pc.equal(s, s_thr), upto_key))
-        return t.filter(pc.fill_null(sel, False))
+        # the rows that sort at or before the K-th row: in the stable order
+        # of the batch then that row, its equals come before it
+        pos = segments(pa.concat_tables(
+            [t.select([key_col, score_col]), thr],
+            promote_options="permissive"), [], order_by=order)[0]
+        sel = np.zeros(t.num_rows, dtype=bool)
+        sel[pos[:int(np.flatnonzero(pos == t.num_rows)[0])]] = True
+        return t.filter(pa.array(sel))
 
     return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -277,7 +266,7 @@ def _tile_of(rank: np.ndarray, total: int, ntile: int) -> np.ndarray:
 def _append_rank(t: pa.Table, off, rank_col: str, ntile: int | None,
                  tile_col: str, total: int) -> pa.Table:
     rank = off + 1 + np.arange(t.num_rows, dtype=np.int64)
-    out = t.drop_columns(["__s"]).append_column(rank_col, pa.array(rank))
+    out = t.append_column(rank_col, pa.array(rank))
     if ntile is not None:
         out = out.append_column(tile_col, pa.array(_tile_of(rank, total, ntile)))
     return out
@@ -291,15 +280,15 @@ def global_rank(ds, score_col: str, key_col: str, descending: bool = False,
     ``NTILE(q)`` assignment -- ``ROW_NUMBER() / NTILE(q) OVER (ORDER BY
     score [DESC] NULLS LAST, key)``.
 
-    100 TB shape (the :func:`epoch_shuffle` scan): ONE range-partitioned
-    distributed sort (the unavoidable exchange behind any global order),
-    then each block's rank offset from the metadata row counts of the
-    blocks before it and a streaming per-block offset + ``arange``
-    assignment -- rows move exactly once and the driver holds O(blocks)
-    scalars.  Output is ordered by rank block-to-block.  Scores may tie;
-    rows with equal (score, key) take consecutive ranks in an unspecified
-    order, as under SQL ``ROW_NUMBER``.  A null score ranks after every
-    non-null one in either direction.
+    100 TB shape (the :func:`epoch_shuffle` scan): ONE range exchange (the
+    unavoidable all-to-all behind any global order), then each block's
+    rank offset from the metadata row counts of the blocks before it and a
+    streaming per-block offset + ``arange`` assignment -- rows move exactly
+    once and the driver holds O(blocks) scalars.  Output is ordered by rank
+    block-to-block.  Scores may tie; rows with equal (score, key) take
+    consecutive ranks in an unspecified order, as under SQL
+    ``ROW_NUMBER``.  Scores rank in the order of :func:`exchange.segments`,
+    nulls after every non-null one.
 
     NTILE follows the SQL standard: with n rows the first ``n % q`` tiles
     get ``n // q + 1`` rows, the rest ``n // q``.
@@ -307,11 +296,7 @@ def global_rank(ds, score_col: str, key_col: str, descending: bool = False,
     if ntile is not None and ntile < 1:
         raise ValueError(f"ntile must be >= 1, got {ntile}")
 
-    blocks = SortedBlocks(
-        ds.map_batches(_sort_key, fn_kwargs={"score_col": score_col,
-                                             "descending": descending},
-                       batch_format="pyarrow", zero_copy_batch=True),
-        ["__s", key_col])
+    blocks = SortedBlocks(ds, _score_order(score_col, key_col, descending))
     return blocks.scan(_append_rank, rank_col=rank_col, ntile=ntile,
                        tile_col=tile_col, total=blocks.total)
 

@@ -2,101 +2,122 @@
 
 Every operator that needs a row's global position -- ``epoch_shuffle``,
 ``select_top_fraction``, ``global_rank``, ``pack_bins`` and
-``session_windows`` -- runs one distributed sort and then this scan, and
-so does every globally sorted output (the sorted sink, the IVF training
-sample): Ray's own sort never sees a null key anywhere else.
-After the sort and a materialize, the blocks, in dataset order, are
-contiguous ranges of the total order.  :class:`SortedBlocks` keeps the
-non-empty ones with their row counts from block metadata (no pass over
-the data), so a block's exclusive offset is a cumsum over the blocks
-BEFORE it, addressed by position and never by row content: duplicate or
-null sort keys cannot alias two blocks.  Rows with equal sort keys take
-consecutive positions in an unspecified order, as under SQL
-``ROW_NUMBER``; nulls sort last (SQL ``NULLS LAST``).  Only O(blocks)
-scalars reach the driver; rows move once, in the sort.
+``session_windows`` -- and every globally sorted output (the sorted sink,
+the IVF training sample) sorts through :class:`SortedBlocks`, then scans.
+The sort is the range route of :func:`exchange.hash_exchange`: sampled key
+rows give ``G - 1`` boundary rows (``G`` the cluster's CPUs), a row's
+bucket is the number of boundaries that sort at or before it (so equal key
+tuples share a bucket), and each bucket sorts by :func:`exchange.segments`,
+the package's one sort order.  The exchange's output blocks, in order, are
+contiguous ranges of the total order.  Their row counts come from block
+metadata, so a block's exclusive offset is a cumsum over the blocks BEFORE
+it, addressed by position and never by row content.  Rows with equal sort
+keys take consecutive positions in an unspecified order, as under SQL
+``ROW_NUMBER``.  Only O(blocks) scalars and the sampled key rows reach the
+driver; rows move once, in the exchange.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 
+from . import exchange
+from .exchange import segments
 
-def _zero(typ: pa.DataType):
-    """A non-null value of ``typ`` (its zero or empty value), or None."""
-    for v, t in ((0, pa.int8()), (0, pa.int64()), ("", pa.string())):
-        try:
-            return pa.scalar(v, t).cast(typ)
-        except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-            pass
-    return None
+# evenly spaced key rows each input block contributes to the boundary pick
+_SAMPLES_PER_BLOCK = 32
 
 
-def _null_lanes(t: pa.Table, by: list[str]) -> pa.Table:
-    """Null-free sort lanes: each sort column's nulls are filled with a
-    zero of its type and flagged in a ``__null<i>`` column that sorts
-    before it, so nulls sort last.  Ray's own sort must never see a null
-    key: its partition search duplicates rows (float keys) or raises
-    (string keys) when a sampled boundary holds one."""
-    for i, c in enumerate(by):
-        col = t.column(c)
-        t = t.append_column(f"__null{i}", pc.is_null(col))
-        z = _zero(col.type) if col.null_count else None
-        if z is not None:
-            t = t.set_column(t.schema.get_field_index(c), c,
-                             pc.fill_null(col, z))
-    return t
+def _names(by) -> list[str]:
+    return [c if isinstance(c, str) else c[0] for c in by]
 
 
-def _restore(t: pa.Table, by: list[str]) -> pa.Table:
-    """Inverse of :func:`_null_lanes` on a sorted block."""
-    flags = [f"__null{i}" for i in range(len(by))]
-    for c, f in zip(by, flags):
-        if pc.any(t.column(f)).as_py():
-            col = t.column(c)
-            t = t.set_column(t.schema.get_field_index(c), c, pc.if_else(
-                t.column(f), pa.scalar(None, col.type), col))
-    return t.drop_columns(flags)
+def _arrow(block) -> pa.Table:
+    # materialized blocks may be pandas (from_pandas, from_items)
+    if isinstance(block, pa.Table):
+        return block
+    return pa.Table.from_pandas(block, preserve_index=False)
 
 
 @ray.remote
-def _block_sum(fn, block, by, kwargs):
-    return fn(_restore(block, by), **kwargs)
+def _sample(block, by) -> pa.Table:
+    block = _arrow(block)
+    n = block.num_rows
+    at = np.linspace(0, n - 1, min(n, _SAMPLES_PER_BLOCK)).astype(np.int64)
+    return block.select(_names(by)).take(pa.array(at))
 
 
 @ray.remote
-def _block_apply(fn, block, by, state, kwargs):
-    return fn(_restore(block, by), state, **kwargs)
+def _range_bucket(block, bounds: pa.Table, by) -> pa.Table:
+    """``block`` plus ``__bucket``: the number of ``bounds`` rows that sort
+    at or before the row.  In the stable order of ``bounds`` then the
+    block, a boundary comes before every row with its key tuple."""
+    block = _arrow(block)
+    order = segments(pa.concat_tables(
+        [bounds, block.select(_names(by))], promote_options="permissive"),
+        [], order_by=by)[0]
+    is_bound = order < bounds.num_rows
+    rows = ~is_bound
+    bucket = np.empty(block.num_rows, dtype=np.int32)
+    bucket[order[rows] - bounds.num_rows] = np.cumsum(is_bound)[rows]
+    return block.append_column("__bucket", pa.array(bucket))
+
+
+def _sort_bucket(t: pa.Table, by) -> pa.Table:
+    return t.take(pa.array(segments(t, [], order_by=by)[0]))
+
+
+def _nonempty(ds) -> list:
+    """``(ref, rows)`` of each non-empty block of ``ds``, in order."""
+    return [(ref, meta.num_rows) for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+
+
+@ray.remote
+def _block_sum(fn, block, kwargs):
+    return fn(block, **kwargs)
+
+
+@ray.remote
+def _block_apply(fn, block, state, kwargs):
+    return fn(block, state, **kwargs)
 
 
 class SortedBlocks:
-    """``ds`` sorted by ``by`` (nulls last) and materialized: ``refs``
-    and ``counts`` are its non-empty blocks in sort order and their row
-    counts, ``ds`` the sorted dataset itself (for the schema of an empty
-    input)."""
+    """``ds`` sorted by ``by`` and materialized: ``refs`` and ``counts``
+    are its non-empty blocks in sort order and their row counts, ``ds``
+    the input, materialized (for the schema of an empty input).  An
+    entry of ``by`` is a column name or a ``(name, "descending")`` pair;
+    the order is :func:`exchange.segments`'."""
 
     def __init__(self, ds, by: list[str]):
-        self.by = list(by)
-        self.ds = ds.map_batches(
-            _null_lanes, fn_kwargs={"by": self.by}, batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=None,
-        ).sort([c for i, b in enumerate(self.by)
-                for c in (f"__null{i}", b)]).materialize()
-        self.refs, counts = [], []
-        for bundle in self.ds.iter_internal_ref_bundles():
-            for ref, meta in bundle.blocks:
-                if meta.num_rows:
-                    self.refs.append(ref)
-                    counts.append(meta.num_rows)
-        self.counts = np.array(counts, dtype=np.int64)
+        import ray.data as rd
+
+        self.ds = ds.materialize()
+        blocks = _nonempty(self.ds)
+        if blocks:
+            groups = exchange.cluster_cpus()
+            samples = pa.concat_tables(
+                ray.get([_sample.remote(r, by) for r, _ in blocks]),
+                promote_options="permissive")
+            order = segments(samples, [], order_by=by)[0]
+            bounds = ray.put(samples.take(pa.array(order[
+                np.arange(1, groups) * len(order) // groups])))
+            bucketed = rd.from_arrow_refs([
+                _range_bucket.remote(r, bounds, by) for r, _ in blocks])
+            blocks = _nonempty(exchange.hash_exchange(
+                bucketed, groups, functools.partial(_sort_bucket, by=by)))
+        self.refs = [r for r, _ in blocks]
+        self.counts = np.array([n for _, n in blocks], dtype=np.int64)
         self.total = int(self.counts.sum())
 
     def sums(self, fn, **kwargs) -> list:
         """``fn(block, **kwargs)`` of every block, one small task each."""
-        return ray.get([_block_sum.remote(fn, r, self.by, kwargs)
-                        for r in self.refs])
+        return ray.get([_block_sum.remote(fn, r, kwargs) for r in self.refs])
 
     def offsets(self, weights=None) -> np.ndarray:
         """Exclusive prefix sums of per-block ``weights`` (row counts by
@@ -109,8 +130,8 @@ class SortedBlocks:
         block."""
         ends = np.cumsum(self.counts)
         j = int(np.searchsorted(ends, i, side="right"))
-        block = _restore(ray.get(self.refs[j]), self.by)
-        return block.slice(i - int(ends[j] - self.counts[j]), 1)
+        start = int(ends[j] - self.counts[j])
+        return ray.get(self.refs[j]).slice(i - start, 1)
 
     def scan(self, fn, states=None, **kwargs):
         """``fn(block, state, **kwargs)`` over every block, one task each,
@@ -122,5 +143,5 @@ class SortedBlocks:
             return rd.from_items([])
         states = self.offsets() if states is None else states
         return rd.from_arrow_refs([
-            _block_apply.remote(fn, r, self.by, s, kwargs)
+            _block_apply.remote(fn, r, s, kwargs)
             for r, s in zip(self.refs, states)])

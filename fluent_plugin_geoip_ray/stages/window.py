@@ -202,12 +202,9 @@ def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
     sort_cols = [key, ts_col] + ([order_tiebreak] if order_tiebreak else [])
     blocks = SortedBlocks(ds, sort_cols)
     if not blocks.total:
-        key_type = pa.int64()
-        refs = blocks.ds.to_arrow_refs()
-        if refs:
-            sch = ray.get(refs[0]).schema
-            if key in sch.names:
-                key_type = sch.field(key).type
+        sch = blocks.ds.schema()
+        key_type = sch.types[sch.names.index(key)] \
+            if sch is not None and key in sch.names else pa.int64()
         return rd.from_arrow(pa.schema([
             (key, key_type), ("session_idx", pa.int64()),
             ("n_events", pa.int64()),

@@ -260,6 +260,90 @@ def test_sorted_sink_null_keys_every_row_once_nulls_last(tmp_path):
                                                r[1]))
 
 
+def _norm(v):
+    """A key value that compares equal to itself: NaN and NULL as tags."""
+    if v is None:
+        return "NULL"
+    return "NaN" if v != v else v
+
+
+def test_sorted_sink_nan_keys_every_row_once_nan_then_nulls_last(tmp_path):
+    """A float sort key with ~30% NaN and ~10% NULL: every row reads back
+    once, in DuckDB's ``ORDER BY k NULLS LAST, turn_idx`` (NaN after
+    every number, NULL last)."""
+    from fluent_plugin_geoip_ray.stages.route import write_sorted_sink
+
+    rng = np.random.default_rng(6)
+    n = 4000
+    k = np.round(rng.normal(size=n), 1)
+    k[rng.random(n) < 0.3] = np.nan
+    t = pa.table({"k": pa.array(k, mask=rng.random(n) < 0.1),
+                  "turn_idx": pa.array(rng.integers(0, 20, n)),
+                  "row": pa.array(np.arange(n))})
+    out = str(tmp_path / "sorted")
+    write_sorted_sink(rd.from_arrow([t.slice(i, 500)
+                                     for i in range(0, n, 500)]), out,
+                      keys=("k", "turn_idx"))
+    files = sorted((tmp_path / "sorted").glob("*.parquet"))
+    back = pa.concat_tables([pq.read_table(f) for f in files])
+    assert sorted(back.column("row").to_pylist()) == list(range(n))
+    exp = _sql(t, "SELECT k, turn_idx FROM t ORDER BY k NULLS LAST, turn_idx")
+
+    def keys(tbl):
+        return [(_norm(a), b) for a, b in zip(tbl.column("k").to_pylist(),
+                                              tbl.column("turn_idx")
+                                              .to_pylist())]
+
+    assert keys(back) == keys(exp)
+
+
+def test_session_windows_nan_float_key_over_eight_blocks():
+    """Float user keys with ~30% NaN and ~10% NULL over 8 blocks: NaN is
+    one partition and NULL another, as in DuckDB's lag + cumulative-sum
+    sessions."""
+    from fluent_plugin_geoip_ray.stages.window import session_windows
+
+    rng = np.random.default_rng(9)
+    n = 400
+    key = rng.integers(0, 6, n).astype(float)
+    key[rng.random(n) < 0.3] = np.nan
+    t = pa.table({
+        "user_id": pa.array(key, mask=rng.random(n) < 0.1),
+        "event_id": pa.array(np.arange(n)),
+        "ts": pa.array(np.datetime64("2026-01-01", "us")
+                       + (rng.integers(0, 7200, n) * 10**6)
+                       .astype("timedelta64[us]")),
+    })
+    got = session_windows(rd.from_arrow([t.slice(i, 50)
+                                         for i in range(0, n, 50)]),
+                          key="user_id", gap_sec=120,
+                          order_tiebreak="event_id")
+    exp = _sql(t, """
+        WITH x AS (
+          SELECT user_id, event_id, ts,
+                 CASE WHEN lag(ts) OVER w IS NULL
+                           OR ts - lag(ts) OVER w > INTERVAL 120 SECOND
+                      THEN 1 ELSE 0 END AS brk
+          FROM t WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)),
+        s AS (
+          SELECT *, sum(brk) OVER (PARTITION BY user_id ORDER BY ts, event_id
+                                   ROWS UNBOUNDED PRECEDING) AS session_idx
+          FROM x)
+        SELECT user_id, CAST(session_idx AS BIGINT) AS session_idx,
+               count(*) AS n_events, CAST(min(ts) AS TIMESTAMP) AS ts_min,
+               CAST(max(ts) AS TIMESTAMP) AS ts_max
+        FROM s GROUP BY user_id, session_idx""")
+    cols = ["user_id", "session_idx", "n_events", "ts_min", "ts_max"]
+
+    def rows(tbl) -> list:
+        if not isinstance(tbl, pa.Table):
+            tbl = pa.concat_tables(ray.get(tbl.to_arrow_refs()))
+        return sorted(((_norm(r[0]),) + r[1:] for r in zip(
+            *(tbl.column(c).to_pylist() for c in cols))), key=repr)
+
+    assert rows(got) == rows(exp)
+
+
 def test_zscore_flag_null_key_group():
     from fluent_plugin_geoip_ray.stages.aggregate import zscore_flag
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 from fluent_plugin_geoip_ray.stages.pack import pack_bins
@@ -77,3 +78,39 @@ def test_pack_all_equal_keys_single_partition_is_exact():
                     100).to_pandas()
     assert len(out) == 64
     assert sorted(out["pack_id"].unique()) == list(range(7))
+
+
+def test_pack_float_keys_with_nan_match_duckdb():
+    """A float key with ~30% NaN and ~5% NULL: NaN documents bin after
+    every number and before the null ones, as DuckDB's window sum over
+    ``ORDER BY doc_id NULLS LAST``.  Tied NaN (and NULL) documents carry
+    one token count, so each key's pack ids compare as a multiset."""
+    import duckdb
+
+    rng = np.random.default_rng(4)
+    n = 2000
+    key = rng.permutation(n).astype(float)
+    tie = rng.random(n) < 0.35
+    key[tie] = np.nan
+    t = pa.table({
+        "doc_id": pa.array(key, mask=tie & (rng.random(n) < 1 / 7)),
+        "n_tokens": pa.array(np.where(tie, 25, rng.integers(10, 200, n))),
+    })
+    out = pack_bins(rd.from_arrow([t.slice(i, 250) for i in range(0, n, 250)]),
+                    "doc_id", "n_tokens", 500)
+    con = duckdb.connect()
+    con.register("docs", t)
+    ref = con.execute(
+        "SELECT doc_id, CAST((sum(n_tokens) OVER (ORDER BY doc_id NULLS "
+        "LAST ROWS UNBOUNDED PRECEDING) - n_tokens) // 500 AS BIGINT) "
+        "AS pack_id FROM docs").arrow()
+
+    def packs(tbl) -> dict:
+        by_key: dict = {}
+        for k, p in zip(tbl.column("doc_id").to_pylist(),
+                        tbl.column("pack_id").to_pylist()):
+            tag = "NULL" if k is None else "NaN" if k != k else k
+            by_key.setdefault(tag, []).append(p)
+        return {k: sorted(v) for k, v in by_key.items()}
+
+    assert packs(pa.concat_tables(ray.get(out.to_arrow_refs()))) == packs(ref)

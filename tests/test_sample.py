@@ -158,12 +158,18 @@ def _top_frac_ref(df, score, key, frac, descending=True):
     return set(df.sort_values([score, key], ascending=asc).head(k)[key])
 
 
-def _null_scores(n=4000, seed=13):
-    """Unique int ids, float scores ~30% null, as 8 blocks."""
+def _null_scores(n=4000, seed=13, nans=False):
+    """Unique int ids, float scores ~30% null (with ``nans``: ~20% NaN and
+    ~10% null), as 8 blocks."""
     rng = np.random.default_rng(seed)
+    score = rng.normal(size=n)
+    null = rng.random(n) < 0.3
+    if nans:
+        score[null] = np.nan
+        null &= rng.random(n) < 1 / 3
     t = pa.table({
         "id": pa.array(np.arange(n, dtype=np.int64)),
-        "score": pa.array(rng.normal(size=n), mask=rng.random(n) < 0.3),
+        "score": pa.array(score, mask=null),
     })
     return t, rd.from_arrow([t.slice(i, n // 8) for i in range(0, n, n // 8)])
 
@@ -227,6 +233,28 @@ def test_select_top_fraction_ascending_floats_and_edges():
             assert got == set(ref["id"]), (frac, descending)
 
 
+@pytest.mark.parametrize("descending", [True, False])
+def test_select_top_fraction_nan_threshold_matches_duckdb(descending):
+    """The K-th row holds a NaN score: the threshold filter takes NaN as
+    equal to NaN and greater than every number, as DuckDB's ORDER BY."""
+    from fluent_plugin_geoip_ray.stages.sample import select_top_fraction
+
+    t, ds = _null_scores(nans=True)
+    # NaN (~20% of rows) comes first under DESC, after the numbers (~70%)
+    # under ASC
+    frac = 0.1 if descending else 0.8
+    ref = _duckdb(t, f"""
+        SELECT id, isnan(score) AS nan FROM (
+            SELECT id, score, ROW_NUMBER() OVER (ORDER BY score
+                {'DESC' if descending else 'ASC'} NULLS LAST, id) AS r
+            FROM t)
+        WHERE r <= {int(np.floor(t.num_rows * frac))} ORDER BY r""")
+    assert ref["nan"].iloc[-1]
+    got = select_top_fraction(ds, "score", "id", frac,
+                              descending=descending).to_pandas()["id"]
+    assert len(got) == len(ref) and set(got) == set(ref["id"])
+
+
 def test_select_top_fraction_string_keys_partition_invariant():
     from fluent_plugin_geoip_ray.stages.sample import select_top_fraction
 
@@ -277,15 +305,18 @@ def _ntile_ref(rank, n, q):
     return rem + (rank - 1 - big) // base + 1
 
 
-@pytest.mark.parametrize("descending,nulls", [
-    (False, False), (True, False), (False, True), (True, True)],
-    ids=["False", "True", "False-nulls", "True-nulls"])
-def test_global_rank_matches_reference(descending, nulls):
+@pytest.mark.parametrize("descending,scores", [
+    (False, None), (True, None), (False, "nulls"), (True, "nulls"),
+    (False, "nans"), (True, "nans")],
+    ids=["False", "True", "False-nulls", "True-nulls", "False-nans",
+         "True-nans"])
+def test_global_rank_matches_reference(descending, scores):
     from fluent_plugin_geoip_ray.stages.sample import global_rank
 
-    if nulls:
-        # ~30% null float scores over 8 blocks vs DuckDB, nulls last
-        t, ds = _null_scores()
+    if scores:
+        # ~30% null (or NaN and null) float scores over 8 blocks vs DuckDB:
+        # nulls last, NaN above every number
+        t, ds = _null_scores(nans=scores == "nans")
         out = global_rank(ds, "score", "id", descending=descending,
                           ntile=3).to_pandas().sort_values("id")
         order = f"score {'DESC' if descending else 'ASC'} NULLS LAST, id"
