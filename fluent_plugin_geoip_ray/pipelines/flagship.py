@@ -9,9 +9,9 @@ over transcript Parquet (SURVEY §3.4):
   emits tiny partial-count rows downstream, so sinks + aggregates cost a
   single scan and the only all-to-all is over per-batch partials
   (O(distinct keys), not O(rows)).
-* sink files are named deterministically from batch content, written via
-  tmp+rename -- a retried Ray task overwrites its own file instead of
-  duplicating rows (idempotent under task retry).
+* sink files are named deterministically from the block's content and the
+  route's name, written via tmp+rename -- a retried Ray task overwrites its
+  own file instead of duplicating rows (idempotent under task retry).
 * resumable partitioned mode in :func:`run_partitioned` -- partition =
   input-file chunk, per-partition manifest + partial aggregates, resume skips
   committed partitions (lineage.py).
@@ -38,7 +38,7 @@ from ..lineage import (
 from ..sources.transcripts import read_input
 from ..stages.enrich import enrich_dataset
 from ..stages.parse import parse_dataset
-from ..stages.route import RouteSpec
+from ..stages.route import RouteSpec, _tag_codes
 
 
 def canonical_record_spec(**overrides) -> RecordSpec:
@@ -160,6 +160,33 @@ def _hash_column(h, column: pa.ChunkedArray) -> None:
             h.update(memoryview(data)[start:end])
 
 
+def _content_digest(table: pa.Table) -> str:
+    """sha1 hex digest of ``table``'s row count and the logical content of
+    its ``conv_id``, ``turn_idx`` and ``ts`` columns (``_hash_column``)."""
+    h = hashlib.sha1()
+    h.update(str(table.num_rows).encode())
+    if table.num_rows:
+        for col in ("conv_id", "turn_idx", "ts"):
+            if col in table.column_names:
+                h.update(col.encode())
+                _hash_column(h, table.column(col))
+    return h.hexdigest()
+
+
+def _key_codes(column) -> tuple[np.ndarray, pa.Array]:
+    """One dictionary encode of a count key column: (row -> slot as int
+    ndarray, slot -> key as a string array).  A NULL key takes the last
+    slot, whose key is null."""
+    if isinstance(column, pa.ChunkedArray):
+        column = column.combine_chunks()
+    enc = pc.dictionary_encode(column)
+    keys = enc.dictionary
+    if not pa.types.is_string(keys.type):
+        keys = keys.cast(pa.string())
+    codes = pc.fill_null(enc.indices, len(keys)).to_numpy()
+    return codes, pa.concat_arrays([keys, pa.nulls(1, pa.string())])
+
+
 # per-batch partial count kinds: every one goes to ``agg_dir`` when it is
 # set, and only the constant-size driver kinds travel to the driver merge
 _AGG_KEYS = ("country_code", "conv_id")
@@ -169,11 +196,18 @@ _DRIVER_KINDS = ("rows", "country_code")
 class FanoutWrite:
     """Single-pass route fan-out: write sink files, emit partial counts.
 
-    ``map_batches`` actor-pool callable: per batch, apply every route
-    (vectorized mask + tag rewrite), write the routed sub-table as one
-    deterministically-named parquet file under ``<sink>/part=<pid>/``, and
-    return partial groupby-count rows (route x {country_code, conv_id}) --
-    the combiner side of the per-sink aggregates.
+    A ``map_batches`` callable that runs in the fused task pool of the
+    read.  Per block it encodes the tag column once, takes one content
+    digest (``_content_digest``) and dictionary-encodes each count key
+    once; every route's row mask, tag rewrite, file name and partial counts
+    come from those codes.  Each route writes its rows as one parquet (or
+    ndjson) file under ``<sink>/part=<pid>/`` named ``batch-`` plus the
+    first 16 hex digits of sha1(block digest + route name): a route's rows
+    are a function of the block, so a retried task overwrites its own
+    file, and two routes sharing one sink directory write two files.  The
+    return value is the partial (route, kind, key, n) counts -- rows and
+    {country_code, conv_id} per route -- the combiner side of the per-sink
+    aggregates.
     """
 
     STATS_SCHEMA = pa.schema(
@@ -184,18 +218,19 @@ class FanoutWrite:
                  agg_dir: str | None = None):
         """``agg_dir``: when set, the FULL per-batch partial counts (including
         the high-cardinality conv_id kind) are written as parquet side-outputs
-        under ``agg_dir/part=<pid>/`` -- they never cross the cluster -- and
-        only the ``_DRIVER_KINDS`` partials (constant-size) flow downstream to
-        the driver merge.  At 10^12-turn scale a per-conv_id count is itself a
-        large table; producing it as mergeable partitioned parquet (merged
-        distributed on consumption, exactly like run_partitioned's final
-        merge) is the scale-true semantic.  With ``agg_dir=None`` every
-        partial flows downstream (correctness paths, small inputs)."""
+        ``agg_dir/part=<pid>/agg-<block digest>.parquet`` -- they never cross
+        the cluster -- and only the ``_DRIVER_KINDS`` partials (constant-size)
+        flow downstream to the driver merge.  At 10^12-turn scale a
+        per-conv_id count is itself a large table; producing it as mergeable
+        partitioned parquet (merged distributed on consumption, exactly like
+        run_partitioned's final merge) is the scale-true semantic.  With
+        ``agg_dir=None`` every partial flows downstream (correctness paths,
+        small inputs)."""
         self.routes = routes
         self.pid = pid
         self.agg_dir = agg_dir
         # resolve each sink's filesystem ONCE (pyarrow filesystems pickle,
-        # so resolved handles ride into the actor pool) and memoize created
+        # so resolved handles ride into the worker) and memoize created
         # part dirs -- no per-batch resolve/create_dir RPCs in the hot loop
         self._sink_fs = {
             r.sink: fsio.resolve(r.sink) for r in routes if r.sink
@@ -222,81 +257,73 @@ class FanoutWrite:
         The sha1 covers the logical Arrow content (``_hash_column``), so a
         slice or a differently chunked table with the same rows gets the
         same name."""
-        h = hashlib.sha1()
-        h.update(str(routed.num_rows).encode())
-        if routed.num_rows:
-            for col in ("conv_id", "turn_idx", "ts"):
-                if col in routed.column_names:
-                    h.update(col.encode())
-                    _hash_column(h, routed.column(col))
-        return f"batch-{h.hexdigest()[:16]}.{ext}"
+        return f"batch-{_content_digest(routed)[:16]}.{ext}"
+
+    def _write_sink(self, route: RouteSpec, routed: pa.Table, digest: str) -> None:
+        # sink may be a URI (s3://...); all IO goes through fsio -- local
+        # keeps tmp+rename, object stores use single-PUT
+        fs, part_dir = self._part_dir(route.sink)
+        stem = "batch-" + hashlib.sha1((digest + route.name).encode()).hexdigest()[:16]
+        if getattr(route, "sink_format", "parquet") == "json":
+            # ndjson lines (Elasticsearch-bulk-shaped consumers): vectorized
+            # Arrow->ndjson via polars (no pandas round-trip, no per-row
+            # Python); timestamps rendered ISO-8601 first so the line format
+            # is stable
+            enc = routed
+            for i, f in enumerate(enc.schema):
+                if pa.types.is_timestamp(f.type):
+                    enc = enc.set_column(
+                        i, f.name,
+                        pc.strftime(enc.column(f.name), format="%Y-%m-%dT%H:%M:%SZ"))
+            import polars as pl
+
+            payload = pl.from_arrow(enc).write_ndjson()
+            fsio.write_bytes_atomic(fs, payload.encode(), fsio.join(part_dir, stem + ".jsonl"))
+        else:
+            fsio.write_parquet_atomic(fs, routed, fsio.join(part_dir, stem + ".parquet"))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        stats = {"route": [], "kind": [], "key": [], "n": []}
-        group_tables = []
+        tag_codes = _tag_codes(batch)
+        digest = _content_digest(batch)
+        keyed = [(col, *_key_codes(batch.column(col)))
+                 for col in _AGG_KEYS if col in batch.column_names]
+        parts = []  # (route, kind, keys, counts)
         for route in self.routes:
-            routed = route.apply(batch)
+            routed = route.apply(batch, tag_codes=tag_codes)
             if route.sink and routed.num_rows:
-                # sink may be a URI (s3://...); all IO goes through fsio --
-                # local keeps tmp+rename, object stores use single-PUT
-                fs, part_dir = self._part_dir(route.sink)
-                if getattr(route, "sink_format", "parquet") == "json":
-                    # ndjson lines (Elasticsearch-bulk-shaped consumers):
-                    # vectorized Arrow->ndjson via polars (no pandas
-                    # round-trip, no per-row Python); timestamps rendered
-                    # ISO-8601 first so the line format is stable
-                    path = fsio.join(part_dir, self._file_name(routed, "jsonl"))
-                    enc = routed
-                    for i, f in enumerate(enc.schema):
-                        if pa.types.is_timestamp(f.type):
-                            enc = enc.set_column(
-                                i, f.name,
-                                pc.strftime(enc.column(f.name),
-                                            format="%Y-%m-%dT%H:%M:%SZ"))
-                    import polars as pl
-
-                    payload = pl.from_arrow(enc).write_ndjson()
-                    fsio.write_bytes_atomic(fs, payload.encode(), path)
-                else:
-                    path = fsio.join(part_dir, self._file_name(routed))
-                    fsio.write_parquet_atomic(fs, routed, path)
-            stats["route"].append(route.name)
-            stats["kind"].append("rows")
-            stats["key"].append("")
-            stats["n"].append(routed.num_rows)
-            for col in _AGG_KEYS:
-                if col not in routed.column_names:
-                    continue
-                g = routed.group_by(col).aggregate([([], "count_all")])
-                keys = g.column(col)
-                if isinstance(keys, pa.ChunkedArray):
-                    keys = keys.combine_chunks()
-                if not pa.types.is_string(keys.type):
-                    keys = keys.cast(pa.string())
-                group_tables.append(
-                    pa.table(
-                        {
-                            "route": pa.array(
-                                np.repeat(np.asarray([route.name]), g.num_rows)
-                            ),
-                            "kind": pa.array(np.repeat(np.asarray([col]), g.num_rows)),
-                            "key": keys,
-                            "n": g.column("count_all").cast(pa.int64()),
-                        },
-                        schema=self.STATS_SCHEMA,
-                    )
-                )
-        parts = [pa.table(stats, schema=self.STATS_SCHEMA)] + group_tables
-        full = pa.concat_tables(parts).combine_chunks()
+                self._write_sink(route, routed, digest)
+            parts.append((route.name, "rows", pa.array([""]), np.array([routed.num_rows])))
+            if not routed.num_rows:
+                continue
+            mask = None
+            if routed.num_rows < batch.num_rows:
+                mask = route._row_mask(batch, *tag_codes).to_numpy(zero_copy_only=False)
+            for col, codes, keys in keyed:
+                n = np.bincount(codes if mask is None else codes[mask],
+                                minlength=len(keys))
+                hit = np.flatnonzero(n)
+                parts.append((route.name, col, keys.take(hit), n[hit]))
+        full = self._stats(parts)
         if self.agg_dir is None:
             return full
         # side-output the full partials (incl. high-cardinality kinds) ...
         fs, part_dir = self._part_dir(self.agg_dir)
-        path = fsio.join(part_dir, self._file_name(batch).replace("batch-", "agg-"))
-        fsio.write_parquet_atomic(fs, full, path)
+        fsio.write_parquet_atomic(fs, full, fsio.join(part_dir, f"agg-{digest[:16]}.parquet"))
         # ... and only the constant-size kinds travel to the driver merge
-        mask = pc.is_in(full.column("kind"), value_set=pa.array(list(_DRIVER_KINDS)))
-        return full.filter(mask)
+        return self._stats([p for p in parts if p[1] in _DRIVER_KINDS])
+
+    @classmethod
+    def _stats(cls, parts: list) -> pa.Table:
+        """A ``STATS_SCHEMA`` table from (route, kind, keys, counts) parts."""
+        if not parts:
+            return cls.STATS_SCHEMA.empty_table()
+        part_of_row = pa.array(np.repeat(np.arange(len(parts)), [len(p[3]) for p in parts]))
+        return pa.table({
+            "route": pa.array([p[0] for p in parts], pa.string()).take(part_of_row),
+            "kind": pa.array([p[1] for p in parts], pa.string()).take(part_of_row),
+            "key": pa.concat_arrays([p[2] for p in parts]),
+            "n": pa.array(np.concatenate([p[3] for p in parts]), pa.int64()),
+        }, schema=cls.STATS_SCHEMA)
 
 
 def run_fanout(

@@ -261,8 +261,12 @@ def read_input(paths, **read_kwargs):
     of up to 2M turns, one task per file took no more wall time than
     Ray's split and 33-56% less CPU time (ROADMAP direction 1).
 
-    ``input_files()`` and ``size_bytes()`` of a lazy read do not execute it.
-    An explicit ``override_num_blocks`` in ``read_kwargs`` wins."""
+    The parquet datasource is built once per call: constructing one lists
+    the fragments and runs Ray's encoding-ratio sample tasks.  ``n`` and
+    ``P`` come from that first read (``input_files()`` and ``size_bytes()``
+    of a lazy read do not execute it), and ``n < P`` re-plans the same
+    datasource with ``override_num_blocks = n``.  An explicit
+    ``override_num_blocks`` in ``read_kwargs`` wins."""
     import ray.data as rd
 
     from ..stages.exchange import cluster_cpus
@@ -271,7 +275,14 @@ def read_input(paths, **read_kwargs):
     if "override_num_blocks" in read_kwargs:
         return ds
     n = len(ds.input_files())
-    if 0 < n < _ray_read_parallelism(ds, cluster_cpus()):
-        return rd.read_parquet(paths, override_num_blocks=n, **read_kwargs)
-    return ds
-
+    if not 0 < n < _ray_read_parallelism(ds, cluster_cpus()):
+        return ds
+    # Ray 2.49 has no public way to re-plan a lazy read, so take the Read
+    # operator (``Dataset._logical_plan.dag``, the plan's only operator)
+    # and hand its datasource, remote args and concurrency back to the
+    # public ``read_datasource``: the same read as ``read_parquet`` would
+    # build with ``override_num_blocks = n``, without a second datasource.
+    read = ds._logical_plan.dag
+    return rd.read_datasource(read._datasource, override_num_blocks=n,
+                              ray_remote_args=dict(read._ray_remote_args),
+                              concurrency=read._concurrency)

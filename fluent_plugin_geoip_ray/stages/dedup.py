@@ -579,8 +579,8 @@ def _lsh_edges_distributed(sketches, exploded, hot, key_col: str, verify,
     sig_type = sig_field.type
 
     memb = bucketed_join(
-        exploded, hot.select_columns(["bucket", "__a"]),
-        on="bucket", num_buckets=num_buckets,
+        exploded, hot, on="bucket", num_buckets=num_buckets,
+        right_cols=["bucket", "__a"],
     )
 
     def star(t: pa.Table) -> pa.Table:

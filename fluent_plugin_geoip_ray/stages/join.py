@@ -123,15 +123,8 @@ def bucketed_join(left_ds, right_ds, on, num_buckets: int = 32,
     single key dominates.
     """
     on_keys = [on] if isinstance(on, str) else list(on)
-    if left_cols:
-        left_ds = left_ds.select_columns(left_cols)
-    if right_cols:
-        right_ds = right_ds.select_columns(right_cols)
-    lschema, rschema = left_ds.schema(), right_ds.schema()
-    _require_arrow_types(lschema, "bucketed_join(left)")
-    _require_arrow_types(rschema, "bucketed_join(right)")
-    lnames = on_keys + [c for c in lschema.names if c not in on_keys]
-    rnames = on_keys + [c for c in rschema.names if c not in on_keys]
+    left_ds, lnames = _join_side(left_ds, left_cols, on_keys, "bucketed_join(left)")
+    right_ds, rnames = _join_side(right_ds, right_cols, on_keys, "bucketed_join(right)")
     overlap = set(lnames[len(on_keys):]) & set(rnames[len(on_keys):])
     if overlap:
         raise ValueError(f"bucketed_join column collision: {sorted(overlap)}")
@@ -150,6 +143,23 @@ def bucketed_join(left_ds, right_ds, on, num_buckets: int = 32,
 
     return cogroup_by([(left_ds, on_keys), (right_ds, on_keys)], join_bucket,
                       num_buckets)
+
+
+def _join_side(ds, cols: list | None, on_keys: list, where: str):
+    """(projected side, its column names with the keys first).
+
+    With ``cols`` the names come from that list, each checked against the
+    side's schema: Ray skips a map for a 0-row block, so the ``schema()``
+    of a ``select_columns`` projection whose first block is empty still
+    lists the columns from before it."""
+    if cols:
+        ds = ds.select_columns(cols)
+    schema = ds.schema()
+    _require_arrow_types(schema, where)
+    missing = [c for c in cols or [] if c not in schema.names]
+    if missing:
+        raise ValueError(f"{where}: no column {missing}")
+    return ds, on_keys + [c for c in cols or schema.names if c not in on_keys]
 
 
 def _require_arrow_types(schema, where: str):

@@ -120,8 +120,11 @@ class RouteSpec:
             out = pc.binary_join_element_wise(*pieces, "")
         return out
 
-    def apply(self, batch: pa.Table) -> pa.Table:
-        codes, tags = _tag_codes(batch)
+    def apply(self, batch: pa.Table, *, tag_codes=None) -> pa.Table:
+        """The routed rows of ``batch`` with their tags rewritten.
+        ``tag_codes`` is ``_tag_codes(batch)`` when the caller already
+        holds it (one encode per block for every route of a fan-out)."""
+        codes, tags = tag_codes if tag_codes is not None else _tag_codes(batch)
         m = self._row_mask(batch, codes, tags)
         if m.true_count < batch.num_rows:
             batch, codes = batch.filter(m), codes.filter(m)

@@ -102,6 +102,29 @@ def test_bucketed_join_column_collision_raises():
         bucketed_join(rd.from_pandas(df), rd.from_pandas(df), on="k")
 
 
+def test_bucketed_join_right_cols_over_empty_first_block():
+    """``right_cols`` names the right side's columns even when its first
+    block is empty, where ``select_columns(...).schema()`` still lists
+    the columns from before the projection (``__n`` here)."""
+    import ray
+
+    from fluent_plugin_geoip_ray.stages.join import bucketed_join
+
+    right = pa.table({"bucket": pa.array([3, 5], pa.int64()),
+                      "__a": pa.array([30, 50], pa.int64()),
+                      "__n": pa.array([1, 2], pa.int64())})
+    right_ds = rd.from_arrow([right.slice(0, 0), right]).materialize()
+    assert [b.num_rows for b in ray.get(right_ds.to_arrow_refs())] == [0, 2]
+    left = pd.DataFrame({"bucket": [3, 3, 5, 7], "x": [1, 2, 3, 4]})
+    out = bucketed_join(rd.from_pandas(left), right_ds, on="bucket",
+                        num_buckets=4, right_cols=["bucket", "__a"]).to_pandas()
+    exp = left.merge(right.select(["bucket", "__a"]).to_pandas(), on="bucket")
+    assert list(out.columns) == ["bucket", "x", "__a"]
+    key = ["bucket", "x", "__a"]
+    assert out.sort_values(key).reset_index(drop=True).equals(
+        exp[key].sort_values(key).reset_index(drop=True))
+
+
 def test_salted_groupby_agg_hot_key():
     from fluent_plugin_geoip_ray.stages.aggregate import salted_groupby_agg
 

@@ -815,3 +815,214 @@ def test_flagship_read_plan_parity_with_ray_default(sf_path, tmp_path, monkeypat
         return len(glob.glob(os.path.join(out, "*", "part=*", "*.parquet")))
 
     assert n_files(fused_dir) < n_files(plain_dir)
+
+
+# -- FanoutWrite counts from codes, against per-route group_by partials --------
+
+def _referee_partials(routes, batch):
+    """Referee: every route's ``apply``, then one ``Table.group_by`` count
+    per count key on the routed rows (the per-route partials FanoutWrite
+    computed before it counted from one dictionary encode per block)."""
+    from fluent_plugin_geoip_ray.pipelines.flagship import _AGG_KEYS, FanoutWrite
+
+    parts = []
+    for route in routes:
+        routed = route.apply(batch)
+        parts.append(pa.table({"route": [route.name], "kind": ["rows"], "key": [""],
+                               "n": [routed.num_rows]}, schema=FanoutWrite.STATS_SCHEMA))
+        for col in _AGG_KEYS:
+            if col not in routed.column_names:
+                continue
+            g = routed.group_by(col).aggregate([([], "count_all")])
+            keys = g.column(col).combine_chunks()
+            if not pa.types.is_string(keys.type):
+                keys = keys.cast(pa.string())
+            parts.append(pa.table({
+                "route": pa.array([route.name] * g.num_rows, pa.string()),
+                "kind": pa.array([col] * g.num_rows, pa.string()),
+                "key": keys,
+                "n": g.column("count_all").cast(pa.int64()),
+            }, schema=FanoutWrite.STATS_SCHEMA))
+    return pa.concat_tables(parts)
+
+
+def _sorted_stats(t):
+    return t.sort_by([("route", "ascending"), ("kind", "ascending"),
+                      ("key", "ascending")]).combine_chunks()
+
+
+def _fanout_blocks():
+    """Blocks that reach each count and routing corner: NULL and "" string
+    conv_ids, an int64 conv_id, a float country key with NaN, -0.0, 0.0
+    and NULL, NULL tags and gate values, a 0-row and a two-chunk block."""
+    n = 9
+    base = {
+        "turn_idx": pa.array(range(n), pa.int32()),
+        "ts": pa.array(range(0, 10 * n, 10), pa.timestamp("us")),
+        "text": pa.array([f"t{i}" for i in range(n)]),
+    }
+    strings = pa.table({
+        "tag": pa.array(["a.x", None, "a.y", "b.x", "a.x", "a.y", None, "b.y", "a.x"]),
+        "conv_id": pa.array([None, "", "c1", "c1", None, "", "c2", "c2", "c1"]),
+        "country_code": pa.array(["US", None, "DE", "US", "", None, "DE", "FR", "US"]),
+        "geoip_enriched": pa.array([True, None, False, True, True, None, True, False, True]),
+        **base,
+    })
+    numbers = pa.table({
+        "tag": pa.array(["a.x"] * n),
+        "conv_id": pa.array([7, 7, -1, 2**40, 7, -1, 0, 0, 2**40], pa.int64()),
+        "country_code": pa.array([float("nan"), -0.0, 0.0, None, 1.5, float("nan"),
+                                  -0.0, None, 0.0], pa.float64()),
+        "geoip_enriched": pa.array([True] * n),
+        **base,
+    })
+    two_chunks = pa.concat_tables([strings.slice(0, 4), strings.slice(4)])
+    assert two_chunks.column("conv_id").num_chunks == 2
+    return {"strings": strings, "numbers": numbers, "empty": strings.slice(0, 0),
+            "two_chunks": two_chunks}
+
+
+def _fanout_routes(sink=None):
+    from fluent_plugin_geoip_ray.stages.route import RouteSpec
+
+    def at(name):
+        return os.path.join(sink, name) if sink else None
+
+    return [
+        RouteSpec(name="all", match="**", add_tag_suffix=".raw", sink=at("all")),
+        RouteSpec(name="gated", match="a.**", remove_tag_prefix="a.",
+                  add_tag_prefix="e.", skip_adding_null_record=True, sink=at("gated")),
+        RouteSpec(name="none", match="zzz.**", sink=at("none")),
+    ]
+
+
+@pytest.mark.parametrize("block", ["strings", "numbers", "empty", "two_chunks"])
+def test_fanout_partials_match_group_by_referee(block, tmp_path):
+    """FanoutWrite's returned counts and its agg side-output equal the
+    per-route group_by referee; with ``agg_dir`` only the driver kinds
+    come back."""
+    from fluent_plugin_geoip_ray.pipelines.flagship import _DRIVER_KINDS, FanoutWrite
+
+    batch = _fanout_blocks()[block]
+    routes = _fanout_routes(str(tmp_path / "sinks"))
+    want = _sorted_stats(_referee_partials(routes, batch))
+    assert {r.name for r in routes} <= set(want.column("route").to_pylist())
+
+    assert _sorted_stats(FanoutWrite(routes)(batch)).equals(want)
+
+    agg = str(tmp_path / "agg")
+    driver = FanoutWrite(routes, agg_dir=agg)(batch)
+    drive_want = want.filter(pc.is_in(want.column("kind"),
+                                      value_set=pa.array(list(_DRIVER_KINDS))))
+    assert _sorted_stats(driver).equals(drive_want)
+    files = glob.glob(os.path.join(agg, "part=*", "agg-*.parquet"))
+    assert len(files) == 1
+    assert _sorted_stats(pq.read_table(files[0])).equals(want)
+
+
+def test_fanout_same_block_twice_leaves_same_files(tmp_path):
+    """Writing one block again (a retried task) rewrites the same names
+    with the same rows, for every route and the agg side-output."""
+    from fluent_plugin_geoip_ray.pipelines.flagship import FanoutWrite
+
+    out = str(tmp_path / "out")
+    fw = FanoutWrite(_fanout_routes(out), agg_dir=os.path.join(out, "agg"))
+
+    def snapshot():
+        return {os.path.relpath(f, out): pq.read_table(f)
+                for f in glob.glob(os.path.join(out, "*", "part=*", "*.parquet"))}
+
+    blocks = _fanout_blocks()
+    fw(blocks["strings"])
+    first = snapshot()
+    assert {k.split(os.sep)[0] for k in first} == {"all", "gated", "agg"}
+    fw(blocks["two_chunks"])  # the same rows in two chunks: the same block
+    fw(blocks["strings"])
+    again = snapshot()
+    assert sorted(again) == sorted(first)
+    for name, table in first.items():
+        assert again[name].equals(table), name
+
+
+def test_fanout_routes_sharing_one_sink_keep_both_files(tmp_path):
+    """Two routes that pass the same rows into one sink directory write
+    two files (names come from the block digest and the route name)."""
+    from fluent_plugin_geoip_ray.pipelines.flagship import FanoutWrite
+    from fluent_plugin_geoip_ray.stages.route import RouteSpec
+
+    sink = str(tmp_path / "shared")
+    routes = [RouteSpec(name="r1", sink=sink),
+              RouteSpec(name="r2", add_tag_suffix=".copy", sink=sink)]
+    batch = _keyed_table(["a", "b"], [0, 1], [0, 1]).append_column(
+        "tag", pa.array(["t.a", "t.b"]))
+    stats = FanoutWrite(routes)(batch)
+    rows = {r["route"]: r["n"] for r in stats.to_pylist() if r["kind"] == "rows"}
+    assert rows == {"r1": 2, "r2": 2}
+    files = glob.glob(os.path.join(sink, "part=*", "*.parquet"))
+    assert len(files) == 2
+    back = pa.concat_tables([pq.read_table(f) for f in files])
+    assert back.num_rows == 4
+    assert sorted(back.column("tag").to_pylist()) == ["t.a", "t.a.copy", "t.b", "t.b.copy"]
+
+
+# -- read_input builds one parquet datasource per call --------------------------
+
+def _count_datasources(monkeypatch):
+    """Count Ray parquet datasource constructions (each one lists the
+    fragments and runs Ray's encoding-ratio sample tasks)."""
+    import ray.data.read_api as read_api
+
+    built = []
+
+    class Counting(read_api.ParquetDatasource):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(read_api, "ParquetDatasource", Counting)
+    return built
+
+
+def _many_mib_parts(out_dir, n_files):
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    cols = {c: rng.integers(0, 1 << 62, 1 << 20) for c in ("a", "b", "c")}
+    return _write_parts(pa.table(cols), out_dir, n_files)
+
+
+@pytest.mark.parametrize("case", ["fewer_than_2c", "between_2c_and_p", "at_least_p"])
+def test_read_input_builds_one_datasource(case, tmp_path, monkeypatch):
+    """One parquet datasource per ``read_input`` call for ``n < 2·C``,
+    ``2·C <= n < P`` and ``n >= P``; the plan is the one-task-per-file
+    read below P and Ray's own at or above it."""
+    import ray.data as rd
+
+    from fluent_plugin_geoip_ray.sources.transcripts import (
+        _ray_read_parallelism,
+        read_input,
+    )
+    from fluent_plugin_geoip_ray.stages.exchange import cluster_cpus
+
+    cpus = cluster_cpus()
+    src = str(tmp_path / "in")
+    if case == "fewer_than_2c":
+        n = 1
+        _write_parts(pa.table({"x": pa.array(range(400), pa.int64())}), src, n)
+    elif case == "between_2c_and_p":
+        n = 2 * cpus + 1
+        _many_mib_parts(src, n)
+    else:
+        n = 2 * cpus + 3
+        _write_parts(pa.table({"x": pa.array(range(400), pa.int64())}), src, n)
+    p = _ray_read_parallelism(rd.read_parquet(src), cpus)
+    assert (n < p) == (case != "at_least_p") and (n < 2 * cpus) == (case == "fewer_than_2c")
+
+    built = _count_datasources(monkeypatch)
+    ds = read_input(src)
+    assert len(built) == 1
+    ops = _operators(ds.materialize().stats())
+    if n < p:
+        assert ops == [("ReadParquet", n, n)]
+    else:
+        assert ops == _operators(rd.read_parquet(src).materialize().stats())
