@@ -127,7 +127,7 @@ def q_sorted_text(sf_dir: str):
 
     ds = _enriched_ds(sf_dir, gate=True)
     return SortedBlocks(ds.select_columns(["conv_id", "turn_idx", "text"]),
-                        ["conv_id", "turn_idx"]).scan(lambda block, _off: block)
+                        ["conv_id", "turn_idx"]).dataset()
 
 
 def q_enrich_multi(sf_dir: str):

@@ -37,6 +37,7 @@ from ..lineage import (
 )
 from ..sources.transcripts import read_input
 from ..stages.enrich import enrich_dataset
+from ..stages.exchange import Blocks, _int64_view
 from ..stages.parse import parse_dataset
 from ..stages.route import RouteSpec, _tag_codes
 
@@ -134,14 +135,20 @@ def build_enriched(
 def _hash_column(h, column: pa.ChunkedArray) -> None:
     """Feed ``column``'s logical content to ``h``, chunk by chunk, without a
     copy: validity (if any nulls), then for strings the offsets rebased to 0
-    across chunks and the data bytes they cover, else the int64 values."""
+    across chunks and the data bytes they cover, for integer, boolean and
+    temporal columns the int64 values, else each chunk's Python values."""
     chunks = [c for c in column.chunks if len(c)]
     if column.null_count:
         for c in chunks:
             h.update(c.is_valid().to_numpy(zero_copy_only=False).tobytes())
-    if not (pa.types.is_string(column.type) or pa.types.is_large_string(column.type)):
+    t = column.type
+    if pa.types.is_integer(t) or pa.types.is_boolean(t) or pa.types.is_temporal(t):
         for c in chunks:
-            h.update(pc.fill_null(c.cast(pa.int64()), 0).to_numpy().tobytes())
+            h.update(pc.fill_null(_int64_view(c), 0).to_numpy().tobytes())
+        return
+    if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
+        for c in chunks:
+            h.update(repr(c.to_pylist()).encode())
         return
     width = np.int32 if pa.types.is_string(column.type) else np.int64
     base = 0
@@ -162,14 +169,16 @@ def _hash_column(h, column: pa.ChunkedArray) -> None:
 
 def _content_digest(table: pa.Table) -> str:
     """sha1 hex digest of ``table``'s row count and the logical content of
-    its ``conv_id``, ``turn_idx`` and ``ts`` columns (``_hash_column``)."""
+    its ``conv_id``, ``turn_idx`` and ``ts`` columns (``_hash_column``), or
+    of every column when it has none of the three."""
     h = hashlib.sha1()
     h.update(str(table.num_rows).encode())
     if table.num_rows:
-        for col in ("conv_id", "turn_idx", "ts"):
-            if col in table.column_names:
-                h.update(col.encode())
-                _hash_column(h, table.column(col))
+        cols = [c for c in ("conv_id", "turn_idx", "ts")
+                if c in table.column_names] or table.column_names
+        for col in cols:
+            h.update(col.encode())
+            _hash_column(h, table.column(col))
     return h.hexdigest()
 
 
@@ -354,16 +363,14 @@ def run_fanout(
     # returns, writing a stray 1-row sink file and racing the next run's
     # partition cleanup.  A materialized dataset caches schema + blocks, so
     # no later probe ever re-runs the UDF.
-    import ray
-
-    refs = stats_ds.to_arrow_refs()  # executes; blocks fetched in parallel
-    return _merge_counts([t for t in ray.get(refs) if t.num_rows])
+    return _merge_counts([Blocks.of(stats_ds).table()])
 
 
 def _merge_counts(tables: list[pa.Table]) -> pa.Table:
     """The one (route, kind, key) count merge: ``n`` summed per key over
     stats tables, as a ``FanoutWrite.STATS_SCHEMA`` table (empty for no
-    tables).  A null key is its own row."""
+    rows).  A null key is its own row."""
+    tables = [t for t in tables if t.num_rows]
     if not tables:
         return FanoutWrite.STATS_SCHEMA.empty_table()
     merged = (

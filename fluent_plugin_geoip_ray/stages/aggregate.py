@@ -22,7 +22,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import canon_float, hash_exchange_by, segments
+from .exchange import (Blocks, canon_float, empty_table, hash_exchange_by,
+                       segments)
 
 
 def _canon_keys(batch: pa.Table, keys: list[str]) -> pa.Table:
@@ -218,8 +219,6 @@ def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),
     movement, no partial materialization.  The 100 TB path.
     """
     import numpy as np
-
-    import ray
     import ray.data as rd
 
     if mode not in ("auto", "exact", "sketch"):
@@ -228,8 +227,6 @@ def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),
     sketch_src = ds
     if mode in ("auto", "exact"):
         def partial(batch: pa.Table) -> pa.Table:
-            import numpy as np
-
             from .exchange import canon_float
 
             t = batch.select([key, value])
@@ -242,14 +239,11 @@ def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),
         pmat = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True,
                               batch_size=batch_size).materialize()
+        parts = Blocks.of(pmat)
         use_exact = True
         if mode == "auto":
-            def vol(t: pa.Table) -> pa.Table:
-                col = t.column("__vals")
-                n = pc.sum(pc.list_value_length(col)).as_py() or 0
-                return pa.table({"n": pa.array([n], pa.int64())})
-
-            total = pmat.map_batches(vol, batch_format="pyarrow").sum("n") or 0
+            total = sum(parts.sums(
+                lambda t: len(pc.list_flatten(t.column("__vals")))))
             use_exact = total <= driver_limit
 
         if not use_exact:
@@ -279,14 +273,11 @@ def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),
             sketch_src = pmat.map_batches(explode, batch_format="pyarrow",
                                           zero_copy_batch=True)
         else:
-            tables = [
-                t for t in ray.get(pmat.to_arrow_refs()) if t.num_rows
-            ]
-            if not tables:
+            if not parts.num_rows:
                 return rd.from_items([])
             # merge the partial value-lists per key (O(groups x blocks)
             # rows): one key segment each, values sorted within it
-            t = pa.concat_tables(tables).combine_chunks()
+            t = parts.table().combine_chunks()
             order, heads = segments(t, [key])
             lists = t.column("__vals").take(pa.array(order)).combine_chunks()
             gid = np.repeat(np.cumsum(heads) - 1,
@@ -395,8 +386,6 @@ def _top_k_per_group(ds, groups: list[str], order_col: str, k: int,
                      driver_limit: int, num_buckets: int):
     """:func:`top_k_by_group` over the key tuple ``groups``."""
     import numpy as np
-    import ray
-    import ray.data as rd
 
     by = [(order_col, "descending" if descending else "ascending"), *ties]
 
@@ -406,17 +395,26 @@ def _top_k_per_group(ds, groups: list[str], order_col: str, k: int,
         rank = np.arange(len(order)) - heads[np.cumsum(starts) - 1]
         return batch.take(pa.array(np.sort(order[rank < k])))
 
+    return _merge_partials(ds, groups, partial, batch_size, driver_limit,
+                           num_buckets)
+
+
+def _merge_partials(ds, keys: list[str], partial, batch_size: int,
+                   driver_limit: int, num_buckets: int):
+    """``partial`` over each batch of ``ds``, then once more over its
+    outputs: on the driver up to ``driver_limit`` partial rows, else per
+    bucket of a hash exchange on ``keys`` over the materialized partials."""
+    import ray.data as rd
+
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True,
                               batch_size=batch_size).materialize()
-    if partials.count() > driver_limit:
-        return hash_exchange_by(partials, groups, partial, num_buckets)
-
-    tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-    if not tables:
+    blocks = Blocks.of(partials)
+    if blocks.num_rows > driver_limit:
+        return hash_exchange_by(partials, keys, partial, num_buckets)
+    if not blocks.num_rows:
         return rd.from_items([])
-    allt = pa.concat_tables(tables).combine_chunks()
-    return rd.from_arrow(partial(allt))
+    return rd.from_arrow(partial(blocks.table().combine_chunks()))
 
 
 def compact_latest(ds, key: str, ts_col: str, tie_breakers: list[str] | None = None,
@@ -534,7 +532,6 @@ def profile(ds, columns: list[str] | None = None, batch_size: int = 65536):
     which :func:`count_by` / :func:`approx_distinct_by` already cover).
     Returns a pyarrow Table sorted by column name.
     """
-    import ray
 
     schema = ds.schema().base_schema
     num_cols = [
@@ -578,10 +575,11 @@ def profile(ds, columns: list[str] | None = None, batch_size: int = 65536):
             "s": pa.array(rows["s"], pa.float64()),
         })
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=batch_size)
-    tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-    merged = pa.concat_tables(tables)
+    merged = Blocks.of(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=batch_size)).table()
+    if not merged.num_rows:      # no input rows: one n = 0 row per column
+        merged = partial(schema.empty_table())
     g = merged.group_by("column").aggregate(
         [("n", "sum"), ("nulls", "sum"), ("mn", "min"), ("mx", "max"),
          ("s", "sum")])
@@ -854,6 +852,13 @@ def histogram(ds, col: str, lo: float, hi: float, bins: int,
                            zero_copy_batch=True)
 
 
+def _set_column(t: pa.Table, name: str, arr) -> pa.Table:
+    """``t`` with column ``name`` replaced by ``arr``, or appended."""
+    if name in t.column_names:
+        return t.set_column(t.column_names.index(name), name, arr)
+    return t.append_column(name, arr)
+
+
 def winsorize_by(ds, key: str, value: str, lo_q: float = 0.01,
                  hi_q: float = 0.99, out_col: str | None = None,
                  mode: str = "exact"):
@@ -867,14 +872,17 @@ def winsorize_by(ds, key: str, value: str, lo_q: float = 0.01,
     shuffle.  Null values pass through unchanged."""
     import numpy as np
     import ray
+    import ray.data as rd
 
     if not 0.0 <= lo_q <= hi_q <= 1.0:
         raise ValueError("need 0 <= lo_q <= hi_q <= 1")
     q = quantiles_by(ds, key, value, qs=(lo_q, hi_q), mode=mode)
-    qt = pa.concat_tables(
-        [t for t in ray.get(q.to_arrow_refs()) if t.num_rows])
-    state = ray.put((canon_float(qt.column(0)), qt.column(1), qt.column(2)))
+    qt = Blocks.of(q).table()
     name = out_col or value
+    if not qt.num_rows:     # no input rows
+        return rd.from_arrow(_set_column(empty_table(ds), name,
+                                         pa.array([], pa.float64())))
+    state = ray.put((canon_float(qt.column(0)), qt.column(1), qt.column(2)))
 
     def clamp(t: pa.Table) -> pa.Table:
         keys, *bounds = ray.get(state)
@@ -889,9 +897,7 @@ def winsorize_by(ds, key: str, value: str, lo_q: float = 0.01,
         if t.column(value).null_count:
             arr = pc.if_else(pc.is_valid(t.column(value)), arr,
                              pa.scalar(None, pa.float64()))
-        if name in t.column_names:
-            return t.set_column(t.column_names.index(name), name, arr)
-        return t.append_column(name, arr)
+        return _set_column(t, name, arr)
 
     return ds.map_batches(clamp, batch_format="pyarrow",
                           zero_copy_batch=True)
@@ -973,17 +979,16 @@ def zscore_flag(ds, key: str, value: str, threshold: float = 3.0,
 
     parts = ds.map_batches(moments, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=batch_size)
-    stats = groupby_agg(parts, [key],
-                        [("n", "sum", "n"), ("s", "sum", "s"),
-                         ("s2", "sum", "s2")]).materialize()
-    if stats.count() > stats_broadcast_limit:
+    stats = Blocks.of(groupby_agg(parts, [key],
+                                  [("n", "sum", "n"), ("s", "sum", "s"),
+                                   ("s2", "sum", "s2")]).materialize())
+    if stats.num_rows > stats_broadcast_limit:
         raise ValueError(
-            f"zscore_flag: {stats.count()} distinct keys exceed "
+            f"zscore_flag: {stats.num_rows} distinct keys exceed "
             f"stats_broadcast_limit={stats_broadcast_limit}; aggregate to "
             "a coarser key or raise the limit")
-    stat_tabs = [t for t in ray.get(stats.to_arrow_refs()) if t.num_rows]
-    if stat_tabs:
-        st = pa.concat_tables(stat_tabs).combine_chunks()
+    if stats.num_rows:
+        st = stats.table().combine_chunks()
         n = st.column("n").to_numpy().astype(np.float64)
         mean = st.column("s").to_numpy() / n
         var = np.maximum(st.column("s2").to_numpy() / n - mean ** 2, 0.0)
@@ -1069,28 +1074,26 @@ def group_stats(ds, keys: list[str], aggs: list[tuple],
     rows); past that, use ``bucketed_join`` of :func:`groupby_agg` output
     explicitly.
     """
-    import ray
 
     from .join import broadcast_join
 
-    stats = groupby_agg(ds, keys, aggs, batch_size=batch_size)
-    tables = [t for t in ray.get(stats.to_arrow_refs()) if t.num_rows]
-    n_groups = sum(t.num_rows for t in tables)
+    stats = Blocks.of(groupby_agg(ds, keys, aggs, batch_size=batch_size))
+    n_groups = stats.num_rows
     if n_groups > broadcast_limit:
         raise ValueError(
             f"group_stats: {n_groups} groups exceed broadcast_limit="
             f"{broadcast_limit}; join groupby_agg output via bucketed_join "
             "instead")
     out_names = [out for _c, _f, out in aggs]
-    if tables:
-        stats_t = pa.concat_tables(tables).select(keys + out_names)
+    if n_groups:
+        stats_t = stats.table().select(keys + out_names)
     else:
         # empty input: stat columns still appear (all null via the left
         # join against an empty right side); an empty Dataset reports no
         # schema, so key types come from the INPUT and stat columns fall
         # back to float64 (they are all-null regardless)
-        in_types = dict(zip(ds.schema().names, ds.schema().types))
-        cols = {k: pa.nulls(0, in_types[k]) for k in keys}
+        in_types = empty_table(ds).schema
+        cols = {k: pa.nulls(0, in_types.field(k).type) for k in keys}
         cols.update({o: pa.nulls(0, pa.float64()) for o in out_names})
         stats_t = pa.table(cols)
     # the stats hold every key tuple of ``ds``: a key with no valid value

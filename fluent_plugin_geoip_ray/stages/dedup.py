@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import Blocks
 from .text import fingerprint
 
 logger = logging.getLogger(__name__)
@@ -82,14 +83,13 @@ def _in_sorted(sorted_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sorted_vals[pos] == x
 
 
-def _sorted_unique(ds, col: str, dtype=np.uint64) -> np.ndarray:
-    """Sorted unique values of the 64-bit column ``col`` of ``ds`` viewed
-    as ``dtype``, gathered to the driver (the broadcast side of a probe)."""
-    import ray
-
-    parts = [_np_col(t, col).view(dtype)
-             for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype)
+def _sorted_unique(blocks: Blocks, col: str, dtype=np.uint64) -> np.ndarray:
+    """Sorted unique values of the 64-bit column ``col`` of ``blocks``
+    viewed as ``dtype``, gathered to the driver (the broadcast side of a
+    probe)."""
+    if not blocks.num_rows:
+        return np.empty(0, dtype)
+    return np.unique(_np_col(blocks.table(), col).view(dtype))
 
 
 # --------------------------------------------------------------------------
@@ -124,14 +124,14 @@ def dedup_exact(ds, key_col: str = "doc_id", text_col: str = "text",
     winners_ds = groupby_agg(
         hashed, ["fingerprint"], [(key_col, "min", "__winner")]
     ).materialize()
-    if winners_ds.count() > broadcast_limit:
+    blocks = Blocks.of(winners_ds)
+    if blocks.num_rows > broadcast_limit:
         return _dedup_exact_semijoin(
             hashed, winners_ds, key_col, list(ds.schema().names)
         )
-    tables = [t for t in ray.get(winners_ds.to_arrow_refs()) if t.num_rows]
-    if not tables:
+    if not blocks.num_rows:
         return hashed.drop_columns(["fingerprint"])
-    winners = pa.concat_tables(tables).combine_chunks().to_pandas()
+    winners = blocks.table().combine_chunks().to_pandas()
     order = np.argsort(winners["fingerprint"].to_numpy())
     fp_sorted = winners["fingerprint"].to_numpy()[order]
     key_sorted = winners["__winner"].to_numpy()[order]
@@ -397,14 +397,13 @@ def lsh_verified_edges(sketches, key_col: str, verify,
         lambda t: t.filter(pc.greater(t.column("__n"), 1)),
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
-    n_hot = hot.count()
-    if n_hot == 0:
+    hot_blocks = Blocks.of(hot)
+    if not hot_blocks.num_rows:
         return pd.DataFrame({"a": [], "b": []})
-    if n_hot > hot_bucket_limit:
+    if hot_blocks.num_rows > hot_bucket_limit:
         return _lsh_edges_distributed(sketches, exploded, hot, key_col,
                                       verify, max_restar_rounds)
-    tables = [t for t in ray.get(hot.to_arrow_refs()) if t.num_rows]
-    buckets = pa.concat_tables(tables).combine_chunks().to_pandas()
+    buckets = hot_blocks.table().combine_chunks().to_pandas()
     b_ids = buckets["bucket"].to_numpy().astype(np.int64)
     b_win = buckets["__a"].to_numpy().astype(np.int64)
     border = np.argsort(b_ids)
@@ -456,18 +455,12 @@ def lsh_verified_edges(sketches, key_col: str, verify,
             "bucket": pa.array(bkt), "ok": pa.array(ok),
         })
 
-    edge_tables = [
-        t for t in ray.get(
-            sketches.map_batches(
-                edges_fn, batch_format="pyarrow", zero_copy_batch=True
-            ).to_arrow_refs()
-        ) if t.num_rows
-    ]
+    edges = Blocks.of(_mb(sketches, edges_fn))
     logger.debug("lsh edge pass %.2fs", time.perf_counter() - t0)
     t0 = time.perf_counter()
-    if not edge_tables:
+    if not edges.num_rows:
         return pd.DataFrame({"a": [], "b": []})
-    edges = pa.concat_tables(edge_tables).combine_chunks()
+    edges = edges.table().combine_chunks()
     okm = edges.column("ok").to_numpy(zero_copy_only=False)
     verified = pd.DataFrame({
         "a": edges.column("a").to_numpy(zero_copy_only=False)[okm],
@@ -521,29 +514,18 @@ def lsh_verified_edges(sketches, key_col: str, verify,
 
 def _gather_sigs(sketches, key_col: str, keys: "np.ndarray") -> pa.Table:
     """Filtered (key, sig) gather over the MATERIALIZED sketch table: one
-    raw Ray task per block (``is_in`` + select) -- the same distributed work
-    as a ``map_batches`` pass but without a Dataset execution's fixed
-    plan/stats cost (~0.5-1 s per pass at bench scale; there are two such
-    gathers per dedup call)."""
+    raw Ray task per block (``is_in`` + select, :meth:`Blocks.sums`) -- the
+    same distributed work as a ``map_batches`` pass but without a Dataset
+    execution's fixed plan/stats cost (~0.5-1 s per pass at bench scale;
+    there are two such gathers per dedup call)."""
     import ray
 
-    keys_arr = pa.array(keys)
-
-    @ray.remote
-    def gather(t: pa.Table, kset):
-        if key_col not in t.column_names:
-            # a 0-row block that skipped every upstream map UDF arrives
-            # schema-less (same quirk exchange.py handles) -- nothing to
-            # gather from it
-            return None
-        mask = pc.is_in(t.column(key_col), value_set=kset)
+    def gather(t: pa.Table, kset) -> pa.Table:
+        mask = pc.is_in(t.column(key_col), value_set=ray.get(kset))
         return t.select([key_col, "sig"]).filter(pc.fill_null(mask, False))
 
-    kref = ray.put(keys_arr)
-    tables = [t for t in ray.get(
-        [gather.remote(r, kref) for r in sketches.to_arrow_refs()]
-    ) if t is not None]
-    return pa.concat_tables(tables).combine_chunks()
+    return pa.concat_tables(Blocks.of(sketches).sums(
+        gather, kset=ray.put(pa.array(keys)))).combine_chunks()
 
 
 def _lsh_edges_distributed(sketches, exploded, hot, key_col: str, verify,
@@ -873,16 +855,13 @@ def _drop_keys(ds, losers_ds, key_col: str, broadcast_limit: int):
     """Drop the ``ds`` rows whose key is in ``losers_ds``'s ``node``
     column: broadcast anti-filter up to ``broadcast_limit`` losers, else
     the bucketed anti-join."""
-    import ray
-
-    n = losers_ds.count()
-    if n == 0:
+    losers = Blocks.of(losers_ds)
+    if not losers.num_rows:
         return ds
-    if n <= broadcast_limit:
-        return _drop_losers(ds, set(pa.concat_tables(
-            [t for t in ray.get(losers_ds.to_arrow_refs()) if t.num_rows]
-        ).column("node").to_pylist()), key_col)
-    return _drop_losers_ds(ds, losers_ds, key_col)
+    if losers.num_rows <= broadcast_limit:
+        return _drop_losers(ds, set(losers.table().column("node").to_pylist()),
+                            key_col)
+    return _drop_losers_ds(ds, losers.dataset(), key_col)
 
 
 def _resolve_clusters_and_drop(ds, edges, key_col: str,
@@ -1175,7 +1154,8 @@ def _set_similarity_join(sides, threshold: float, num_buckets: int,
 
     cross = len(sides) == 2
     e64, ef64 = np.empty(0, np.int64), np.empty(0, np.float64)
-    if min(sk.count() for sk, _ in sides) == 0:
+    blocks = [Blocks.of(sk) for sk, _ in sides]
+    if min(b.num_rows for b in blocks) == 0:
         return rd.from_arrow(judge(e64, e64, ef64, ef64, ef64))
 
     def explode(side: int, key_col: str):
@@ -1285,17 +1265,17 @@ def _set_similarity_join(sides, threshold: float, num_buckets: int,
                       > heavy_df_limit).any())
 
     if not any_heavy and \
-            sum(sk.count() for sk, _ in sides) <= size_broadcast_limit:
-        def key_sizes(sk, key_col):
-            st = pa.concat_tables([t for t in ray.get(_mb(
-                sk, lambda t: t.select([key_col, "sz"])).to_arrow_refs())
-                if t.num_rows])
+            sum(b.num_rows for b in blocks) <= size_broadcast_limit:
+        def key_sizes(b, key_col):
+            st = pa.concat_tables(b.sums(pa.Table.select,
+                                         columns=[key_col, "sz"]))
             k = st.column(key_col).cast(pa.int64()).to_numpy(
                 zero_copy_only=False)
             o = np.argsort(k)
             return k[o], _np_col(st, "sz").astype(np.float64)[o]
 
-        sizes_ref = ray.put([key_sizes(sk, kc) for sk, kc in sides])
+        sizes_ref = ray.put([key_sizes(b, kc)
+                             for b, (_, kc) in zip(blocks, sides)])
 
         def judge_light(t: pa.Table) -> pa.Table:
             sizes = ray.get(sizes_ref)
@@ -1602,26 +1582,19 @@ def _bloom_test(hashes: np.ndarray, bm: np.ndarray) -> np.ndarray:
 # rebuild].  No broadcast of the full hot set ever happens; corpus text
 # moves at most once and the driver holds one fixed-size bitmap.
 
-def _hot_bloom(hot, col: str):
+def _hot_bloom(hot: Blocks, col: str):
     """``ray.put`` ref of ONE Bloom bitmap over the int64-stored hashes in
     ``hot``'s column ``col``: the OR of per-block bitmaps (no false
-    negatives), sized for ``hot.count()`` hashes."""
+    negatives), sized for ``hot.num_rows`` hashes."""
     import ray
 
-    n_words = _bloom_params(hot.count())
+    n_words = _bloom_params(hot.num_rows)
 
-    def block_bloom(t: pa.Table) -> pa.Table:
-        bm = _bloom_build(_np_col(t, col).view(np.uint64), n_words)
-        return pa.table({"bm": pa.array([bm.view(np.int64)])})
+    def block_bloom(t: pa.Table) -> np.ndarray:
+        return _bloom_build(_np_col(t, col).view(np.uint64), n_words)
 
-    bloom = np.zeros(n_words, dtype=np.uint64)
-    for ref in _mb(hot, block_bloom).to_arrow_refs():
-        t = ray.get(ref)
-        if t.num_rows:
-            vals, _ = _list_col_parts(t.column("bm"))
-            bloom |= np.bitwise_or.reduce(
-                vals.view(np.uint64).reshape(-1, n_words), axis=0)
-    return ray.put(bloom)
+    return ray.put(np.bitwise_or.reduce(
+        [np.zeros(n_words, np.uint64), *hot.sums(block_bloom)]))
 
 
 def _confirm_hot(cands, hot, col: str, payload: list[str], num_buckets: int):
@@ -1698,9 +1671,10 @@ def decontaminate(ds, eval_ds, key_col: str = "doc_id",
         raise ValueError(f"mode must be 'drop' or 'flag', got {mode!r}")
 
     egrams = eval_gram_hashes(eval_ds, text_col=text_col, n=n).materialize()
+    gram_blocks = Blocks.of(egrams)
 
-    if egrams.count() <= eval_broadcast_limit:
-        eval_sorted = ray.put(_sorted_unique(egrams, "gram"))
+    if gram_blocks.num_rows <= eval_broadcast_limit:
+        eval_sorted = ray.put(_sorted_unique(gram_blocks, "gram"))
 
         def probe_batch(t: pa.Table) -> pa.Table:
             ev = ray.get(eval_sorted)
@@ -1712,7 +1686,7 @@ def decontaminate(ds, eval_ds, key_col: str = "doc_id",
         return _mb(ds, probe_batch)
 
     # ---- Bloom-prefiltered exact semi-join (huge eval sets) --------------
-    bloom_ref = _hot_bloom(egrams, "gram")
+    bloom_ref = _hot_bloom(gram_blocks, "gram")
 
     def candidate_rows(t: pa.Table) -> pa.Table:
         hashes, offsets = _token_hashes(t, text_col)
@@ -1736,7 +1710,8 @@ def decontaminate(ds, eval_ds, key_col: str = "doc_id",
                                 ["node"], num_buckets).materialize()
     if mode == "drop":
         return _drop_keys(ds, contaminated, key_col, loser_broadcast_limit)
-    bad_ref = ray.put(_sorted_unique(contaminated, "node", np.int64))
+    bad_ref = ray.put(_sorted_unique(Blocks.of(contaminated), "node",
+                                     np.int64))
 
     def flag(t: pa.Table) -> pa.Table:
         keys = t.column(key_col).cast(pa.int64()).to_numpy(
@@ -1882,17 +1857,17 @@ def dedup_lines(ds, key_col: str = "doc_id", text_col: str = "text",
             pc.greater_equal(t.column("nd"), min_docs)).select(["line"]),
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
-    n_hot = hot.count()
+    hot_blocks = Blocks.of(hot)
 
-    if n_hot == 0:
+    if not hot_blocks.num_rows:
         def untouched(t: pa.Table) -> pa.Table:
             return t.append_column(
                 "lines_removed", pa.array(np.zeros(t.num_rows, np.int64)))
         return ds.map_batches(untouched, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    if n_hot <= hot_broadcast_limit:
-        hot_ref = ray.put(_sorted_unique(hot, "line"))
+    if hot_blocks.num_rows <= hot_broadcast_limit:
+        hot_ref = ray.put(_sorted_unique(hot_blocks, "line"))
 
         def clean(t: pa.Table) -> pa.Table:
             values, offsets, hashes, nonempty = _split_line_batch(
@@ -1904,7 +1879,7 @@ def dedup_lines(ds, key_col: str = "doc_id", text_col: str = "text",
 
     # ---- huge hot set: Bloom prefilter + bucketed confirm + key-bucketed
     # rebuild (decontaminate's above-limit shape at line granularity) ------
-    bloom_ref = _hot_bloom(hot, "line")
+    bloom_ref = _hot_bloom(hot_blocks, "line")
 
     def candidates(t: pa.Table) -> pa.Table:
         _, offsets, hashes, nonempty = _split_line_batch(t, text_col, sep)
@@ -2061,10 +2036,10 @@ def dedup_spans(ds, key_col: str = "doc_id", text_col: str = "text",
             pc.greater_equal(t.column("c"), min_count)).select(["gram"]),
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
-    n_hot = hot.count()
+    hot_blocks = Blocks.of(hot)
 
-    if n_hot <= hot_broadcast_limit:
-        hot_ref = ray.put(_sorted_unique(hot, "gram"))
+    if hot_blocks.num_rows <= hot_broadcast_limit:
+        hot_ref = ray.put(_sorted_unique(hot_blocks, "gram"))
 
         def clean(t: pa.Table) -> pa.Table:
             values, tok_off, wh, starts, _ = _window_batch(
@@ -2078,7 +2053,7 @@ def dedup_spans(ds, key_col: str = "doc_id", text_col: str = "text",
 
     # ---- huge hot set: Bloom prefilter + bucketed confirm + key-bucketed
     # coverage rebuild (dedup_lines' above-limit shape at window level) ----
-    bloom_ref = _hot_bloom(hot, "gram")
+    bloom_ref = _hot_bloom(hot_blocks, "gram")
 
     def candidates(t: pa.Table) -> pa.Table:
         _, tok_off, wh, starts, win_doc = _window_batch(t, text_col, window)
@@ -2147,7 +2122,6 @@ def dedup_incremental(new_ds, index_dir: str, key_col: str = "doc_id",
     import os
 
     import pyarrow.compute as _pc
-    import ray
     import ray.data as rd
 
     params_path = os.path.join(index_dir, "_params.json")

@@ -23,10 +23,13 @@ to group ``b * G // num_buckets``), so the map side creates blocks x G
 objects and Ray's fixed per-task and per-object cost does not grow with
 the bucket count.  Total object-store traffic equals the sort shuffle's
 (every row moves once), but there is no sort, no sample pass, and Python
-overhead is O(blocks x G + buckets).  The reduce output is a
-``MaterializedDataset`` of one block per non-empty group, so downstream
-stages stream as usual; read in order, its blocks hold the buckets in
-bucket order.
+overhead is O(blocks x G + buckets).
+
+Blocks flow as :class:`Blocks` (refs, row counts, schema): the split
+takes the input's as the upstream produces them, and the reduce outputs,
+one block per group holding rows, are a :class:`Blocks` too, which
+:func:`hash_exchange` and :func:`cogroup_by` return as a dataset and
+:class:`scan.SortedBlocks` keeps.
 
 Two-input operators (joins, anti-filters, dedup's attach and rebuild
 hops) use the same split and reduce tasks through :func:`cogroup_by`:
@@ -231,6 +234,92 @@ def cluster_cpus() -> int:
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
+def _arrow(block) -> pa.Table:
+    """A block or a caller's table as Arrow: internal blocks may be pandas
+    (``from_pandas``, ``from_items``, pandas-format maps)."""
+    if isinstance(block, pa.Table):
+        return block
+    return pa.Table.from_pandas(block, preserve_index=False)
+
+
+def _schema_of(metas: list):
+    """The schema of the first ``(rows, schema)`` pair with rows, else of
+    the first pair; None when there is none (or it is not Arrow's)."""
+    schema = next((s for n, s in metas if n), metas[0][1] if metas else None)
+    return schema if isinstance(schema, pa.Schema) else None
+
+
+def empty_table(ds) -> pa.Table:
+    """A 0-row table with the schema of ``ds``, an input without rows (a
+    Ray map skips its UDF on a 0-row block and outputs no columns, so an
+    operator's empty result is built from this).  Calls ``ds.schema()``."""
+    schema = ds.schema()
+    return pa.schema([] if schema is None else
+                     zip(schema.names, schema.types)).empty_table()
+
+
+@ray.remote
+def _block_sum(fn, block, kwargs):
+    return fn(_arrow(block), **kwargs)
+
+
+class Blocks:
+    """Materialized blocks: ``refs`` of the non-empty ones in order, their
+    row ``counts``.  :meth:`of` takes them from a dataset in at most one
+    execution, never calling ``Dataset.schema()`` (a ``limit=1`` re-run)."""
+
+    def __init__(self, refs=(), counts=(), schema=None):
+        keep = [i for i, n in enumerate(counts) if n != 0]  # None fails below
+        self.refs = [refs[i] for i in keep]
+        self.counts = np.array([counts[i] for i in keep], dtype=np.int64)
+        self._schema = schema
+
+    @classmethod
+    def of(cls, ds, each=lambda ref: None) -> "Blocks":
+        """The blocks of ``ds``; ``each(ref)`` runs on every non-empty
+        block as it arrives (the exchange's split launches there)."""
+        refs, counts, metas = [], [], []
+        for bundle in ds.iter_internal_ref_bundles():
+            for ref, meta in bundle.blocks:
+                refs.append(ref)
+                counts.append(meta.num_rows)
+                if meta.num_rows != 0:
+                    each(ref)
+            metas.append((bundle.num_rows(), bundle.schema))
+        return cls(refs, counts, _schema_of(metas))
+
+    @property
+    def num_rows(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def schema(self):
+        """The bundles' Arrow schema, else the first block's; None for no
+        rows and no typed bundle."""
+        if self._schema is None and self.refs:   # e.g. pandas bundles
+            self._schema = _arrow(ray.get(self.refs[0])).schema
+        return self._schema
+
+    def table(self) -> pa.Table:
+        """Every row on the driver as one Arrow table; with no rows, a
+        0-row one with the schema (no columns when it is unknown)."""
+        if not self.refs:
+            return (self._schema or pa.schema([])).empty_table()
+        return pa.concat_tables([_arrow(b) for b in ray.get(self.refs)],
+                                promote_options="permissive")
+
+    def sums(self, fn, **kwargs) -> list:
+        """``fn(block, **kwargs)`` of every block, one small task each."""
+        return ray.get([_block_sum.remote(fn, r, kwargs) for r in self.refs])
+
+    def dataset(self):
+        """The blocks as a dataset (one ``from_arrow_refs``), to return."""
+        import ray.data as rd
+
+        return rd.from_arrow_refs(self.refs) if self.refs \
+            else rd.from_arrow(self.table())
+
+
 def _first_bucket(g: int, num_buckets: int, groups: int) -> int:
     """First bucket of group ``g``: the least ``b`` with ``b * groups //
     num_buckets == g`` (``num_buckets`` for ``g == groups``)."""
@@ -242,47 +331,38 @@ def _split(block, num_buckets: int, groups: int, bucket_col: str):
     """Block -> ``groups`` shards (the caller sets ``num_returns``): the
     block's rows sorted by bucket (stable), cut at group boundaries, with
     the bucket column kept for the reduce side's per-bucket slicing."""
-    if not isinstance(block, pa.Table):  # internal blocks may be pandas
-        block = pa.Table.from_pandas(block, preserve_index=False)
-    if block.num_rows == 0:
-        # nothing to route; a 0-row input block skips the upstream map
-        # UDF entirely and may arrive with the PRE-map schema (no bucket
-        # column) -- the reduce side drops 0-row shards
-        parts = [block] * groups
-    elif bucket_col not in block.column_names:
+    block = _arrow(block)
+    if bucket_col not in block.column_names:
         raise ValueError(f"hash_exchange: block missing {bucket_col}")
-    else:
-        b = block.column(bucket_col).to_numpy(zero_copy_only=False)
-        order = np.argsort(b, kind="stable")          # counting-sort perm
-        bounds = np.searchsorted(b[order], [
-            _first_bucket(g, num_buckets, groups) for g in range(groups + 1)])
-        taken = block.take(pa.array(order))
-        parts = [taken.slice(bounds[g], bounds[g + 1] - bounds[g])
-                 for g in range(groups)]
+    b = block.column(bucket_col).to_numpy(zero_copy_only=False)
+    order = np.argsort(b, kind="stable")          # counting-sort perm
+    bounds = np.searchsorted(b[order], [
+        _first_bucket(g, num_buckets, groups) for g in range(groups + 1)])
+    taken = block.take(pa.array(order))
+    parts = [taken.slice(bounds[g], bounds[g + 1] - bounds[g])
+             for g in range(groups)]
     return parts[0] if groups == 1 else tuple(parts)
 
 
 @ray.remote(num_returns=2)
 def _reduce(fn, lo: int, hi: int, bucket_col: str, counts, *shards):
-    """Buckets ``[lo, hi)`` of one group -> ``(report, block)``.  The
-    shards are ``len(counts)`` inputs' shards in a row, ``counts[i]`` of
-    input ``i``.  ``fn`` runs once per bucket where any input has rows,
-    in bucket order, with one table per input: that bucket's rows of the
-    input in shard order, or a 0-row table with the input's schema (taken
-    from any of its shards that carries ``bucket_col``).  The block
-    concatenates its outputs.  ``report`` is an int64 ``(k, 2)`` array of
-    the ``(rows, bytes)`` of each ``fn`` call's inputs (k == 0: the group
-    emits no block)."""
+    """Buckets ``[lo, hi)`` of one group -> ``((report, rows, schema),
+    block)``.  The shards are ``len(counts)`` inputs' shards in a row,
+    ``counts[i]`` of input ``i``.  ``fn`` runs once per bucket where any
+    input has rows, in bucket order, with one table per input: that
+    bucket's rows of the input in shard order, or a 0-row table with the
+    input's schema (its first shard's; every shard carries
+    ``bucket_col``).  The block concatenates the outputs, and ``rows``
+    and ``schema`` are its own; ``report`` is an int64 ``(k, 2)`` array of
+    the ``(rows, bytes)`` of each ``fn`` call's inputs (k == 0: no block)."""
     sides, at = [], 0
     for n in counts:
-        typed = [s for s in shards[at:at + n] if bucket_col in s.column_names]
+        side = shards[at:at + n]
         at += n
-        full = [s for s in typed if s.num_rows]
+        full = [s for s in side if s.num_rows]
         cuts = [np.searchsorted(s.column(bucket_col).to_numpy(),
                                 np.arange(lo, hi + 1)) for s in full]
-        empty = typed[0].slice(0, 0).drop_columns([bucket_col]) if typed \
-            else pa.table({})
-        sides.append((full, cuts, empty))
+        sides.append((full, cuts, side[0].slice(0, 0).drop_columns([bucket_col])))
     report, outs = [], []
     for j in range(hi - lo):
         tables = []
@@ -298,9 +378,9 @@ def _reduce(fn, lo: int, hi: int, bucket_col: str, counts, *shards):
         report.append((rows, sum(t.nbytes for t in tables)))
         outs.append(fn(*tables))
     report = np.array(report, dtype=np.int64).reshape(-1, 2)
-    if not outs:
-        return report, pa.table({})
-    return report, pa.concat_tables(outs, promote_options="permissive")
+    out = pa.concat_tables(outs, promote_options="permissive") if outs \
+        else pa.table({})
+    return (report, out.num_rows, out.schema), out
 
 
 def _log_report(report: np.ndarray, num_buckets: int, groups: int,
@@ -358,13 +438,11 @@ def cogroup_by(sides, reduce_fn, num_buckets: int = 32):
     ``keys`` values route there, in shard order).  Each side is bucketed
     by :func:`stable_bucket_ids` over its own keys and keeps its own
     schema; a side with no rows in a bucket arrives as a 0-row table with
-    that side's schema.  For a side with no rows at all, that schema is
-    ``ds.schema()`` (0 columns when Ray cannot tell it: a 0-row block
-    skips every map UDF upstream).  Equal key values route alike on every
+    that side's schema (for a side with no rows at all, from
+    :func:`empty_table`).  Equal key values route alike on every
     side when the sides' key columns are all integers (any width), all
     floats or all strings (the lanes of :func:`key_lanes`).  Same
-    exchange, report and retry contract as :func:`hash_exchange`; returns
-    a MaterializedDataset."""
+    exchange, report, retry contract and return as :func:`hash_exchange`."""
     from concurrent.futures import ThreadPoolExecutor
 
     groups = min(num_buckets, cluster_cpus())
@@ -375,83 +453,83 @@ def cogroup_by(sides, reduce_fn, num_buckets: int = 32):
         splits = list(pool.map(lambda side: _split_all(
             _bucketed(side[0], side[1], num_buckets), num_buckets, groups,
             "__bucket"), sides))
-    per_side, blocks = [], 0
-    for (ds, _), (shards, n_blocks, rows) in zip(sides, splits):
-        if rows == 0:     # no shard carries this side's schema: send one
-            schema = ds.schema()
-            empty = pa.schema(zip(schema.names, schema.types)).empty_table() \
-                if schema is not None else pa.table({})
-            empty_ref = ray.put(empty.append_column(
+    per_side = []
+    for (ds, _), (shards, inp) in zip(sides, splits):
+        if not inp.num_rows:  # no shard carries this side's schema: send one
+            empty_ref = ray.put(empty_table(ds).append_column(
                 "__bucket", pa.array([], pa.int32())))
             shards = [g + [empty_ref] for g in shards]
         per_side.append(shards)
-        blocks += n_blocks
-    return _reduce_all(per_side, num_buckets, groups, reduce_fn, "__bucket",
-                       blocks)
+    return _reduce_all(per_side, num_buckets, groups, reduce_fn,
+                       "__bucket").dataset()
 
 
-def _split_all(ds, num_buckets: int, groups: int, bucket_col: str):
-    """Launch a split task per block of ``ds`` AS the upstream produces it
-    (``iter_internal_ref_bundles`` streams refs with backpressure) -- the
-    map side of the exchange then overlaps the upstream's straggler tail
-    instead of waiting behind a full-execution barrier (measured at
-    sf0.1: count_by final 1.10 s -> ~0.75 s).  Returns ``(shards, blocks,
-    rows)``: the shard refs of each group, the input block count, and
-    its row count (None when a block's count is unknown)."""
+def _split_all(src, num_buckets: int, groups: int, bucket_col: str):
+    """``(shards, blocks)``: one split task per block of ``src`` (a
+    :class:`Blocks`, or a dataset split AS the upstream produces blocks,
+    so the map side overlaps its straggler tail: sf0.1 count_by final
+    1.10 s -> ~0.75 s), the shard refs of each group, and the input's
+    :class:`Blocks`."""
     split = _split.options(num_returns=groups)
-    refs, rows = [], 0
-    for bundle in ds.iter_internal_ref_bundles():
-        for r in bundle.block_refs:
-            s = split.remote(r, num_buckets, groups, bucket_col)
-            refs.append(s if groups > 1 else [s])
-        n = bundle.num_rows()
-        rows = None if rows is None or n is None else rows + n
-    return [[s[g] for s in refs] for g in range(groups)], len(refs), rows
+    refs = []
+
+    def launch(ref):
+        refs.append(split.remote(ref, num_buckets, groups, bucket_col))
+
+    if isinstance(src, Blocks):
+        for ref in src.refs:
+            launch(ref)
+    else:
+        src = Blocks.of(src, each=launch)
+    return [[s[g] if groups > 1 else s for s in refs]
+            for g in range(groups)], src
 
 
 def _reduce_all(per_side, num_buckets: int, groups: int, reduce_fn,
-                bucket_col: str, blocks: int):
+                bucket_col: str) -> Blocks:
     """One reduce task per group over every side's shards of that group,
-    the exchange report, and the output dataset."""
-    import ray.data as rd
-
+    the exchange report, and the output :class:`Blocks`: the outputs of
+    the groups whose ``reduce_fn`` ran, in group order."""
     counts = [len(shards[0]) for shards in per_side]
-    report_refs, out_refs = [], []
+    meta_refs, out_refs = [], []
     for g in range(groups):
-        r, o = _reduce.remote(reduce_fn, _first_bucket(g, num_buckets, groups),
+        m, o = _reduce.remote(reduce_fn, _first_bucket(g, num_buckets, groups),
                               _first_bucket(g + 1, num_buckets, groups),
                               bucket_col, counts,
                               *[ref for shards in per_side for ref in shards[g]])
-        report_refs.append(r)
+        meta_refs.append(m)
         out_refs.append(o)
-    reports = ray.get(report_refs)       # tiny arrays; reduces already ran
-    _log_report(np.concatenate(reports), num_buckets, groups, blocks)
-    kept = [o for r, o in zip(reports, out_refs) if len(r)]
-    if not kept:
-        # fully-empty input: one empty block (matches the sort-groupby
-        # path, where map_groups never ran either)
-        return rd.from_arrow_refs([out_refs[0]])
-    return rd.from_arrow_refs(kept)
+    metas = ray.get(meta_refs)          # tiny; the reduces already ran
+    _log_report(np.concatenate([r for r, _, _ in metas]), num_buckets,
+                groups, sum(counts))
+    kept = [(m, o) for m, o in zip(metas, out_refs) if len(m[0])]
+    return Blocks([o for _, o in kept], [n for (_, n, _), _ in kept],
+                  _schema_of([(n, s) for (_, n, s), _ in kept]))
 
 
 def hash_exchange(ds, num_buckets: int, reduce_fn, bucket_col: str = "__bucket"):
     """Co-locate rows of ``ds`` (which must already carry an int32
     ``bucket_col`` column in [0, num_buckets)) and apply ``reduce_fn``
-    once to each non-empty bucket's full pyarrow Table (the bucket column
-    dropped).  Returns a MaterializedDataset with one block per non-empty
-    group of contiguous buckets -- ``min(num_buckets, cluster CPUs)``
-    groups -- holding its buckets' outputs in bucket order.  A failed
-    split or reduce task is retried by Ray (a reduce re-runs every bucket
-    of its group), so ``reduce_fn`` must be a pure function of its table.
-    See module docstring for the why and the partitioning contract.
-    One-input exchanges keyed by columns go through
-    :func:`hash_exchange_by`, several inputs through :func:`cogroup_by`;
-    call this directly only when the bucket column is computed some other
-    way: dedup's ``_hash_bucket`` routes (pair keys, re-star buckets, gram
-    prefixes) and the range route of :class:`scan.SortedBlocks`."""
+    once to each non-empty bucket's table (the bucket column dropped).
+    Returns the output :class:`Blocks` as a dataset: one block per group
+    of contiguous buckets that holds rows (``min(num_buckets, cluster
+    CPUs)`` groups), its buckets' outputs in bucket order.  Ray retries a
+    failed split or reduce task (a reduce re-runs its whole group), so
+    ``reduce_fn`` must be a pure function of its table.  Keyed one-input
+    exchanges go through :func:`hash_exchange_by`, several inputs through
+    :func:`cogroup_by`; call this directly only for a bucket column
+    computed some other way (dedup's ``_hash_bucket`` routes: pair keys,
+    re-star buckets, gram prefixes)."""
+    return exchange_blocks(ds, num_buckets, reduce_fn, bucket_col).dataset()
+
+
+def exchange_blocks(src, num_buckets: int, reduce_fn,
+                    bucket_col: str = "__bucket") -> Blocks:
+    """:func:`hash_exchange` of a dataset or a :class:`Blocks`, returning
+    the output :class:`Blocks`: for consumers inside the package, such as
+    the range route of :class:`scan.SortedBlocks`."""
     groups = min(num_buckets, cluster_cpus())
-    shards, blocks, _ = _split_all(ds, num_buckets, groups, bucket_col)
-    if not blocks:
-        return ds
-    return _reduce_all([shards], num_buckets, groups, reduce_fn, bucket_col,
-                       blocks)
+    shards, blocks = _split_all(src, num_buckets, groups, bucket_col)
+    if not blocks.refs:
+        return Blocks()
+    return _reduce_all([shards], num_buckets, groups, reduce_fn, bucket_col)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from .exchange import canon_float, cogroup_by, key_lanes
+from .exchange import _arrow, canon_float, cogroup_by, key_lanes
 
 
 class BroadcastJoin:
@@ -29,9 +29,7 @@ class BroadcastJoin:
         import pyarrow.compute as pc
         import ray
 
-        right = ray.get(right_ref)
-        if not isinstance(right, pa.Table):
-            right = pa.Table.from_pandas(right, preserve_index=False)
+        right = _arrow(ray.get(right_ref))
         keys = on if isinstance(on, list) else [on]
         if right_prefix:
             right = right.rename_columns(
@@ -241,8 +239,7 @@ def asof_join(ds, right, on: str, by: str, right_cols: dict,
         raise ValueError(f"direction must be backward|forward, got "
                          f"{direction!r}")
     sign = -1 if direction == "forward" else 1
-    if not isinstance(right, pa.Table):
-        right = pa.Table.from_pandas(right, preserve_index=False)
+    right = _arrow(right)
     rb, rn = key_lanes(right.column(by))
     rt = right.column(on).cast(pa.int64()).to_numpy(
         zero_copy_only=False) * sign
@@ -337,8 +334,7 @@ def range_join(ds, intervals, value_col: str, out_cols: dict,
     import numpy as np
     import ray
 
-    if not isinstance(intervals, pa.Table):
-        intervals = pa.Table.from_pandas(intervals, preserve_index=False)
+    intervals = _arrow(intervals)
     lo = intervals.column(lo_col).to_numpy(zero_copy_only=False).astype(np.float64)
     hi = intervals.column(hi_col).to_numpy(zero_copy_only=False).astype(np.float64)
     if not (np.all(np.diff(lo) >= 0) and np.all(hi[:-1] <= lo[1:])):
@@ -372,7 +368,6 @@ def range_join(ds, intervals, value_col: str, out_cols: dict,
 def semi_join_filter(ds, key_col: str, keys, anti: bool = False,
                      batch_size: int = 65536):
     """Semi/anti join: broadcast the key set, vectorized ``is_in`` filter."""
-    import numpy as np
     import pyarrow.compute as pc
     import ray
 

@@ -156,7 +156,7 @@ def write_sorted_sink(ds, sink_dir: str, keys=("conv_id", "turn_idx"),
     sort-on-read."""
     from .scan import SortedBlocks
 
-    out = SortedBlocks(ds, list(keys)).scan(lambda block, _off: block)
+    out = SortedBlocks(ds, list(keys)).dataset()
     kwargs = {}
     if min_rows_per_file:
         kwargs["min_rows_per_file"] = min_rows_per_file

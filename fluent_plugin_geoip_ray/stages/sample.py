@@ -19,7 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import canon_float, hash_exchange_by, segments
+from .exchange import (Blocks, canon_float, empty_table, hash_exchange_by,
+                       segments)
 from .scan import SortedBlocks
 
 # 64-bit golden-ratio multiplier (Knuth): hash = (key * M + seed) mod 2^64.
@@ -111,26 +112,16 @@ def sample_per_group(ds, group_col: str, key_col: str, k: int, seed: int = 0,
     to ``driver_limit``; above it -- unbounded group cardinality,
     where k x groups rows would OOM the driver -- the partials route
     through a hash exchange on ``group_col`` and the partial re-applies per
-    bucket (same shape as ``top_k_by_group``'s scale merge).  No driver
-    state at any cardinality on that path."""
-    import ray
-    import ray.data as rd
+    bucket (``top_k_by_group``'s merge, ``aggregate._merge_partials``).
+    No driver state at any cardinality on that path."""
+    from .aggregate import _merge_partials
 
     def partial(batch: pa.Table) -> pa.Table:
         order, rank = _hash_ranks(batch, group_col, key_col, seed)
         return batch.take(pa.array(np.sort(order[rank < k])))
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True,
-                              batch_size=batch_size).materialize()
-    if partials.count() > driver_limit:
-        return hash_exchange_by(partials, [group_col], partial, num_buckets)
-
-    tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-    if not tables:
-        return rd.from_items([])
-    allt = pa.concat_tables(tables).combine_chunks()
-    return rd.from_arrow(partial(allt))
+    return _merge_partials(ds, [group_col], partial, batch_size,
+                           driver_limit, num_buckets)
 
 
 def weighted_mix(ds, key_col: str, category_col: str,
@@ -182,8 +173,8 @@ def epoch_shuffle(ds, key_col: str, seed: int = 0,
 
     Shape: one range exchange on the hash (:class:`scan.SortedBlocks` --
     the unavoidable all-to-all any global permutation needs), then its
-    positional scan: each block's offset is the metadata row count of the
-    blocks before it; rows never move again.  Output is ORDERED by
+    positional scan: each block's offset is the row count of the blocks
+    before it; rows never move again.  Output is ORDERED by
     ``pos_col`` block-to-block, so a downstream ``write_parquet`` lays
     files out in epoch order.
     """
@@ -211,7 +202,7 @@ def select_top_fraction(ds, score_col: str, key_col: str, fraction: float,
     100 TB shape: the full rows never shuffle.  Only a (key, score)
     PROJECTION (~16 B/row) goes through the one unavoidable all-to-all (the
     range exchange of :class:`scan.SortedBlocks`); the global K-th row is
-    then located from the sorted blocks' metadata row counts -- the driver
+    then located from the sorted blocks' row counts -- the driver
     holds O(blocks) scalars plus ONE projection block -- and selection is a
     single streaming broadcast-threshold filter over the original dataset.
     Equivalent SQL: ``ROW_NUMBER() OVER (ORDER BY score DESC NULLS LAST,
@@ -282,7 +273,7 @@ def global_rank(ds, score_col: str, key_col: str, descending: bool = False,
 
     100 TB shape (the :func:`epoch_shuffle` scan): ONE range exchange (the
     unavoidable all-to-all behind any global order), then each block's
-    rank offset from the metadata row counts of the blocks before it and a
+    rank offset from the row counts of the blocks before it and a
     streaming per-block offset + ``arange`` assignment -- rows move exactly
     once and the driver holds O(blocks) scalars.  Output is ordered by rank
     block-to-block.  Scores may tie; rows with equal (score, key) take
@@ -323,6 +314,7 @@ def stratified_sample(ds, stratum_col: str, key_col: str, fraction: float,
     exactly.
     """
     import ray
+    import ray.data as rd
 
     from .aggregate import groupby_agg
 
@@ -334,15 +326,15 @@ def stratified_sample(ds, stratum_col: str, key_col: str, fraction: float,
     if fraction == 1.0:
         return ds
 
-    counts = groupby_agg(ds, [stratum_col],
-                         [(key_col, "count", "n")]).materialize()
-    n_strata = counts.count()
-    if n_strata > driver_strata_limit:
+    counts = Blocks.of(groupby_agg(ds, [stratum_col],
+                                   [(key_col, "count", "n")]).materialize())
+    if counts.num_rows > driver_strata_limit:
         raise ValueError(
-            f"{n_strata} strata exceed driver_strata_limit="
+            f"{counts.num_rows} strata exceed driver_strata_limit="
             f"{driver_strata_limit}; stratified_sample assumes few strata")
-    ct = pa.concat_tables(
-        [t for t in ray.get(counts.to_arrow_refs()) if t.num_rows])
+    if not counts.num_rows:     # no input rows
+        return rd.from_arrow(empty_table(ds))
+    ct = counts.table()
     quotas = np.ceil(fraction * ct.column("n").to_numpy()).astype(np.int64)
     state = ray.put((canon_float(ct.column(stratum_col)), quotas))
 

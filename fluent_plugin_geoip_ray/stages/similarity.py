@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .exchange import Blocks
+
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
@@ -75,21 +77,36 @@ def knn_brute_force(ds, queries: np.ndarray, k: int = 10,
     def scorer(batch: pa.Table) -> pa.Table:
         return BruteForceTopK(q_ref, k=k, id_col=id_col, emb_col=emb_col)(batch)
 
-    partials = ds.map_batches(
-        scorer,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).to_pandas()
-    if query_ids is None:
-        query_ids = np.arange(q.shape[0])
+    out = _rank_per_query(Blocks.of(ds.map_batches(
+        scorer, batch_format="pyarrow", zero_copy_batch=True)).table(),
+        k, id_col)
+    if query_ids is not None:
+        out["query_id"] = [query_ids[qid] for qid in out["query_id"]]
+    return pa.table({k_: pa.array(v) for k_, v in out.items()})
+
+
+def _rank_per_query(partials: pa.Table, k: int, id_col: str) -> dict:
+    """The driver merge of per-batch (query_id, id, score) top-k partials:
+    per query its ``k`` best rows by score, then id, ranked from 1, as
+    result columns."""
     out = {"query_id": [], id_col: [], "score": [], "rank": []}
-    for qid, g in partials.groupby("query_id"):
+    if not partials.num_rows:       # may have no columns
+        return out
+    for qid, g in partials.to_pandas().groupby("query_id"):
         top = g.sort_values(["score", id_col], ascending=[False, True]).head(k)
-        out["query_id"].extend([query_ids[qid]] * len(top))
+        out["query_id"].extend([qid] * len(top))
         out[id_col].extend(top[id_col])
         out["score"].extend(top["score"])
         out["rank"].extend(range(1, len(top) + 1))
-    return pa.table({k_: pa.array(v) for k_, v in out.items()})
+    return out
+
+
+def _ranked_table(out: dict, id_col: str) -> pa.Table:
+    """:func:`_rank_per_query` columns with integer ids as a typed table."""
+    return pa.table({"query_id": pa.array(out["query_id"], pa.int64()),
+                     id_col: pa.array(out[id_col], pa.int64()),
+                     "score": pa.array(out["score"], pa.float64()),
+                     "rank": pa.array(out["rank"], pa.int64())})
 
 
 # --------------------------------------------------------------------------
@@ -111,7 +128,7 @@ def uniform_sample_matrix(ds, id_col: str, emb_col: str, sample_n: int,
 
     Scale shape: per batch only the local ``sample_n`` smallest
     (hash, vec) rows leave the worker; a second combining pass shrinks the
-    partials another ~64x before the final tiny sort+limit, so the driver
+    partials another ~64x before the final tiny sort and slice, so the driver
     never sees more than O(blocks/64 * sample_n) shrunken rows."""
     from .sample import key_hash
     from .scan import SortedBlocks
@@ -144,9 +161,8 @@ def uniform_sample_matrix(ds, id_col: str, emb_col: str, sample_n: int,
         local_top, batch_format="pyarrow", zero_copy_batch=True)
     combined = partials.map_batches(local_top, batch_format="pyarrow",
                                     batch_size=sample_n * 64)
-    top = SortedBlocks(combined, ["__h"]).scan(
-        lambda block, _off: block).limit(sample_n).to_pandas()
-    return np.stack(top[emb_col].to_numpy())
+    top = SortedBlocks(combined, ["__h"]).table().slice(0, sample_n)
+    return np.stack(top.column(emb_col).to_pandas().to_numpy())
 
 
 def train_centroids(sample: np.ndarray, n_clusters: int, iters: int = 10,
@@ -259,25 +275,26 @@ class EmbeddingLSHSketch:
     FixedSizeList<float32>, bucket = random-hyperplane LSH code width 1) --
     the same sketch-table contract :func:`dedup.lsh_verified_edges`
     consumes, so candidate edges are emitted AND cosine-verified in one
-    vectorized pass (the signature IS the unit vector; verify = dot)."""
+    vectorized pass (the signature IS the unit vector; verify = dot).  The
+    ``(dim, n_planes)`` hyperplanes are standard normal draws of
+    ``np.random.default_rng(seed)``, drawn once the batches show ``dim``."""
 
-    def __init__(self, planes_ref, id_col: str = "vec_id",
+    def __init__(self, n_planes: int, seed: int, id_col: str = "vec_id",
                  emb_col: str = "embedding"):
-        import ray
-
-        self.planes = (planes_ref if isinstance(planes_ref, np.ndarray)
-                       else ray.get(planes_ref))
+        self.n_planes, self.seed = n_planes, seed
         self.id_col, self.emb_col = id_col, emb_col
+        self.planes = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .dedup import _matrix_to_fixed_list
 
-        p = self.planes
         m = _normalize(_embedding_matrix(batch, self.emb_col))
-        bits = (m @ p) > 0
-        n_planes = p.shape[1]
+        if self.planes is None:
+            self.planes = np.random.default_rng(self.seed).standard_normal(
+                (m.shape[1], self.n_planes)).astype(np.float32)
+        bits = (m @ self.planes) > 0
         code = (bits.astype(np.uint32)
-                << np.arange(n_planes, dtype=np.uint32)).sum(axis=1)
+                << np.arange(self.n_planes, dtype=np.uint32)).sum(axis=1)
         return pa.table({
             self.id_col: batch.column(self.id_col),
             "sig": _matrix_to_fixed_list(m, m.shape[1], dtype=np.float32),
@@ -303,21 +320,12 @@ def embedding_near_dup(ds, threshold: float = 0.95, id_col: str = "vec_id",
     :func:`dedup.dedup_minhash`: past the hot-bucket / edge limits emission,
     clustering and the drop filter all run Dataset-native with no driver
     state."""
-    import ray
-
     from .dedup import _resolve_clusters_and_drop, lsh_verified_edges
-
-    # dimension probe from one row
-    first = ds.limit(1).to_pandas()
-    dim = len(first[emb_col].iloc[0])
-    rng = np.random.default_rng(seed)
-    planes = rng.standard_normal((dim, n_planes)).astype(np.float32)
-    planes_ref = ray.put(planes)
 
     sketches = ds.map_batches(
         EmbeddingLSHSketch,
-        fn_constructor_kwargs=dict(planes_ref=planes_ref, id_col=id_col,
-                                   emb_col=emb_col),
+        fn_constructor_kwargs=dict(n_planes=n_planes, seed=seed,
+                                   id_col=id_col, emb_col=emb_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=(1, 8),
@@ -409,14 +417,13 @@ def semantic_dedup(ds, threshold: float = 0.95, n_clusters: int = 64,
     # co-locate each cluster through the repo's own hash exchange (the
     # bucket id needs no ordering, so Ray's sort-based groupby shuffle is
     # pure overhead here -- same substrate as every other bucketed path)
-    from .exchange import hash_exchange
+    from .exchange import exchange_blocks
 
     k_eff = int(min(n_clusters, len(sample)))
-    edges = hash_exchange(bucketed, k_eff, cluster_edges,
-                          bucket_col="ivf_bucket")
-    n_edges = edges.count()
-    if n_edges <= edge_driver_limit:
-        edges = edges.to_pandas()
+    edges = exchange_blocks(bucketed, k_eff, cluster_edges,
+                            bucket_col="ivf_bucket")
+    edges = edges.table().to_pandas() if edges.num_rows <= edge_driver_limit \
+        else edges.dataset()
     return _resolve_clusters_and_drop(ds, edges, id_col,
                                       edge_driver_limit=edge_driver_limit)
 
@@ -463,10 +470,7 @@ def fit_pca(ds, vec_col: str = "vec", k: int = 8, center: bool = True):
     # exactly ONE matrix and the depth logarithmic
     @ray.remote
     def combine(*tabs):
-        live = [t for t in tabs if t.num_rows]
-        if not live:
-            return tabs[0]
-        cat = pa.concat_tables(live)
+        cat = pa.concat_tables(tabs)
         nn = int(np.sum(cat.column("n").to_numpy(zero_copy_only=False)))
         ss = np.add.reduce([np.asarray(v)
                             for v in cat.column("s").to_pylist()])
@@ -478,16 +482,16 @@ def fit_pca(ds, vec_col: str = "vec", k: int = 8, center: bool = True):
             "xtx": pa.array([xx.tolist()], pa.list_(pa.float64())),
         })
 
-    refs = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True,
-                          batch_size=None).to_arrow_refs()
+    refs = Blocks.of(ds.map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True,
+                                    batch_size=None)).refs
+    if not refs:
+        raise ValueError("fit_pca: empty input")
     FAN = 8
     while len(refs) > 1:
         refs = [combine.remote(*refs[i:i + FAN])
                 for i in range(0, len(refs), FAN)]
     tab = ray.get(refs[0])
-    if not tab.num_rows:
-        raise ValueError("fit_pca: empty input")
     n = int(tab.column("n")[0].as_py())
     s = np.asarray(tab.column("s")[0].as_py())
     d = len(s)
@@ -546,9 +550,6 @@ def group_mean_pool(ds, group_col: str, vec_col: str = "embedding",
     key and the final divide is vectorized per bucket.  Raw vectors never
     shuffle -- only d x groups x blocks partial floats move.
     """
-    import pandas as pd
-    import pyarrow.compute as pc
-    import ray
 
     from .exchange import hash_exchange_by
 
@@ -835,26 +836,9 @@ def pq_search(encoded_ds, codebooks: np.ndarray, queries: np.ndarray,
             "score": pa.array(rows.ravel().astype(np.float64)),
         })
 
-    partials = encoded_ds.map_batches(scorer, batch_format="pyarrow",
-                                      zero_copy_batch=True).to_pandas()
-    out = {"query_id": [], id_col: [], "score": [], "rank": []}
-    if len(partials) == 0:
-        # empty encoded input: Ray's to_pandas drops columns entirely, so
-        # the groupby below would raise -- emit the typed empty result
-        partials = partials.reindex(columns=["query_id", id_col, "score"])
-    for qid, g in partials.groupby("query_id"):
-        top = g.sort_values(["score", id_col],
-                            ascending=[False, True]).head(k)
-        out["query_id"].extend([qid] * len(top))
-        out[id_col].extend(top[id_col])
-        out["score"].extend(top["score"])
-        out["rank"].extend(range(1, len(top) + 1))
-    return pa.table({
-        "query_id": pa.array(out["query_id"], pa.int64()),
-        id_col: pa.array(out[id_col], pa.int64()),
-        "score": pa.array(out["score"], pa.float64()),
-        "rank": pa.array(out["rank"], pa.int64()),
-    })
+    partials = Blocks.of(encoded_ds.map_batches(
+        scorer, batch_format="pyarrow", zero_copy_batch=True)).table()
+    return _ranked_table(_rank_per_query(partials, k, id_col), id_col)
 
 
 def _fixed_list_to_uint8(col, width: int) -> np.ndarray:
@@ -904,22 +888,11 @@ def pq_search_rerank(encoded_ds, codebooks: np.ndarray, raw_ds,
     pruned = raw_ds.map_batches(keep, batch_format="pyarrow",
                                 zero_copy_batch=True)
     exact = knn_brute_force(pruned, queries, k=len(union_ids),
-                            id_col=id_col, emb_col=emb_col).to_pandas()
-    out = {"query_id": [], id_col: [], "score": [], "rank": []}
-    for qid, g in exact.groupby("query_id"):
-        mine = g[g[id_col].isin(per_query[int(qid)])]
-        top = mine.sort_values(["score", id_col],
-                               ascending=[False, True]).head(k)
-        out["query_id"].extend([qid] * len(top))
-        out[id_col].extend(top[id_col])
-        out["score"].extend(top["score"])
-        out["rank"].extend(range(1, len(top) + 1))
-    return pa.table({
-        "query_id": pa.array(out["query_id"], pa.int64()),
-        id_col: pa.array(out[id_col], pa.int64()),
-        "score": pa.array(out["score"], pa.float64()),
-        "rank": pa.array(out["rank"], pa.int64()),
-    })
+                            id_col=id_col, emb_col=emb_col)
+    qids, ids = (exact.column(c).to_pylist() for c in ("query_id", id_col))
+    mine = [i in per_query[q] for q, i in zip(qids, ids)]
+    return _ranked_table(_rank_per_query(
+        exact.filter(pa.array(mine, pa.bool_())), k, id_col), id_col)
 
 
 # --------------------------------------------------------------------------

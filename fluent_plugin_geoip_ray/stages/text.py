@@ -16,6 +16,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import Blocks, empty_table
+
 # whitespace tokenization shared with the SQL oracle: tokens = non-space runs
 _WS_SPLIT = r"\s+"
 
@@ -466,15 +468,14 @@ def ngram_lm_affinity(ds, ref_ds, text_col: str = "text",
 
     partials = ref_ds.map_batches(gram_tables, batch_format="pyarrow",
                                   zero_copy_batch=True, batch_size=batch_size)
-    counts = groupby_agg(partials, ["g", "k"], [("n", "sum", "n")]).materialize()
-    n_grams = counts.count()
-    if n_grams > broadcast_limit:
+    counts = Blocks.of(groupby_agg(partials, ["g", "k"],
+                                   [("n", "sum", "n")]).materialize())
+    if counts.num_rows > broadcast_limit:
         raise ValueError(
-            f"ngram_lm_affinity: reference has {n_grams} distinct grams >"
-            f" broadcast_limit={broadcast_limit}; sample the reference"
+            f"ngram_lm_affinity: reference has {counts.num_rows} distinct "
+            f"grams > broadcast_limit={broadcast_limit}; sample the reference"
             " corpus (it is the small curated side by construction)")
-    tabs = [t for t in ray.get(counts.to_arrow_refs()) if t.num_rows]
-    allc = pa.concat_tables(tabs).combine_chunks() if tabs else pa.table(
+    allc = counts.table().combine_chunks() if counts.num_rows else pa.table(
         {"g": pa.array([], pa.string()), "k": pa.array([], pa.int8()),
          "n": pa.array([], pa.int64())})
     kk = allc.column("k").to_numpy(zero_copy_only=False)
@@ -664,21 +665,20 @@ def dsir_importance(ds, target_ds, text_col: str = "text",
     def counts_of(d):
         partials = d.map_batches(count_partial, batch_format="pyarrow",
                                  zero_copy_batch=True, batch_size=batch_size)
-        return groupby_agg(partials, ["g"], [("n", "sum", "n")]).materialize()
+        return Blocks.of(groupby_agg(partials, ["g"],
+                                     [("n", "sum", "n")]).materialize())
 
     raw_counts = counts_of(ds)
     tgt_counts = counts_of(target_ds)
 
-    def collect(d) -> pa.Table:
-        tabs = [t for t in ray.get(d.to_arrow_refs()) if t.num_rows]
+    def collect(blocks) -> pa.Table:
+        if blocks.num_rows:
+            return blocks.table().combine_chunks()
         gtype = pa.int64() if hashed else pa.string()
-        if not tabs:
-            return pa.table({"g": pa.array([], gtype),
-                             "n": pa.array([], pa.int64())})
-        return pa.concat_tables(tabs).combine_chunks()
+        return pa.table({"g": pa.array([], gtype), "n": pa.array([], pa.int64())})
 
     if not hashed:
-        n_distinct = raw_counts.count()
+        n_distinct = raw_counts.num_rows
         if n_distinct > broadcast_limit:
             raise ValueError(
                 f"dsir_importance exact mode: {n_distinct} distinct grams >"
@@ -778,6 +778,7 @@ def tfidf(ds, key_col: str = "doc_id", text_col: str = "text",
     equi join -- text itself never shuffles either way.
     """
     import ray
+    import ray.data as rd
 
     from .aggregate import groupby_agg
 
@@ -797,10 +798,13 @@ def tfidf(ds, key_col: str = "doc_id", text_col: str = "text",
                            batch_size=batch_size).materialize()
     n_docs = ds.count()
     df_ds = groupby_agg(tf_ds, ["token"], [("tf", "count", "df")]).materialize()
+    df_blocks = Blocks.of(df_ds)
+    if not df_blocks.num_rows:      # no input rows
+        return rd.from_arrow(_with_idf(tf_partial(empty_table(ds)),
+                                       np.empty(0, np.int64), n_docs))
 
-    if df_ds.count() <= df_broadcast_limit:
-        tables = [t for t in ray.get(df_ds.to_arrow_refs()) if t.num_rows]
-        dfp = pa.concat_tables(tables).combine_chunks()
+    if df_blocks.num_rows <= df_broadcast_limit:
+        dfp = df_blocks.table().combine_chunks()
         toks = dfp.column("token").to_numpy(zero_copy_only=False)
         dfs = dfp.column("df").to_numpy(zero_copy_only=False)
         order = np.argsort(toks)

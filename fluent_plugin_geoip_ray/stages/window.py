@@ -195,16 +195,14 @@ def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
     per bucket groups keys AND orders sessions, and ``session_idx`` is a
     per-key arange.  No driver state at any cardinality on that path.
     """
-    import ray
     import ray.data as rd
 
     gap_us = np.int64(gap_sec) * 1_000_000
     sort_cols = [key, ts_col] + ([order_tiebreak] if order_tiebreak else [])
     blocks = SortedBlocks(ds, sort_cols)
     if not blocks.total:
-        sch = blocks.ds.schema()
-        key_type = sch.types[sch.names.index(key)] \
-            if sch is not None and key in sch.names else pa.int64()
+        sch = blocks.schema
+        key_type = sch.field(key).type if sch and key in sch.names else pa.int64()
         return rd.from_arrow(pa.schema([
             (key, key_type), ("session_idx", pa.int64()),
             ("n_events", pa.int64()),
@@ -219,9 +217,9 @@ def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
                     [key])[1][::2].copy()
     brk0[1:] |= ft[1:] - lt[:-1] > gap_us
     new_runs = brk0.astype(np.int64) + runs
-    parts = blocks.scan(_run_partials,
-                        list(zip(blocks.offsets(new_runs).tolist(),
-                                 brk0.tolist())), **kw)
+    parts = blocks.apply(_run_partials,
+                         list(zip(blocks.offsets(new_runs).tolist(),
+                                  brk0.tolist())), **kw)
 
     def _finalize(t: pa.Table) -> pa.Table:
         rid = t.column("run_id").to_numpy(zero_copy_only=False)
@@ -258,9 +256,8 @@ def _session_windows_scan(ds, key: str, ts_col: str, gap_sec: int,
     # cardinality; all segments of a run share its key, so boundary-spanning
     # runs reunite in their bucket).
     if int(new_runs.sum()) <= driver_limit:
-        tables = [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows]
-        return rd.from_arrow(_finalize(pa.concat_tables(tables).combine_chunks()))
-    return hash_exchange_by(parts, [key], _finalize, num_buckets)
+        return rd.from_arrow(_finalize(parts.table().combine_chunks()))
+    return hash_exchange_by(parts.dataset(), [key], _finalize, num_buckets)
 
 
 def rate_limit(ds, key: str, ts_col: str, window_sec: int, k: int,
@@ -316,7 +313,6 @@ def lag_lead_by(ds, key: str, order_by: list[str], cols: dict,
     only needed columns shuffle.
     """
     import numpy as np
-    import pandas as pd
 
     if offset < 1:
         raise ValueError(f"offset must be >= 1, got {offset}")

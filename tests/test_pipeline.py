@@ -254,6 +254,26 @@ def test_file_name_hashes_logical_content():
     assert name(with_null) != name(with_empty)
 
 
+def test_blocks_without_key_columns_write_distinct_sink_files(tmp_path):
+    """Two blocks with the same row count and none of conv_id, turn_idx
+    and ts are named from all their columns, so neither overwrites the
+    other and both blocks' rows read back."""
+    from fluent_plugin_geoip_ray.pipelines.flagship import FanoutWrite
+    from fluent_plugin_geoip_ray.stages.route import RouteSpec
+
+    sink = str(tmp_path / "sink")
+    fw = FanoutWrite([RouteSpec(name="all", sink=sink)])
+    b1 = pa.table({"tag": ["app.a", "app.b"], "msg": ["x", "y"]})
+    b2 = pa.table({"tag": ["app.a", "app.b"], "msg": ["x", "z"]})
+    fw(b1)
+    fw(b2)
+    files = glob.glob(os.path.join(sink, "part=*", "*.parquet"))
+    rows = [r for f in files for r in pq.read_table(f).to_pylist()]
+    key = lambda r: (r["tag"], r["msg"])  # noqa: E731
+    assert sorted(rows, key=key) == sorted(b1.to_pylist() + b2.to_pylist(),
+                                           key=key)
+
+
 def test_json_sink_under_dir_named_parquet(tmp_path):
     """ndjson files get their own extension; a ``.parquet`` in the sink
     directory's name is left alone."""
