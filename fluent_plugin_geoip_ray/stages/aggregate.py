@@ -168,28 +168,27 @@ def salted_groupby_agg(ds, key: str, aggs: list[tuple], salt_buckets: int = 16,
 def top_k(ds, col: str, k: int, keep_cols: list[str] | None = None,
           descending: bool = True, tie_breakers: list[str] | None = None,
           batch_size: int = 65536):
-    """Global top-k without a full sort: per-batch top-k partials, merged on
-    the driver (k x blocks rows, tiny).  ``tie_breakers`` (ascending) make
-    the result deterministic when ``col`` has duplicates at the boundary."""
-    ties = tie_breakers or []
+    """Global top-k without a full sort: per-batch top-k partials, gathered
+    on the driver (k x blocks rows, tiny) and sorted there in Arrow, so the
+    result keeps the input's column types.  ``tie_breakers`` (ascending)
+    make the result deterministic when ``col`` has duplicates at the
+    boundary."""
+    sort_keys = [(col, "descending" if descending else "ascending")] + \
+        [(t, "ascending") for t in tie_breakers or []]
 
     def partial(batch: pa.Table) -> pa.Table:
         if keep_cols:
             batch = batch.select(keep_cols)
-        order = "descending" if descending else "ascending"
-        sort_keys = [(col, order)] + [(t, "ascending") for t in ties]
         idx = pc.select_k_unstable(
             batch, k=min(k, batch.num_rows), sort_keys=sort_keys
         )
         return batch.take(idx)
 
-    partials = ds.map_batches(
+    blocks = Blocks.of(ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
-    ).to_pandas()
-    out = partials.sort_values(
-        [col] + ties, ascending=[not descending] + [True] * len(ties)
-    ).head(k)
-    return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
+    ))
+    out = blocks.table() if blocks.num_rows else empty_table(ds)
+    return out.select(keep_cols or out.column_names).sort_by(sort_keys).slice(0, k)
 
 
 def quantiles_by(ds, key: str, value: str, qs: tuple = (0.5, 0.95, 0.99),

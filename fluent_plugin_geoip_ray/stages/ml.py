@@ -1,17 +1,20 @@
 """Distributed model training over Dataset columns (engine extension).
 
 The quality-classifier shape of a curation pipeline (fastText-style
-filters): train a small linear model where ROWS NEVER MOVE -- every
-iteration is one streaming ``map_batches`` pass emitting per-block
-gradient partials (a (d+1)-vector per BLOCK), combined on the driver in
-deterministic block order.  The same partial-reduction skeleton as
-:func:`similarity.kmeans_fit` and :func:`similarity.fit_pca`.
+filters): train a small linear model where ROWS NEVER MOVE -- the input
+is materialized once, and every iteration is one small task per block
+(:meth:`exchange.Blocks.sums`) returning that block's gradient as a numpy
+(d+1)-vector, summed on the driver in block order.
+:func:`similarity.kmeans_fit` runs its seeding and Lloyd's rounds the same
+way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .exchange import Blocks
 
 
 def _design_matrix(t: pa.Table, feature_cols: list[str]) -> np.ndarray:
@@ -21,48 +24,37 @@ def _design_matrix(t: pa.Table, feature_cols: list[str]) -> np.ndarray:
     return x
 
 
+def _logreg_partial(t: pa.Table, w: np.ndarray, feature_cols: list[str],
+                    label_col: str) -> np.ndarray:
+    """One block's unnormalized gradient ``X_b.T @ (sigmoid(X_b w) - y_b)``."""
+    x = _design_matrix(t, feature_cols)
+    y = t.column(label_col).to_numpy(zero_copy_only=False).astype(np.float64)
+    return x.T @ (1.0 / (1.0 + np.exp(-(x @ w))) - y)
+
+
 def logreg_fit(ds, feature_cols: list[str], label_col: str,
-               iters: int = 200, lr: float = 0.5, l2: float = 0.0,
-               batch_size: int = 65536) -> np.ndarray:
+               iters: int = 200, lr: float = 0.5,
+               l2: float = 0.0) -> np.ndarray:
     """Full-batch gradient-descent logistic regression (labels 0/1).
 
-    Per iteration ONE streaming pass: each block contributes
-    ``X_b.T @ (sigmoid(X_b w) - y_b)`` plus its row count -- a
-    (d+2)-float partial per block; the driver sums partials in block
+    The projected input is materialized once (one Ray Data execution);
+    each iteration runs one task per block, each returning that block's
+    ``X_b.T @ (sigmoid(X_b w) - y_b)``.  The driver sums them in block
     order (deterministic) and steps ``w -= lr * (g/n + l2*w)``.
     Identical arithmetic to single-process full-batch GD up to block
-    summation order (pinned against a numpy referee in tests).
+    summation order (pinned against a numpy referee in tests).  Raises
+    ``ValueError`` on an input without rows.
 
     Returns the weight vector (features..., bias) as float64.
     """
-    import ray
-
-    slim = ds.select_columns(feature_cols + [label_col]).materialize()
-    d = len(feature_cols) + 1
-    w = np.zeros(d)
+    blocks = Blocks.of(ds.select_columns(feature_cols + [label_col]))
+    if not blocks.num_rows:
+        raise ValueError("logreg_fit: empty input")
+    w = np.zeros(len(feature_cols) + 1)
     for _ in range(iters):
-        w_ref = ray.put(w)
-
-        def partial(t: pa.Table) -> pa.Table:
-            ww = ray.get(w_ref)
-            x = _design_matrix(t, feature_cols)
-            y = t.column(label_col).to_numpy(
-                zero_copy_only=False).astype(np.float64)
-            z = x @ ww
-            p = 1.0 / (1.0 + np.exp(-z))
-            g = x.T @ (p - y)
-            return pa.table({
-                "g": pa.array([g.tolist()]),
-                "n": pa.array([t.num_rows], pa.int64()),
-            })
-
-        parts = slim.map_batches(partial, batch_format="pyarrow",
-                                 batch_size=batch_size).to_pandas()
-        g = np.sum(np.stack(parts["g"].to_numpy()), axis=0)
-        n = int(parts["n"].sum())
-        if n == 0:
-            break
-        w = w - lr * (g / n + l2 * w)
+        g = np.sum(blocks.sums(_logreg_partial, w=w, feature_cols=feature_cols,
+                               label_col=label_col), axis=0)
+        w = w - lr * (g / blocks.num_rows + l2 * w)
     return w
 
 

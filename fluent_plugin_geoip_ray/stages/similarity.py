@@ -609,112 +609,76 @@ def group_mean_pool(ds, group_col: str, vec_col: str = "embedding",
 # Distributed k-means (spherical Lloyd's) -- the iterative-algorithm shape
 # --------------------------------------------------------------------------
 
+def _seed_partial(t: pa.Table, seeds: list, id_col: str,
+                  emb_col: str) -> tuple:
+    """One block's maxmin seed candidate ``(score, id, unit vector)``: its
+    row with the smallest maximum cosine to ``seeds``, ties to the smallest
+    id; with no seeds yet every score is -inf, so the smallest id."""
+    ids = t.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
+    m = _normalize(_embedding_matrix(t, emb_col))
+    score = (m @ np.reshape(seeds, (-1, m.shape[1])).T).max(
+        axis=1, initial=-np.inf)
+    i = np.lexsort((ids, score))[0]
+    return float(score[i]), int(ids[i]), m[i]
+
+
+def _lloyd_partial(t: pa.Table, cents: np.ndarray, emb_col: str) -> np.ndarray:
+    """One block's per-centroid ``(k, d)`` sums of its unit vectors, each
+    row counted at its nearest centroid (cosine)."""
+    m = _normalize(_embedding_matrix(t, emb_col))
+    sums = np.zeros(cents.shape)
+    np.add.at(sums, (m @ cents.T).argmax(axis=1), m)
+    return sums
+
+
 def kmeans_fit(ds, k: int, iters: int = 10, id_col: str = "vec_id",
                emb_col: str = "embedding", init: str = "maxmin",
-               sample_n: int = 4096, seed: int = 42,
-               batch_size: int = 65536) -> np.ndarray:
-    """Distributed spherical k-means: rows NEVER move; every round is one
-    streaming ``map_batches`` pass emitting per-block per-centroid
-    (count, sum-vector) partials (k x (d+1) floats per BLOCK) that the
-    driver combines and renormalizes.  Deterministic for a fixed dataset
-    block order.
+               sample_n: int = 4096, seed: int = 42) -> np.ndarray:
+    """Distributed spherical k-means: rows NEVER move.  The projected input
+    is materialized once (one Ray Data execution); every round is one task
+    per block (:meth:`exchange.Blocks.sums`) returning the block's
+    per-centroid sum-vectors as a ``(k, d)`` array, which the driver sums in
+    block order and renormalizes; a centroid with no members stays.
+    Deterministic for a fixed dataset block order.  Raises ``ValueError``
+    on an input without rows.
 
-    ``init="maxmin"``: deterministic farthest-point seeding -- k streaming
-    passes, each picking the point with the smallest maximum cosine to the
-    seeds so far (ties broken by id; the first seed is the smallest id).
+    ``init="maxmin"``: deterministic farthest-point seeding -- k rounds of
+    one task per block, each picking the point with the smallest maximum
+    cosine to the seeds so far (ties broken by id; the first seed is the
+    smallest id).
     For data with separated clusters this provably lands one seed per
     cluster, which is what the known-answer driver oracle relies on.
     ``init="sample"``: seeded uniform sample + driver Lloyd's (the IVF
     quantizer path, :func:`uniform_sample_matrix` + :func:`train_centroids`).
     """
-    import ray
-
     slim = ds.select_columns([id_col, emb_col]).materialize()
+    blocks = Blocks.of(slim)
+    if not blocks.num_rows:
+        raise ValueError("kmeans_fit: empty input")
 
     if init == "sample":
         cents = train_centroids(
             uniform_sample_matrix(slim, id_col, emb_col, sample_n, seed=seed),
             k, seed=seed)
     elif init == "maxmin":
-        def first_seed(t: pa.Table) -> pa.Table:
-            ids = t.column(id_col).cast(pa.int64()).to_numpy(
-                zero_copy_only=False)
-            if not len(ids):
-                return pa.table({"id": pa.array([], pa.int64()),
-                                 "vec": pa.array([], pa.list_(pa.float64()))})
-            i = int(np.argmin(ids))
-            m = _normalize(_embedding_matrix(t, emb_col))
-            return pa.table({"id": pa.array([int(ids[i])]),
-                             "vec": pa.array([m[i].tolist()])})
-
-        picks = slim.map_batches(first_seed,
-                                 batch_format="pyarrow").to_pandas()
-        row = picks.loc[picks["id"].idxmin()]
-        seeds = [np.asarray(row["vec"], np.float64)]
-        for _ in range(1, k):
-            s_ref = ray.put(np.stack(seeds))
-
-            def next_seed(t: pa.Table) -> pa.Table:
-                s = ray.get(s_ref)
-                ids = t.column(id_col).cast(pa.int64()).to_numpy(
-                    zero_copy_only=False)
-                empty = pa.table({
-                    "score": pa.array([], pa.float64()),
-                    "id": pa.array([], pa.int64()),
-                    "vec": pa.array([], pa.list_(pa.float64()))})
-                if not len(ids):
-                    return empty
-                m = _normalize(_embedding_matrix(t, emb_col))
-                score = (m @ s.T).max(axis=1)          # max cos to seeds
-                order = np.lexsort((ids, score))       # min score, then id
-                i = order[0]
-                return pa.table({"score": pa.array([float(score[i])]),
-                                 "id": pa.array([int(ids[i])]),
-                                 "vec": pa.array([m[i].tolist()])})
-
-            cand = slim.map_batches(next_seed,
-                                    batch_format="pyarrow").to_pandas()
-            cand = cand.sort_values(["score", "id"]).iloc[0]
-            seeds.append(np.asarray(cand["vec"], np.float64))
+        seeds = []
+        for _ in range(k):
+            seeds.append(min(blocks.sums(_seed_partial, seeds=seeds,
+                                         id_col=id_col, emb_col=emb_col),
+                             key=lambda c: c[:2])[2])
         cents = np.stack(seeds)
     else:
         raise ValueError(f"kmeans_fit init must be maxmin|sample, got {init!r}")
 
     for _ in range(iters):
-        c_ref = ray.put(cents)
-
-        def partial(t: pa.Table) -> pa.Table:
-            c = ray.get(c_ref)
-            m = _normalize(_embedding_matrix(t, emb_col))
-            if not len(m):
-                return pa.table({
-                    "cluster": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "s": pa.array([], pa.list_(pa.float64()))})
-            assign = (m @ c.T).argmax(axis=1)
-            order = np.argsort(assign, kind="stable")
-            a_s, m_s = assign[order], m[order]
-            starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
-            sums = np.add.reduceat(m_s, starts, axis=0)
-            counts = np.diff(np.append(starts, len(a_s)))
-            return pa.table({
-                "cluster": pa.array(a_s[starts].astype(np.int64)),
-                "n": pa.array(counts.astype(np.int64)),
-                "s": pa.array([row.tolist() for row in sums]),
-            })
-
-        parts = slim.map_batches(partial, batch_format="pyarrow",
-                                 batch_size=batch_size).to_pandas()
-        new = cents.copy()
-        for cl, g in parts.groupby("cluster"):
-            vec = np.sum(np.stack(g["s"].to_numpy()), axis=0)
-            norm = np.linalg.norm(vec)
-            if norm > 1e-12:
-                new[int(cl)] = vec / norm
-        if np.allclose(new, cents, atol=1e-12):
-            cents = new
-            break
+        sums = np.sum(blocks.sums(_lloyd_partial, cents=cents,
+                                  emb_col=emb_col), axis=0)
+        norm = np.linalg.norm(sums, axis=1, keepdims=True)
+        new = np.where(norm > 1e-12, sums / np.maximum(norm, 1e-12), cents)
+        converged = np.allclose(new, cents, atol=1e-12)
         cents = new
+        if converged:
+            break
     return cents
 
 

@@ -1,7 +1,8 @@
 """``exchange.Blocks``, the one handle between a dataset and its block
 refs: what its driver gather returns, and how many Ray Data executions
-the handle, the sort and the session scan start.  Also the four gathering
-operators on a typed 0-row input, checked against DuckDB."""
+the handle, the sort, the session scan and the iterative fits start.  Also
+the gathering operators on a typed 0-row input, checked against DuckDB,
+and the fits on an input without rows."""
 
 import duckdb
 import numpy as np
@@ -102,6 +103,64 @@ def test_session_windows_driver_merge_runs_no_execution(executions):
     assert list(zip(got["user_id"], got["n_events"])) == exp
 
 
+def _vec_table(n=300, d=8, seed=3) -> pa.Table:
+    m = np.random.default_rng(seed).standard_normal((n, d)).astype(np.float32)
+    return pa.table({"vec_id": pa.array(np.arange(n)),
+                     "embedding": pa.FixedSizeListArray.from_arrays(
+                         pa.array(m.ravel()), d).cast(pa.list_(pa.float32()))})
+
+
+def test_logreg_fit_runs_one_execution(executions):
+    from fluent_plugin_geoip_ray.stages.ml import logreg_fit
+
+    t = _table()
+    ds = _plus_one(rd.from_arrow(_blocks(t))).map_batches(
+        lambda b: b.append_column("y", pa.array(
+            (b.column("s").to_numpy() > 0).astype(np.int64))),
+        batch_format="pyarrow")
+    w = logreg_fit(ds, ["s"], "y", iters=20)
+    assert len(executions) == 1, executions
+    assert w.shape == (2,) and w[0] > 0
+
+
+def test_kmeans_fit_maxmin_runs_one_execution(executions):
+    from fluent_plugin_geoip_ray.stages.similarity import kmeans_fit
+
+    ds = rd.from_arrow(_blocks(_vec_table(), 3)).map_batches(
+        lambda b: b, batch_format="pyarrow")
+    cents = kmeans_fit(ds, k=3, iters=3)
+    assert len(executions) == 1, executions
+    assert cents.shape == (3, 8)
+
+
+def _logreg(ds):
+    from fluent_plugin_geoip_ray.stages.ml import logreg_fit
+
+    return logreg_fit(ds, ["s"], "k")
+
+
+def _kmeans(init):
+    def run(ds):
+        from fluent_plugin_geoip_ray.stages.similarity import kmeans_fit
+
+        return kmeans_fit(ds, k=2, iters=2, init=init)
+    return run
+
+
+@pytest.mark.parametrize("fit, t, name", [
+    (_logreg, _table().slice(0, 0), "logreg_fit"),
+    (_kmeans("maxmin"), _vec_table().slice(0, 0), "kmeans_fit"),
+    (_kmeans("sample"), _vec_table().slice(0, 0), "kmeans_fit"),
+    (_logreg, _table(), "logreg_fit"),
+], ids=["logreg", "kmeans_maxmin", "kmeans_sample", "logreg_filtered_chain"])
+def test_fit_on_empty_input_raises(fit, t, name):
+    ds = rd.from_arrow(_blocks(t) if t.num_rows else t)
+    if t.num_rows:      # a map chain that filters every row out
+        ds = ds.map_batches(lambda b: b.slice(0, 0), batch_format="pyarrow")
+    with pytest.raises(ValueError, match=f"{name}: empty input"):
+        fit(ds)
+
+
 def test_table_of_pandas_blocks_equals_to_pandas():
     t = _table(600)
     ds = rd.from_pandas([b.to_pandas() for b in _blocks(t, 3)])
@@ -157,6 +216,12 @@ def _stratified(ds):
     return stratified_sample(ds, "lang", "doc_id", 0.3)
 
 
+def _top_k(ds):
+    from fluent_plugin_geoip_ray.stages.aggregate import top_k
+
+    return top_k(ds, "value", 5, tie_breakers=["event_id"])
+
+
 def _tfidf(ds):
     from fluent_plugin_geoip_ray.stages.text import tfidf
 
@@ -194,6 +259,8 @@ EMPTY_CASES = {
                               quantile_cont(value, 0.95) AS hi
                        FROM t GROUP BY event_type) b USING (event_type)"""),
     "stratified_sample": (DOCS, _stratified, None),
+    "top_k": (EVENTS, _top_k,
+              "SELECT * FROM t ORDER BY value DESC, event_id LIMIT 5"),
     "tfidf": (DOCS, _tfidf, r"""
         WITH tok AS (
           SELECT doc_id, unnest(string_split_regex(lower(text), '\s+'))
@@ -225,4 +292,22 @@ def test_gathering_operator_on_empty_input_matches_duckdb(op):
     assert got.schema == exp.schema
     if op == "profile":
         got, exp = got.sort_by("column"), exp.sort_by("column")
+    assert got.to_pylist() == exp.to_pylist()
+
+
+def test_top_k_keeps_int_columns_with_nulls_matches_duckdb():
+    from fluent_plugin_geoip_ray.stages.aggregate import top_k
+
+    rng = np.random.default_rng(11)
+    n = 2000
+    t = pa.table({"id": pa.array(np.arange(n)),
+                  "v": pa.array(rng.integers(0, 40, n)),
+                  "x": pa.array(rng.integers(0, 1000, n),
+                                mask=rng.random(n) < 0.3)})
+    got = top_k(rd.from_arrow(_blocks(t, 5)), "v", 60, tie_breakers=["id"])
+    con = duckdb.connect()
+    con.register("t", t)
+    exp = con.execute("SELECT * FROM t ORDER BY v DESC, id LIMIT 60").arrow()
+    con.close()
+    assert got.schema == t.schema and not got.schema.metadata
     assert got.to_pylist() == exp.to_pylist()

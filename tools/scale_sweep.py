@@ -281,8 +281,8 @@ def main() -> int:
             fromlist=["distinct_rows"]
         ).distinct_rows(rd.from_arrow(events),
                         cols=["user_id", "event_type"]).count()),
-        # sample-init keeps the sweep to Lloyd's per-round cost (maxmin's
-        # k seeding passes are the documented deterministic-init price)
+        # sample-init keeps the sweep to Lloyd's per-round cost (maxmin adds
+        # k seeding rounds of one task per block, the deterministic-init price)
         ("kmeans", lambda: __import__(
             "fluent_plugin_geoip_ray.stages.similarity", fromlist=["kmeans_fit"]
         ).kmeans_fit(rd.from_arrow(embs), k=16, iters=3,
